@@ -2,13 +2,14 @@
 
 To run input b against program P: differentiate P once with respect to a_i
 for every set bit b_i, evaluate what's left at a = 0, and raise the scalar
-to the m-th power.  A monomial survives full differentiation exactly when
-its support equals the support of b, so the scalar is the phase coefficient
-of b's monomial (or 0), and the m-th power collapses any phase to 1.
+to the m-th power.  Each variable of b's support S is differentiated once,
+so the chain leaves exactly the coefficient of the multilinear monomial on
+S (0 if P lacks it), multilinear P or not, and runs compute it by that one
+lookup.  The m-th power then collapses any phase to 1.
 
 The functional variant differentiates along a function's graph instead and
-skips the evaluation at zero: full differentiation of a degree-n homogeneous
-listing already leaves a constant.  Either way, a post-power scalar outside
+skips the evaluation at zero; only a term of degree > n containing the graph
+leaves a non-constant remainder.  Either way, a post-power scalar outside
 {0, 1} means the program was not an additive listing, and we refuse to guess.
 """
 
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .cyclotomic import CycloRational
 from .errors import ModelViolationError, SingularMatrixError
 from .listings import FunctionTable, listing_determinant
-from .multipoly import MultiPoly, matrix_index
+from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
 
 _KINDS = ("vector", "matrix", "functional")
 
@@ -61,38 +63,41 @@ class DifferentialComputer:
                 f"which does not divide the declared order {self.order}"
             )
 
-    # The decision step shared by all input kinds.
-    def _decide(self, scalar: CycloRational) -> RunResult:
+    @cached_property
+    def _tall_terms(self) -> tuple[Monomial, ...]:
+        # the terms of degree > arity, found on the first functional run
+        return tuple(m for m in self.program.terms if m.degree() > self.arity)
+
+    def _show(self, mono: Monomial) -> str:
+        table = (VarTable.vector if self.input_kind == "vector" else VarTable.matrix)(self.arity)
+        return " * ".join(table.factors(mono)) or "1"
+
+    def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
         powered = scalar**self.order
         if powered.is_zero():
             return RunResult(0, scalar)
         if powered == CycloRational.one():
             return RunResult(1, scalar)
         raise ModelViolationError(
-            f"post-power scalar {powered} is neither 0 nor 1; "
-            "the program is not an additive listing"
+            f"post-power scalar {powered} is neither 0 nor 1 at input monomial "
+            f"{self._show(mono)}; the program is not an additive listing"
         )
 
 
-def _differentiate_along(p: MultiPoly, variables: Sequence[int]) -> MultiPoly:
-    for v in variables:
-        if p.is_zero():
-            break
-        p = p.partial_derivative(v)
-    return p
+def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:
+    """The one run path: d/da_S P at a = 0 is the coefficient of prod_S a_i."""
+    mono = Monomial.of_vars(support)
+    return dc._decide(dc.program.coefficient(mono), mono)
 
 
 def run_vector(dc: DifferentialComputer, b: Sequence[int]) -> RunResult:
-    """Apply d/da_i per set bit, evaluate at zero, decide."""
+    """Apply d/da_i per set bit, evaluate at zero, decide (by coefficient lookup)."""
     if dc.input_kind != "vector":
         raise ValueError(f"run_vector on a {dc.input_kind}-input computer")
     bits = [int(x) for x in b]
     if len(bits) != dc.arity or any(x not in (0, 1) for x in bits):
         raise ValueError(f"expected a length-{dc.arity} bit vector")
-    derived = _differentiate_along(
-        dc.program, [i for i, bit in enumerate(bits) if bit]
-    )
-    return dc._decide(derived.evaluate({}))
+    return _run(dc, [i for i, bit in enumerate(bits) if bit])
 
 
 def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResult:
@@ -105,30 +110,27 @@ def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResul
         raise ValueError(f"expected a {n}x{n} matrix")
     if any(x not in (0, 1) for r in rows for x in r):
         raise ValueError("matrix entries must be 0 or 1")
-    todo = [matrix_index(n, i, j) for i in range(n) for j in range(n) if rows[i][j]]
-    derived = _differentiate_along(dc.program, todo)
-    return dc._decide(derived.evaluate({}))
+    return _run(dc, [matrix_index(n, i, j) for i in range(n) for j in range(n) if rows[i][j]])
 
 
 def run_functional(dc: DifferentialComputer, g: FunctionTable) -> RunResult:
-    """Differentiate along the graph of g; no evaluation at zero.
+    """Differentiate along the graph of g, with no evaluation at zero.
 
-    Full differentiation of a degree-n homogeneous listing leaves a constant;
-    a non-constant remainder means the program was malformed and is reported
-    rather than silently evaluated away.
+    A non-constant remainder is reported, naming one offending term.
     """
     if dc.input_kind != "functional":
         raise ValueError(f"run_functional on a {dc.input_kind}-input computer")
     n = dc.arity
     if g.n != n:
         raise ValueError(f"function acts on Z_{g.n}, computer expects Z_{n}")
-    todo = [matrix_index(n, i, g(i)) for i in range(n)]
-    derived = _differentiate_along(dc.program, todo)
-    if derived.degree() > 0:
-        raise ModelViolationError(
-            "differentiating along the function left a non-constant polynomial"
-        )
-    return dc._decide(derived.evaluate({}))
+    support = [matrix_index(n, i, g(i)) for i in range(n)]
+    for term in dc._tall_terms:
+        if term.support() >= set(support):
+            raise ModelViolationError(
+                "differentiating along the function left a non-constant polynomial: term "
+                f"{dc._show(term)} contains input monomial {dc._show(Monomial.of_vars(support))}"
+            )
+    return _run(dc, support)
 
 
 def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:

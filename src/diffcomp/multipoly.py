@@ -317,13 +317,9 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         table = VarTable.vector(self.nvars)
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = [f"({c})"] + [
-                table.name(v) + (f"^{e}" if e > 1 else "") for v, e in mono.exps
-            ]
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join([f"({c})"] + table.factors(mono)) for mono, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"<MultiPoly nvars={self.nvars} terms={len(self.terms)}>"
@@ -363,6 +359,10 @@ class VarTable:
     def name(self, index: int) -> str:
         return self.names[index]
 
+    def factors(self, mono: Monomial) -> list[str]:
+        """The monomial's variables as written in the text format, e.g. ['a_0^2', 'a_3']."""
+        return [self.name(v) + (f"^{e}" if e > 1 else "") for v, e in mono.exps]
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -388,10 +388,7 @@ def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None 
     # their square shape through a round trip
     lines = [_FORMAT_LINE, f"{len(table)} {m}"]
     for mono, c in p.sorted_terms():
-        factors = [c.to_text()]
-        for v, e in mono.exps:
-            factors.append(table.name(v) + (f"^{e}" if e > 1 else ""))
-        lines.append(" * ".join(factors))
+        lines.append(" * ".join([c.to_text()] + table.factors(mono)))
     return "\n".join(lines) + "\n"
 
 

@@ -147,6 +147,20 @@ def test_run_flags_model_violation(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_run_bit_outside_the_listing_universe_is_zero(tmp_path, capsys):
+    # a_0 * a_1 over 2 variables, run on 3 bits: the listing does not mention
+    # a_2, so setting it differentiates the listing to zero
+    poly = tmp_path / "narrow.poly"
+    poly.write_text("# diffcomp-poly 1\n2 1\n1:[1/1] * a_0 * a_1\n")
+    inp = tmp_path / "in.bits"
+    for bits, expected in (("110", "1"), ("101", "0"), ("001", "0")):
+        inp.write_text(bits + "\n")
+        assert run_cli(["run", str(poly), str(inp)]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected + "\n"
+        assert err.startswith("scalar ")
+
+
 # -- verify and bound ------------------------------------------------------------
 
 

@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import CycloRational, root_of_unity
 from diffcomp.engine import (
     DifferentialComputer,
+    RunResult,
     count_eval,
     inverse_via_gradient,
     run_functional,
@@ -40,6 +43,58 @@ def cube(n):
 
 def vector_computer(t: TruthTable) -> DifferentialComputer:
     return DifferentialComputer(listing_from_truth_table(t), t.n, t.m, "vector")
+
+
+# -- the derivative chain: the reference semantics a run computes by lookup --------
+
+RUNS = {"vector": run_vector, "matrix": run_matrix, "functional": run_functional}
+
+
+def _differentiate_along(p: MultiPoly, variables) -> MultiPoly:
+    for v in variables:
+        if p.is_zero():
+            break
+        # d/da_v is zero on a polynomial that does not mention a_v
+        p = p.partial_derivative(v) if v < p.nvars else MultiPoly.zero(p.nvars)
+    return p
+
+
+def input_support(kind: str, n: int, x) -> list[int]:
+    if kind == "vector":
+        return [i for i, bit in enumerate(x) if bit]
+    if kind == "matrix":
+        return [n * i + j for i in range(n) for j in range(n) if x[i][j]]
+    return [n * i + x(i) for i in range(n)]
+
+
+def derivative_chain(dc: DifferentialComputer, x):
+    """(bit, pre-power scalar), or "residue" / "violation" for a malformed program."""
+    derived = _differentiate_along(dc.program, input_support(dc.input_kind, dc.arity, x))
+    if dc.input_kind == "functional" and derived.degree() > 0:
+        return "residue"
+    scalar = derived.evaluate({})
+    powered = scalar**dc.order
+    if powered.is_zero():
+        return 0, scalar
+    if powered == CycloRational.one():
+        return 1, scalar
+    return "violation"
+
+
+def lookup(dc: DifferentialComputer, x):
+    """The engine's answer in derivative_chain's shape."""
+    try:
+        result = RUNS[dc.input_kind](dc, x)
+    except ModelViolationError as exc:
+        return "residue" if "non-constant" in str(exc) else "violation"
+    return result.bit, result.scalar
+
+
+def run_checked(dc: DifferentialComputer, x) -> RunResult:
+    """Run x, asserting the derivative chain gives the same bit and scalar."""
+    result = RUNS[dc.input_kind](dc, x)
+    assert derivative_chain(dc, x) == (result.bit, result.scalar)
+    return result
 
 
 def test_construction_validation():
@@ -91,7 +146,7 @@ def test_soundness_exhaustive_small():
                 t = TruthTable.make(n, yes, m).with_lex_phases()
                 dc = vector_computer(t)
                 for b in points:
-                    assert run_vector(dc, b).bit == t.value(b)
+                    assert run_checked(dc, b).bit == t.value(b)
 
 
 def test_soundness_random_n4():
@@ -179,8 +234,8 @@ def test_det_and_per_decide_permutation_matrices():
     per = DifferentialComputer(listing_permanent(n), n, 1, "matrix")
     for B in all_bit_matrices(n):
         want = 1 if is_permutation_matrix(B) else 0
-        assert run_matrix(det, B).bit == want
-        assert run_matrix(per, B).bit == want
+        assert run_checked(det, B).bit == want
+        assert run_checked(per, B).bit == want
 
 
 def test_functional_listing_decides_functionality():
@@ -188,7 +243,7 @@ def test_functional_listing_decides_functionality():
         dc = DifferentialComputer(listing_functional_graphs(n), n, 1, "matrix")
         for B in all_bit_matrices(n):
             want = 1 if all(sum(row) == 1 for row in B) else 0
-            assert run_matrix(dc, B).bit == want
+            assert run_checked(dc, B).bit == want
 
 
 def test_matrix_examples_from_worked_case():
@@ -219,7 +274,7 @@ def test_functional_computer_on_cyclic_group():
     accepted = {
         g.images
         for g in all_function_tables(3)
-        if run_functional(dc, g).bit == 1
+        if run_checked(dc, g).bit == 1
     }
     assert accepted == {FunctionTable.shift(3, j).images for j in range(3)}
 
@@ -244,6 +299,96 @@ def test_functional_rejects_nonconstant_residue():
     dc = DifferentialComputer(p, 2, 1, "functional")
     with pytest.raises(ModelViolationError):
         run_functional(dc, FunctionTable.constant(2, 0))
+
+
+def test_residue_error_names_an_offending_term():
+    p = MultiPoly(4, {Monomial.make({0: 2, 2: 1}): 1, Monomial.of_vars([0, 2]): 1})
+    dc = DifferentialComputer(p, 2, 1, "functional")
+    with pytest.raises(
+        ModelViolationError,
+        match=r"non-constant polynomial: term a_\{0,0\}\^2 \* a_\{1,0\} "
+        r"contains input monomial a_\{0,0\} \* a_\{1,0\}$",
+    ):
+        run_functional(dc, FunctionTable.constant(2, 0))
+    # the identity's graph {a_{0,0}, a_{1,1}} is in no term: a clean 0
+    assert run_functional(dc, FunctionTable.identity(2)).bit == 0
+
+
+def test_model_violation_names_input_and_powered_scalar():
+    dc = DifferentialComputer(2 * MultiPoly.variable(2, 3), 3, 1, "vector")
+    with pytest.raises(ModelViolationError, match=r"scalar 2 is neither 0 nor 1 at input "
+                       r"monomial a_2; the program is not an additive listing"):
+        run_vector(dc, (0, 0, 1))
+    w = root_of_unity(4)
+    skew = MultiPoly(4, {Monomial.of_vars([1, 2]): 2 * w})
+    dc = DifferentialComputer(skew, 2, 4, "matrix")
+    with pytest.raises(ModelViolationError, match=r"scalar 16 .* a_\{0,1\} \* a_\{1,0\};"):
+        run_matrix(dc, [[0, 1], [1, 0]])
+    constant = DifferentialComputer(MultiPoly.constant(3, 1), 1, 1, "vector")
+    with pytest.raises(ModelViolationError, match=r"scalar 3 .* at input monomial 1;"):
+        run_vector(constant, (0,))
+
+
+def test_set_bits_outside_the_program_give_zero():
+    # d/da_v P = 0 when P does not mention a_v, so the answer is 0 whatever
+    # order the bits are visited in, for every input kind
+    ab = DifferentialComputer(MultiPoly(2, {Monomial.of_vars([0, 1]): 1}), 3, 1, "vector")
+    assert run_vector(ab, (1, 1, 0)).bit == 1
+    assert run_checked(ab, (1, 0, 1)).bit == 0
+    a0 = DifferentialComputer(MultiPoly(2, {Monomial.of_vars([0]): 1}), 3, 1, "vector")
+    assert run_checked(a0, (0, 1, 1)).bit == 0
+    assert run_checked(a0, (0, 0, 1)).bit == 0
+    m = DifferentialComputer(MultiPoly(2, {Monomial.of_vars([0]): 1}), 2, 1, "matrix")
+    assert run_checked(m, [[1, 0], [0, 0]]).bit == 1
+    assert run_checked(m, [[1, 0], [1, 0]]).bit == 0
+    assert run_checked(m, [[0, 0], [0, 1]]).scalar.is_zero()
+    f = DifferentialComputer(MultiPoly(3, {Monomial.of_vars([0, 2]): 1}), 2, 1, "functional")
+    assert run_checked(f, FunctionTable.constant(2, 0)).bit == 1
+    assert run_checked(f, FunctionTable.identity(2)).bit == 0
+    assert run_checked(f, FunctionTable(2, (1, 1))).bit == 0
+
+
+@st.composite
+def programs_and_inputs(draw):
+    """Small random programs, many not listings, with one input each.
+
+    Terms mix exponents 1 and 2, often contain the input's support (so some
+    strictly contain it), sometimes carry the non-unit coefficient 2 or 1/2,
+    and the program may use fewer variables than the input universe.
+    """
+    kind = draw(st.sampled_from(sorted(RUNS)))
+    n = draw(st.integers(0, 5) if kind == "vector" else st.integers(1, 3))
+    universe = n if kind == "vector" else n * n
+    nvars = draw(st.integers(0, universe)) if draw(st.integers(0, 3)) == 0 else universe
+    order = draw(st.sampled_from((1, 2, 4)))
+    bit = st.integers(0, 1)
+    if kind == "vector":
+        x = tuple(draw(st.lists(bit, min_size=n, max_size=n)))
+    elif kind == "matrix":
+        x = [draw(st.lists(bit, min_size=n, max_size=n)) for _ in range(n)]
+    else:
+        x = FunctionTable(n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                                  max_size=n))))
+    support = {v for v in input_support(kind, n, x) if v < nvars}
+    extra = st.sets(st.integers(0, nvars - 1), max_size=3) if nvars else st.just(set())
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(("exact", "superset", "random")))
+        variables = (set() if shape == "random" else support) | (
+            set() if shape == "exact" else draw(extra))
+        power = st.just(1) if shape == "exact" else st.sampled_from((1, 1, 2))
+        mono = Monomial.make({v: draw(power) for v in variables})
+        k = draw(st.integers(0, order - 1))
+        scale = draw(st.sampled_from((1, 1, 1, 1, -1, 2, Fraction(1, 2))))
+        terms[mono] = scale * root_of_unity(order, k)
+    return DifferentialComputer(MultiPoly(nvars, terms), n, order, kind), x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(programs_and_inputs())
+def test_lookup_agrees_with_derivative_chain(case):
+    dc, x = case
+    assert lookup(dc, x) == derivative_chain(dc, x)
 
 
 def test_functional_domain_check():
