@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import CycloRational
+from . import textfile
+from .cyclotomic import CycloRational, as_scalar
 from .errors import (
     FormatError,
     InternalInconsistencyError,
@@ -31,14 +32,6 @@ from .listings import FunctionTable
 from .multipoly import Monomial, MultiPoly, matrix_index
 
 Matrix = list[list[CycloRational]]
-
-
-def _coerce(c) -> CycloRational:
-    if isinstance(c, CycloRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return CycloRational.from_rational(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a hypermatrix entry")
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class ChowDecomposition:
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise ValueError("need rho >= 1, degree >= 1, nvars >= 0")
         rows = tuple(
-            tuple(tuple(_coerce(c) for c in form) for form in summand)
+            tuple(tuple(as_scalar(c) for c in form) for form in summand)
             for summand in self.entries
         )
         if len(rows) != self.rho:
@@ -96,29 +89,14 @@ class ChowDecomposition:
         m = self.coefficient_order()
         if order is not None:
             m = math.lcm(m, order)
-        lines = ["# diffcomp-chow 1", f"{self.rho} {self.degree} {self.nvars} {m}"]
-        for summand in self.entries:
-            for form in summand:
-                lines.append(" ".join(c.to_text() for c in form))
-        return "\n".join(lines) + "\n"
+        return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
+            " ".join(c.to_text() for c in form) for summand in self.entries for form in summand
+        ])
 
     @classmethod
     def from_text(cls, text: str) -> tuple[ChowDecomposition, int]:
         """Parse; returns the decomposition and the declared coefficient order."""
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines:
-            raise FormatError("empty decomposition file")
-        head = lines[0].split()
-        if len(head) != 4:
-            raise FormatError(f"bad decomposition header {lines[0]!r}")
-        try:
-            rho, d, n, m = (int(x) for x in head)
-        except ValueError as exc:
-            raise FormatError(f"bad decomposition header {lines[0]!r}") from exc
-        if rho < 1 or d < 1 or n < 0 or m < 1:
-            raise FormatError(f"bad decomposition header {lines[0]!r}")
-        body = lines[1:]
+        (rho, d, n, m), body = textfile.read(text, "chow", 1, 1, 0, 1)
         if len(body) != rho * d:
             raise FormatError(f"expected {rho * d} form lines, found {len(body)}")
         forms = []
@@ -260,7 +238,7 @@ def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:
     if len(alphas) != n:
         raise ValueError(f"expected {n} coefficients")
     terms = {
-        Monomial.of_vars(range(m * i, m * i + m)): _coerce(alphas[i])
+        Monomial.of_vars(range(m * i, m * i + m)): as_scalar(alphas[i])
         for i in range(n)
     }
     poly = MultiPoly(m * n, terms)

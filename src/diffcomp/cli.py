@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import chow, engine, graphs, listings
+from . import chow, engine, graphs, listings, textfile
 from .errors import (
     DiffcompError,
     FormatError,
@@ -120,18 +120,15 @@ def cmd_build(args) -> int:
 # -- run ----------------------------------------------------------------------
 
 def _parse_bits(text: str) -> list[int]:
-    toks = text.split()
-    if len(toks) == 1 and all(c in "01" for c in toks[0]):
-        return [int(c) for c in toks[0]]
+    lines = textfile.records(text)
+    if len(lines) == 1 and all(c in "01" for c in lines[0]):
+        return [int(c) for c in lines[0]]
     raise FormatError(f"bad bit-vector file content {text!r}")
 
 
 def _parse_bit_matrix(text: str) -> list[list[int]]:
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in textfile.records(text):
         toks = line.split()
         if len(toks) == 1 and len(toks[0]) > 1:
             toks = list(toks[0])
@@ -149,7 +146,7 @@ def cmd_run(args) -> int:
     kind = args.kind
     input_text = _read(args.input)
     if kind == "vector":
-        bits = _parse_bits(input_text.strip())
+        bits = _parse_bits(input_text)
         dc = engine.DifferentialComputer(poly, len(bits), order, "vector")
         result = engine.run_vector(dc, bits)
     elif kind == "matrix":
@@ -157,12 +154,11 @@ def cmd_run(args) -> int:
         dc = engine.DifferentialComputer(poly, len(B), order, "matrix")
         result = engine.run_matrix(dc, B)
     elif kind == "functional":
-        lines = [ln for ln in input_text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = textfile.records(input_text)
         if len(lines) != 1:
             raise FormatError("functional input file must hold one image list")
         n = math.isqrt(poly.nvars)
-        g = _parse_function(lines[0].strip(), n)
+        g = _parse_function(lines[0], n)
         dc = engine.DifferentialComputer(poly, n, order, "functional")
         result = engine.run_functional(dc, g)
     else:  # pragma: no cover - argparse restricts choices

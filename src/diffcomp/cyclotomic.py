@@ -15,6 +15,7 @@ exact values.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ from .errors import FormatError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_COORD = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # an exact coordinate: n or n/d
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +116,6 @@ def _poly_divmod(n: list[Fraction], d: list[Fraction]) -> tuple[list, list]:
     return _trim(q), _trim(n)
 
 
-def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as an integer coefficient tuple.
@@ -138,15 +135,27 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if m == 1:
         return (-1, 1)
     num = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
-        if d < m:
+    for d in range(1, m):
+        if m % d == 0:
             num = _poly_divexact_int(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    """Euler's totient, read off as the degree of Phi_m."""
-    return len(cyclotomic_polynomial(m)) - 1
+    """Euler's totient (the degree of Phi_m), from the factorization of m."""
+    if m < 1:
+        raise ValueError("order must be a positive integer")
+    phi, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def _as_fraction(x) -> Fraction:
@@ -228,18 +237,10 @@ class CycloRational:
 
     # -- arithmetic ----------------------------------------------------------
 
-    @classmethod
-    def _coerce(cls, x) -> CycloRational | None:
-        """Lift ints/Fractions; None for foreign types so dunders can defer."""
-        if isinstance(x, CycloRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls.from_rational(x)
-        return None
-
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        try:
+            rhs = as_scalar(other)
+        except TypeError:
             return NotImplemented
         a, b = self._unified(self, rhs)
         return CycloRational(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
@@ -250,8 +251,9 @@ class CycloRational:
         return CycloRational(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        try:
+            rhs = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return self + (-rhs)
 
@@ -259,8 +261,9 @@ class CycloRational:
         return (-self) + other
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        try:
+            rhs = as_scalar(other)
+        except TypeError:
             return NotImplemented
         a, b = self._unified(self, rhs)
         prod = _poly_mul(list(a.coeffs), list(b.coeffs))
@@ -280,8 +283,9 @@ class CycloRational:
         return CycloRational(self.order, reduced)
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        try:
+            rhs = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return self * rhs.inverse()
 
@@ -300,8 +304,9 @@ class CycloRational:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        try:
+            rhs = as_scalar(other)
+        except TypeError:
             return NotImplemented
         a, b = self._unified(self, rhs)
         return a.coeffs == b.coeffs
@@ -331,12 +336,14 @@ class CycloRational:
             order = int(head)
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError(body)
-            inner = body[1:-1]
-            parts = inner.split(",") if inner else []
-            coeffs = [Fraction(p) for p in parts]
+            parts = [_COORD.fullmatch(p) for p in body[1:-1].split(",")]
+            if not all(parts):
+                raise ValueError(body)
+            coeffs = [Fraction(int(p[1]), int(p[2] or 1)) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad cyclotomic value {text!r}") from exc
-        if order < 1 or len(coeffs) != euler_phi(order):
+        # phi(m) >= sqrt(m/2), so a larger order cannot have this many coordinates
+        if not 1 <= order <= 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
             raise FormatError(f"bad cyclotomic value {text!r}")
         return cls(order, coeffs)
 
@@ -353,6 +360,15 @@ class CycloRational:
 
     def __repr__(self) -> str:
         return f"CycloRational.from_text({self.to_text()!r})"
+
+
+def as_scalar(x) -> CycloRational:
+    """x as a field element: ints and Fractions are lifted, other types are a TypeError."""
+    if isinstance(x, CycloRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return CycloRational(1, [x])
+    raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
 
 
 def root_of_unity(m: int, k: int = 1) -> CycloRational:

@@ -70,7 +70,7 @@ class DifferentialComputer:
 
     def _show(self, mono: Monomial) -> str:
         table = (VarTable.vector if self.input_kind == "vector" else VarTable.matrix)(self.arity)
-        return " * ".join(table.factors(mono)) or "1"
+        return " * ".join(table.factor(v, e) for v, e in mono.exps) or "1"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
         powered = scalar**self.order

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import textfile
 from .cyclotomic import CycloRational
 from .errors import FormatError
 from .listings import FunctionTable
@@ -65,26 +66,23 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i][j])
 
+    def _records(self) -> list[str]:
+        return [str(self.n)] + [" ".join(map(str, row)) for row in self.adj]
+
     def to_text(self) -> str:
-        lines = ["# diffcomp-graph 1", str(self.n)]
-        for row in self.adj:
-            lines.append(" ".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        return textfile.write("graph", self._records())
 
     @classmethod
     def from_text(cls, text: str) -> Graph:
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines:
-            raise FormatError("empty graph file")
-        try:
-            n = int(lines[0])
-        except ValueError as exc:
-            raise FormatError(f"bad graph header {lines[0]!r}") from exc
-        if n < 0 or len(lines) != n + 1:
-            raise FormatError(f"expected {n} adjacency rows")
+        (n,), rows = textfile.read(text, "graph", 0)
+        return cls._from_rows(n, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: list[str]) -> Graph:
+        if len(rows) != n:
+            raise FormatError(f"expected {n} adjacency rows, found {len(rows)}")
         adj = []
-        for line in lines[1:]:
+        for line in rows:
             row = line.split()
             if len(row) != n or any(x not in ("0", "1") for x in row):
                 raise FormatError(f"bad adjacency row {line!r}")
@@ -226,27 +224,18 @@ def recovers_original(result: TransformSetResult, n: int, mode: str = "T",
 
 
 # ---------------------------------------------------------------------------
-# Graph-set files: blank-line-separated graph blocks.
+# Graph-set files: graph records one after another, written blank-line separated.
 # ---------------------------------------------------------------------------
 
 def graph_set_to_text(graphs: Sequence[Graph]) -> str:
-    blocks = []
-    for g in graphs:
-        body = [str(g.n)] + [" ".join(map(str, row)) for row in g.adj]
-        blocks.append("\n".join(body))
-    return "# diffcomp-graphset 1\n" + "\n\n".join(blocks) + "\n"
+    return textfile.write("graphset", ["\n\n".join("\n".join(g._records()) for g in graphs)])
 
 
 def graph_set_from_text(text: str) -> list[Graph]:
-    lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
-    blocks: list[list[str]] = [[]]
-    for ln in lines:
-        if ln.strip():
-            blocks[-1].append(ln)
-        elif blocks[-1]:
-            blocks.append([])
-    if blocks and not blocks[-1]:
-        blocks.pop()
-    if not blocks:
-        raise FormatError("empty graph-set file")
-    return [Graph.from_text("\n".join(b)) for b in blocks]
+    lines = textfile.records(text, "graphset")
+    out, at = [], 0
+    while at < len(lines):
+        (n,) = textfile.ints(lines[at], "graph header", 0)
+        out.append(Graph._from_rows(n, lines[at + 1:at + 1 + n]))
+        at += 1 + n
+    return out

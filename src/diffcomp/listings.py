@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
+from . import textfile
 from .cyclotomic import CycloRational, root_of_unity
 from .errors import FormatError, NotApplicableError, SizeCapError
 from .multipoly import Monomial, MultiPoly, matrix_index
@@ -121,30 +122,17 @@ class TruthTable:
         return sorted(self.yes, key=lex_index)
 
     def to_text(self) -> str:
-        lines = ["# diffcomp-tt 1", f"{self.n} {self.m}"]
+        lines = [f"{self.n} {self.m}"]
         for b in self.sorted_yes():
             bits = "".join(map(str, b)) or "-"  # arity 0: placeholder token
             lines.append(f"{bits} {self.phases[b]}")
-        return "\n".join(lines) + "\n"
+        return textfile.write("tt", lines)
 
     @classmethod
     def from_text(cls, text: str) -> TruthTable:
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines:
-            raise FormatError("empty truth-table file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise FormatError(f"bad truth-table header {lines[0]!r}")
-        try:
-            n, m = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise FormatError(f"bad truth-table header {lines[0]!r}") from exc
-        if n < 0 or m < 1:
-            raise FormatError(f"bad truth-table header {lines[0]!r}")
-        yes: list[Bits] = []
+        (n, m), lines = textfile.read(text, "tt", 0, 1)
         phases: dict[Bits, int] = {}
-        for line in lines[1:]:
+        for line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"bad truth-table line {line!r}")
@@ -160,8 +148,7 @@ class TruthTable:
                 phases[b] = int(phase_s)
             except ValueError as exc:
                 raise FormatError(f"bad phase {phase_s!r}") from exc
-            yes.append(b)
-        return cls.make(n, yes, m, phases)
+        return cls.make(n, phases.keys(), m, phases)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ Polynomial equality compares term maps only, i.e. it is mathematical
 equality; the declared variable-universe size `nvars` is carried for
 serialization and for dimension checks but does not affect `==`.
 
-The canonical text format is:
+The canonical text format (kind `poly` in the framing of `textfile`) is:
 
-    # diffcomp-poly 1
     <nvars> <m>
     <coeff> * <var>[^e] * <var>[^e] ...
 
@@ -25,10 +24,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cyclotomic import CycloRational
+from . import textfile
+from .cyclotomic import CycloRational, as_scalar
 from .errors import FormatError, InvalidRelabellingError
 
 
@@ -100,14 +99,6 @@ class Monomial:
 _ONE_MONOMIAL = Monomial()
 
 
-def _coerce_coeff(c) -> CycloRational:
-    if isinstance(c, CycloRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return CycloRational.from_rational(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-
-
 class MultiPoly:
     """Immutable sparse polynomial; `terms` maps Monomial -> nonzero CycloRational."""
 
@@ -117,7 +108,7 @@ class MultiPoly:
         clean: dict[Monomial, CycloRational] = {}
         max_var = -1
         for mono, raw in (terms or {}).items():
-            c = _coerce_coeff(raw)
+            c = as_scalar(raw)
             if c.is_zero():
                 continue
             clean[mono] = c
@@ -138,7 +129,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c, nvars: int = 0) -> MultiPoly:
-        return cls(nvars, {_ONE_MONOMIAL: _coerce_coeff(c)})
+        return cls(nvars, {_ONE_MONOMIAL: as_scalar(c)})
 
     @classmethod
     def variable(cls, v: int, nvars: int | None = None) -> MultiPoly:
@@ -239,7 +230,7 @@ class MultiPoly:
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
         """Exact evaluation; variables missing from `point` default to 0."""
-        vals = {v: _coerce_coeff(c) for v, c in point.items()}
+        vals = {v: as_scalar(c) for v, c in point.items()}
         total = CycloRational.zero()
         zero = CycloRational.zero()
         for mono, c in self.terms.items():
@@ -265,7 +256,7 @@ class MultiPoly:
         Variables not mentioned in `relabel` keep their index.  The mapping
         must stay injective on the surviving variables.
         """
-        fixings = {v: _coerce_coeff(c) for v, c in (fixings or {}).items()}
+        fixings = {v: as_scalar(c) for v, c in (fixings or {}).items()}
         relabel = dict(relabel or {})
         overlap = set(fixings) & set(relabel)
         if overlap:
@@ -318,7 +309,8 @@ class MultiPoly:
             return "0"
         table = VarTable.vector(self.nvars)
         return " + ".join(
-            "*".join([f"({c})"] + table.factors(mono)) for mono, c in self.sorted_terms()
+            "*".join([f"({c})"] + [table.factor(v, e) for v, e in mono.exps])
+            for mono, c in self.sorted_terms()
         )
 
     def __repr__(self) -> str:
@@ -336,43 +328,70 @@ def matrix_index(n: int, i: int, j: int) -> int:
     return n * i + j
 
 
+@dataclass(frozen=True)
 class VarTable:
-    """Bijection between human-readable variable names and flat indices."""
+    """Names of the variables 0..size-1, computed on demand.
 
-    def __init__(self, names: Iterable[str]) -> None:
-        self.names = tuple(names)
-        self._index = {name: i for i, name in enumerate(self.names)}
-        if len(self._index) != len(self.names):
-            raise ValueError("variable names must be distinct")
+    Vector naming writes variable i as `a_i`; matrix naming (side set, size
+    side^2) writes the row-major index side*i + j as `a_{i,j}`.
+    """
+
+    size: int
+    prefix: str = "a"
+    side: int | None = None
 
     @classmethod
     def vector(cls, n: int, prefix: str = "a") -> VarTable:
-        return cls(f"{prefix}_{i}" for i in range(n))
+        return cls(n, prefix)
 
     @classmethod
     def matrix(cls, n: int, prefix: str = "a") -> VarTable:
-        return cls(f"{prefix}_{{{i},{j}}}" for i in range(n) for j in range(n))
+        return cls(n * n, prefix, n)
+
+    @classmethod
+    def naming(cls, name: str, size: int) -> VarTable:
+        """The table over `size` variables that names its variables the way `name` is."""
+        match = _NAME_RE.fullmatch(name)
+        if match is None:
+            raise FormatError(f"bad variable token {name!r}")
+        side = None if match[2] else math.isqrt(size)
+        if side is not None and side * side != size:
+            raise FormatError(f"matrix variable {name!r} in a non-square universe")
+        return cls(size, match[1], side)
 
     def __len__(self) -> int:
-        return len(self.names)
+        return self.size
 
     def name(self, index: int) -> str:
-        return self.names[index]
-
-    def factors(self, mono: Monomial) -> list[str]:
-        """The monomial's variables as written in the text format, e.g. ['a_0^2', 'a_3']."""
-        return [self.name(v) + (f"^{e}" if e > 1 else "") for v, e in mono.exps]
+        if not 0 <= index < self.size:
+            raise IndexError(f"variable {index} outside universe of size {self.size}")
+        if self.side is None:
+            return f"{self.prefix}_{index}"
+        i, j = divmod(index, self.side)
+        return f"{self.prefix}_{{{i},{j}}}"
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise FormatError(f"unknown variable {name!r}") from None
+        """The index of the variable `name`; FormatError if this table does not name it."""
+        match = _NAME_RE.fullmatch(name)
+        if match is None or match[1] != self.prefix or (match[2] is None) == (self.side is None):
+            raise FormatError(f"bad or inconsistently named variable {name!r}")
+        if self.side is None:
+            index = int(match[2])
+        else:
+            i, j = int(match[3]), int(match[4])
+            if i >= self.side or j >= self.side:
+                raise FormatError(f"variable {name!r} outside the {self.side}x{self.side} matrix")
+            index = self.side * i + j
+        if index >= self.size:
+            raise FormatError(f"variable {name!r} outside universe of size {self.size}")
+        return index
+
+    def factor(self, v: int, e: int) -> str:
+        """Variable v to the power e as written in the text format, e.g. 'a_0^2'."""
+        return self.name(v) + (f"^{e}" if e > 1 else "")
 
 
-_FORMAT_LINE = "# diffcomp-poly 1"
-_VEC_RE = re.compile(r"^([A-Za-z]+)_(\d+)$")
-_MAT_RE = re.compile(r"^([A-Za-z]+)_\{(\d+),(\d+)\}$")
+_NAME_RE = re.compile(r"([A-Za-z]+)_(?:(\d+)|\{(\d+),(\d+)\})")  # a_7, or a_{1,2} for matrices
 
 
 def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None = None) -> str:
@@ -384,12 +403,14 @@ def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None 
     m = p.coefficient_order()
     if order is not None:
         m = math.lcm(m, order)
+    # each distinct (variable, exponent) factor is formatted once per file
+    tokens = {ve: table.factor(*ve) for ve in {ve for mono in p.terms for ve in mono.exps}}
     # the declared universe is the table's, so sparse matrix listings keep
     # their square shape through a round trip
-    lines = [_FORMAT_LINE, f"{len(table)} {m}"]
-    for mono, c in p.sorted_terms():
-        lines.append(" * ".join([c.to_text()] + table.factors(mono)))
-    return "\n".join(lines) + "\n"
+    return textfile.write("poly", [f"{len(table)} {m}"] + [
+        " * ".join([c.to_text()] + [tokens[ve] for ve in mono.exps])
+        for mono, c in p.sorted_terms()
+    ])
 
 
 @dataclass(frozen=True)
@@ -400,70 +421,32 @@ class ParsedPoly:
 
 
 def poly_from_text(text: str) -> ParsedPoly:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise FormatError("empty polynomial file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"bad polynomial header {lines[0]!r}")
-    try:
-        nvars, order = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad polynomial header {lines[0]!r}") from exc
-    if nvars < 0 or order < 1:
-        raise FormatError(f"bad polynomial header {lines[0]!r}")
-
-    style: str | None = None  # "vec" or "mat"
-    prefix: str | None = None
-    side = math.isqrt(nvars)
+    (nvars, order), lines = textfile.read(text, "poly", 0, 1)
+    table: VarTable | None = None  # fixed by the first variable the file names
+    # each distinct coefficient and factor token is parsed once per file
+    coeffs: dict[str, CycloRational] = {}
+    factors: dict[str, tuple[int, int]] = {}  # token -> (variable, exponent)
     terms: dict[Monomial, CycloRational] = {}
-
-    def var_index(token: str) -> int:
-        nonlocal style, prefix
-        mv = _VEC_RE.match(token)
-        mm = _MAT_RE.match(token)
-        if mv:
-            kind, pfx, idx = "vec", mv.group(1), int(mv.group(2))
-        elif mm:
-            if side * side != nvars:
-                raise FormatError(f"matrix variable {token!r} in a non-square universe")
-            i, j = int(mm.group(2)), int(mm.group(3))
-            if i >= side or j >= side:
-                raise FormatError(f"variable {token!r} outside the {side}x{side} matrix")
-            kind, pfx, idx = "mat", mm.group(1), side * i + j
-        else:
-            raise FormatError(f"bad variable token {token!r}")
-        if style is None:
-            style, prefix = kind, pfx
-        elif (style, prefix) != (kind, pfx):
-            raise FormatError(f"inconsistent variable naming at {token!r}")
-        if idx >= nvars:
-            raise FormatError(f"variable {token!r} outside universe of size {nvars}")
-        return idx
-
-    for line in lines[1:]:
+    for line in lines:
         pieces = [piece.strip() for piece in line.split(" * ")]
-        coeff = CycloRational.from_text(pieces[0])
+        coeff = coeffs.get(pieces[0])
+        if coeff is None:
+            coeff = coeffs[pieces[0]] = CycloRational.from_text(pieces[0])
         exps: dict[int, int] = {}
         for token in pieces[1:]:
-            name, _, exp_s = token.partition("^")
-            e = 1
-            if exp_s:
-                try:
-                    e = int(exp_s)
-                except ValueError as exc:
-                    raise FormatError(f"bad exponent in {token!r}") from exc
-                if e < 1:
-                    raise FormatError(f"bad exponent in {token!r}")
-            v = var_index(name)
+            factor = factors.get(token)
+            if factor is None:
+                name, _, exp_s = token.partition("^")
+                (e,) = textfile.ints(exp_s or "1", "exponent", 1)
+                if table is None:
+                    table = VarTable.naming(name, nvars)
+                factor = factors[token] = (table.index(name), e)
+            v, e = factor
             exps[v] = exps.get(v, 0) + e
         mono = Monomial.make(exps)
         if mono in terms:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff
-
-    if style == "mat":
-        table = VarTable.matrix(side, prefix or "a")
-    else:
-        table = VarTable.vector(nvars, prefix or "a")
+    if table is None:
+        table = VarTable.vector(nvars)
     return ParsedPoly(MultiPoly(nvars, terms), table, order)

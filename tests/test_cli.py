@@ -48,6 +48,18 @@ def test_build_truth_table_and_run_vector(tmp_path, capsys):
         assert err.startswith("scalar ")
 
 
+def test_run_inputs_accept_comments(tmp_path, capsys):
+    t = TruthTable.make(2, [(1, 0)])
+    tt, poly, inp = tmp_path / "f.tt", tmp_path / "f.poly", tmp_path / "in.bits"
+    tt.write_text(t.to_text())
+    assert run_cli(["build", "truth-table", "--table", str(tt), "--out", str(poly)]) == 0
+    for text in ("# the one yes-instance\n10\n", "\n10\n# trailing note\n"):
+        inp.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["run", str(poly), str(inp)]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+
 def test_build_iso_listing(tmp_path):
     g = graphs.Graph.from_edges(3, [(0, 1)])
     gf = tmp_path / "g.graph"
@@ -283,11 +295,10 @@ def test_transform_tf_needs_seed_function(tmp_path, capsys):
 
 def test_transform_rejects_mixed_sizes(tmp_path, capsys):
     gs = tmp_path / "in.graphset"
-    gs.write_text(
-        graphs.Graph.empty(2).to_text() + "\n" + graphs.Graph.empty(3).to_text()
-    )
+    gs.write_text(graphs.graph_set_to_text([graphs.Graph.empty(2), graphs.Graph.empty(3)]))
     assert run_cli(["transform", str(gs)]) == 2
-    capsys.readouterr()
+    _, err = capsys.readouterr()
+    assert "mixed vertex counts [2, 3]" in err
 
 
 # -- selftest ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from diffcomp.cyclotomic import (
     CycloRational,
+    as_scalar,
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
@@ -35,6 +36,28 @@ def test_cyclotomic_polynomial_small_cases():
 def test_cyclotomic_degree_is_totient():
     for m in range(1, 40):
         assert len(cyclotomic_polynomial(m)) - 1 == brute_phi(m) == euler_phi(m)
+
+
+def test_euler_phi_from_factorization():
+    rng = random.Random(5)
+    for m in [997, 1000, 1024, 3600, 40000] + [rng.randint(40, 5000) for _ in range(20)]:
+        assert euler_phi(m) == brute_phi(m)
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+def test_as_scalar_lifts_rationals_and_refuses_other_types():
+    assert as_scalar(3) == CycloRational.from_rational(3)
+    assert as_scalar(Fraction(1, 2)).coeffs == (Fraction(1, 2),)
+    w = root_of_unity(4)
+    assert as_scalar(w) is w
+    for foreign in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            as_scalar(foreign)
+        # the operators defer instead, so Python reports the unsupported operand
+        with pytest.raises(TypeError):
+            w * foreign
+    assert w != "w" and 2 * w == w + w
 
 
 def test_product_of_cyclotomics_is_x_pow_m_minus_1():
@@ -181,7 +204,8 @@ def test_text_format_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "4", "4:[1]", "0:[1]", "4:[1,2,3]", "4:(1,2)", "x:[1,0]", "4:[1,q]"],
+    ["", "4", "4:[1]", "0:[1]", "4:[1,2,3]", "4:(1,2)", "x:[1,0]", "4:[1,q]",
+     "1:[1e20000000]", "1:[0.5]", "4:[1,]", "4:[1/0,1]", "40000:[1]", "12000:[1]"],
 )
 def test_text_format_rejects_garbage(bad):
     with pytest.raises(FormatError):
