@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import textfile
-from .cyclotomic import CycloRational, as_scalar
+from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
 from .errors import (
     FormatError,
     InternalInconsistencyError,
@@ -46,10 +46,8 @@ class ChowDecomposition:
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise ValueError("need rho >= 1, degree >= 1, nvars >= 0")
-        rows = tuple(
-            tuple(tuple(as_scalar(c) for c in form) for form in summand)
-            for summand in self.entries
-        )
+        rows = tuple(tuple(tuple(map(as_scalar, form)) for form in summand)
+                     for summand in self.entries)
         if len(rows) != self.rho:
             raise ValueError(f"expected {self.rho} summands, got {len(rows)}")
         for summand in rows:
@@ -57,17 +55,15 @@ class ChowDecomposition:
                 raise ValueError(f"expected {self.degree} forms per summand")
             for form in summand:
                 if len(form) != self.nvars + 1:
-                    raise ValueError(
-                        f"each form needs {self.nvars + 1} entries, got {len(form)}"
-                    )
+                    raise ValueError(f"each form needs {self.nvars + 1} entries, got {len(form)}")
         object.__setattr__(self, "entries", rows)
 
     def form(self, u: int, v: int) -> MultiPoly:
         """The linear form H[u][v][n] + sum_w H[u][v][w] x_w."""
-        coeffs = self.entries[u][v]
-        terms: dict[Monomial, CycloRational] = {Monomial(): coeffs[self.nvars]}
-        for w in range(self.nvars):
-            terms[Monomial.make({w: 1})] = coeffs[w]
+        *coeffs, constant = self.entries[u][v]
+        terms = {Monomial(((w, 1),)): c for w, c in enumerate(coeffs) if c}
+        if constant:
+            terms[Monomial()] = constant
         return MultiPoly(self.nvars, terms)
 
     def is_homogeneous(self) -> bool:
@@ -78,12 +74,7 @@ class ChowDecomposition:
         )
 
     def coefficient_order(self) -> int:
-        out = 1
-        for summand in self.entries:
-            for form in summand:
-                for c in form:
-                    out = math.lcm(out, c.order)
-        return out
+        return math.lcm(*(c.order for summand in self.entries for form in summand for c in form))
 
     def to_text(self, order: int | None = None) -> str:
         m = self.coefficient_order()
@@ -135,24 +126,13 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
     themselves — so dropping the slots leaves the degree-d part untouched.
     """
     if not target.is_homogeneous(c.degree):
-        raise NotHomogeneousError(
-            f"target is not homogeneous of degree {c.degree}"
-        )
+        raise NotHomogeneousError(f"target is not homogeneous of degree {c.degree}")
     if not verify(c, target):
         raise ValueError("decomposition does not verify against the target")
-    zeroed = ChowDecomposition(
-        c.rho,
-        c.degree,
-        c.nvars,
-        tuple(
-            tuple(form[: c.nvars] + (CycloRational.zero(),) for form in summand)
-            for summand in c.entries
-        ),
-    )
+    zeroed = ChowDecomposition(c.rho, c.degree, c.nvars, tuple(
+        tuple(form[: c.nvars] + (ZERO,) for form in summand) for summand in c.entries))
     if not verify(zeroed, target):
-        raise InternalInconsistencyError(
-            "zeroing constant slots broke a homogeneous decomposition"
-        )
+        raise InternalInconsistencyError("zeroing constant slots broke a homogeneous decomposition")
     return zeroed
 
 
@@ -161,18 +141,23 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
 # ---------------------------------------------------------------------------
 
 def symmetric_matrix_of(p: MultiPoly) -> Matrix:
-    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p."""
+    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p.
+
+    Rows and columns are the variables p's terms use, in increasing order:
+    the other variables only add zero rows and columns, which change no rank.
+    """
     if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
         raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
-    n = p.nvars
+    slot = {v: k for k, v in enumerate(sorted({v for m in p.terms for v, _ in m.exps}))}
     half = CycloRational.from_rational(Fraction(1, 2))
-    A = [[CycloRational.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        A[i][i] = p.coefficient(Monomial.make({i: 2}))
-        for j in range(i + 1, n):
-            c = p.coefficient(Monomial.make({i: 1, j: 1})) * half
-            A[i][j] = c
-            A[j][i] = c
+    A = [[ZERO] * len(slot) for _ in slot]
+    for mono, c in p.terms.items():
+        (i, e), *rest = mono.exps
+        if e == 2:
+            A[slot[i]][slot[i]] = c
+        else:
+            i, j = slot[i], slot[rest[0][0]]
+            A[i][j] = A[j][i] = c * half
     return A
 
 
@@ -182,7 +167,7 @@ def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
-    prev = CycloRational.one()
+    inv_prev = ONE  # the inverse of the previous pivot, by which Bareiss divides
     r = 0
     for c in range(nc):
         pivot = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
@@ -191,9 +176,9 @@ def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
         m[r], m[pivot] = m[pivot], m[r]
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) / prev
-            m[i][c] = CycloRational.zero()
-        prev = m[r][c]
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) * inv_prev
+            m[i][c] = ZERO
+        inv_prev = m[r][c].inverse()
         rank += 1
         r += 1
         if r == nr:
@@ -293,7 +278,6 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
     if d < 1:
         raise NotApplicableError("need a polynomial of degree at least 1")
     n = p.nvars
-    zero, one = CycloRational.zero(), CycloRational.one()
     summands = []
     for mono, coeff in p.sorted_terms():
         slots: list[int] = []
@@ -301,8 +285,8 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
             slots.extend([v] * e)
         forms = []
         for k in range(d):
-            form = [zero] * (n + 1)
-            scale = coeff if k == 0 else one
+            form = [ZERO] * (n + 1)
+            scale = coeff if k == 0 else ONE
             if k < len(slots):
                 form[slots[k]] = scale
             else:
@@ -352,17 +336,13 @@ def compile_functional(
             lo, hi = n * v, n * v + n
             for w in range(n * n):
                 if not (lo <= w < hi) and not form[w].is_zero():
-                    raise ValueError(
-                        f"form {v} of summand {u} touches variable {w}, "
-                        f"outside row {v}"
-                    )
-    X: Matrix = [
-        [c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]
-        for u in range(c.rho)
-    ]
-    scalar = CycloRational.zero()
+                    raise ValueError(f"form {v} of summand {u} touches variable {w}, "
+                                     f"outside row {v}")
+    X: Matrix = [[c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]
+                 for u in range(c.rho)]
+    scalar = ZERO
     for u in range(c.rho):
-        prod = CycloRational.one()
+        prod = ONE
         for v in range(n):
             prod = prod * X[u][v]
             if prod.is_zero():
@@ -375,11 +355,10 @@ def functional_product_decomposition(n: int) -> ChowDecomposition:
     """rho = 1 certificate for the n^n-term functional listing: prod_i sum_j a_{i,j}."""
     if n < 1:
         raise ValueError("n must be positive")
-    zero, one = CycloRational.zero(), CycloRational.one()
     forms = []
     for v in range(n):
-        form = [zero] * (n * n + 1)
+        form = [ZERO] * (n * n + 1)
         for w in range(n):
-            form[matrix_index(n, v, w)] = one
+            form[matrix_index(n, v, w)] = ONE
         forms.append(tuple(form))
     return ChowDecomposition(1, n, n * n, (tuple(forms),))

@@ -1,15 +1,15 @@
 """Exact arithmetic in the field Q(w), where w is a primitive m-th root of unity.
 
-An element is stored as its coordinate vector in the power basis
-1, w, ..., w^{phi(m)-1} of Q[x]/(Phi_m(x)), with Fraction coordinates.
-Representations are fully reduced modulo the m-th cyclotomic polynomial
-Phi_m, so equality of same-order elements is coordinate-wise and
-zero-testing is exact.  Arithmetic between elements of different orders
-first embeds both into the field of order lcm(m1, m2).
-
-No floating point is used in any computation; `complex()` conversion is
-provided for display and cross-checking only and never feeds back into
-exact values.
+An element is its coordinate vector in the power basis 1, w, ..., w^{phi(m)-1}
+of Q[x]/(Phi_m(x)), stored as FLINT's fmpq_poly stores a polynomial: integer
+coordinates `num` over one positive denominator `den`, in lowest terms
+(gcd(den, *num) == 1; zero is all-zero coordinates over 1).  So equality of
+same-order elements compares integers.  Phi_m is monic, so a product reduces
+modulo Phi_m in the integers, with one gcd at the end; for orders 1 and 2
+(phi = 1, the rationals) every operation is a single integer operation.
+Arithmetic between orders first embeds both into the order lcm(m1, m2).
+`coeffs` gives the coordinates as Fractions, computed on read.  No floating
+point is used; `to_complex` is for display and cross-checking only.
 """
 
 from __future__ import annotations
@@ -21,107 +21,28 @@ from functools import lru_cache
 
 from .errors import FormatError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _COORD = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # an exact coordinate: n or n/d
+_gcd = math.gcd
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate polynomial helpers (coefficient lists, constant term first).
-# ---------------------------------------------------------------------------
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _poly_rem(p: list[Fraction], mod: tuple[int, ...]) -> list[Fraction]:
-    # mod is monic, so reduction needs no divisions.
-    p = list(p)
-    d = len(mod) - 1
-    while len(p) > d:
-        lead = p[-1]
-        if lead != 0:
-            off = len(p) - 1 - d
-            for i in range(d):
-                p[off + i] -= lead * mod[i]
-        p.pop()
-    return _trim(p)
-
-
-def _poly_divexact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials with monic divisor.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    while len(num) >= len(den):
-        lead = num[-1]
-        k = len(num) - len(den)
-        out[k] = lead
-        if lead != 0:
-            for i, c in enumerate(den):
-                num[k + i] -= lead * c
-        if num.pop() != 0:
-            raise ArithmeticError("inexact polynomial division")
-    if any(c != 0 for c in num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _poly_xgcd(a: list, b: list) -> tuple[list, list, list]:
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _trim([x - y for x, y in _zip_sub(u0, _poly_mul(q, u1))])
-        v0, v1 = v1, _trim([x - y for x, y in _zip_sub(v0, _poly_mul(q, v1))])
-    return r0, u0, v0
-
-
-def _zip_sub(a: list, b: list):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else _ZERO), (b[i] if i < len(b) else _ZERO)
-
-
-def _poly_divmod(n: list[Fraction], d: list[Fraction]) -> tuple[list, list]:
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    n = list(n)
-    q = [_ZERO] * max(len(n) - len(d) + 1, 0)
-    inv_lead = 1 / d[-1]
-    while len(n) >= len(d):
-        c = n[-1] * inv_lead
-        k = len(n) - len(d)
-        q[k] = c
-        if c != 0:
-            for i, dc in enumerate(d):
-                n[k + i] -= c * dc
-        n.pop()
-    return _trim(q), _trim(n)
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as an integer coefficient tuple.
 
-    Computed by the recurrence Phi_m(x) = (x^m - 1) / prod_{d|m, d<m} Phi_d(x),
-    with exact integer polynomial division.  The result is monic.
+    Phi_m(x) = Phi_r(x^(m/r)) for r = rad(m), and Phi_r is the Moebius product
+    of (x^d - 1)^mu(r/d) over the divisors d of r; each factor is one sparse
+    multiply or exact divide.  The result is monic.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -132,13 +53,24 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("order must be a positive integer")
-    if m == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            num = _poly_divexact_int(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    primes = _prime_factors(m)
+    poly, divisors = [1], []
+    for mask in range(1 << len(primes)):
+        d = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        if (len(primes) - mask.bit_count()) % 2:
+            divisors.append(d)
+        else:  # times (x^d - 1)
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d in divisors:  # exactly divided by (x^d - 1), in place
+        for i in range(len(poly) - d):
+            poly[i] = (poly[i - d] if i >= d else 0) - poly[i]
+        del poly[len(poly) - d:]
+    step = m // math.prod(primes)
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -146,60 +78,93 @@ def euler_phi(m: int) -> int:
     """Euler's totient (the degree of Phi_m), from the factorization of m."""
     if m < 1:
         raise ValueError("order must be a positive integer")
-    phi, rest, p = m, m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            phi -= phi // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        phi -= phi // rest
+    phi = m
+    for p in _prime_factors(m):
+        phi -= phi // p
     return phi
 
 
+@lru_cache(maxsize=None)
+def _rule(m: int) -> tuple[tuple[int, int], ...]:
+    # x^phi(m) == sum c * x^i mod Phi_m, as the nonzero (i, c) pairs
+    return tuple((i, -c) for i, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
+
+
+def _reduce(p: list[int], m: int) -> tuple[int, ...]:
+    """The integer polynomial p (constant term first) modulo Phi_m, as phi(m) coordinates."""
+    phi, rule = euler_phi(m), _rule(m)
+    for k in range(len(p) - 1, phi - 1, -1):
+        lead = p[k]
+        if lead:
+            off = k - phi
+            for i, c in rule:
+                p[off + i] += lead * c
+    return tuple(p[:phi]) + (0,) * (phi - len(p))
+
+
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact rational")
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> CycloRational:
+    # the trusted constructor: phi(order) integer coordinates over a positive den
+    if den != 1:
+        g = _gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    x = _new(CycloRational)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
 
 
 class CycloRational:
     """An exact element of the cyclotomic field of a given order.
 
-    Values are immutable after construction; every operation returns a new
-    value, so instances are safe to share freely.
+    `num` (phi(order) integer coordinates) over `den` (a positive integer)
+    is the canonical form described in the module docstring.  Values are
+    immutable; every operation returns a new value or a shared one, so
+    instances are safe to share freely.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
         cs = [_as_fraction(c) for c in coeffs]
         if len(cs) > phi:
             raise ValueError(f"{len(cs)} coordinates for order {order}, expected {phi}")
-        cs.extend([_ZERO] * (phi - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))  # each c is in lowest terms, so is num/den
+        num = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * (phi - len(cs))
+        _set_order(self, order)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloRational is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> CycloRational:
-        return cls(1, [_as_fraction(q)])
+        return as_scalar(_as_fraction(q))
 
     @classmethod
     def zero(cls) -> CycloRational:
-        return cls(1, [0])
+        return ZERO
 
     @classmethod
     def one(cls) -> CycloRational:
-        return cls(1, [1])
+        return ONE
 
     # -- structure ----------------------------------------------------------
 
@@ -210,12 +175,13 @@ class CycloRational:
             return self
         if target_order % m != 0:
             raise ValueError(f"cannot embed order {m} into order {target_order}")
+        num = self.num
+        if len(num) == 1:
+            return _make(target_order, num + (0,) * (euler_phi(target_order) - 1), self.den)
         step = target_order // m
-        dense: list[Fraction] = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            dense[i * step] = c
-        reduced = _poly_rem(dense, cyclotomic_polynomial(target_order))
-        return CycloRational(target_order, reduced)
+        dense = [0] * ((len(num) - 1) * step + 1)
+        dense[::step] = num
+        return _make(target_order, _reduce(dense, target_order), self.den)
 
     @staticmethod
     def _unified(a: CycloRational, b: CycloRational):
@@ -225,35 +191,39 @@ class CycloRational:
         return a.embed(m), b.embed(m)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            rhs = as_scalar(other)
-        except TypeError:
+        if (rhs := _lift(other)) is None:
             return NotImplemented
         a, b = self._unified(self, rhs)
-        return CycloRational(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        ad, bd = a.den, b.den
+        if len(a.num) == 1:
+            return _make(a.order, (a.num[0] * bd + b.num[0] * ad,), ad * bd)
+        if ad == bd:
+            num = tuple(x + y for x, y in zip(a.num, b.num))
+        else:
+            num = tuple(x * bd + y * ad for x, y in zip(a.num, b.num))
+            ad *= bd
+        return _make(a.order, num, ad)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloRational:
-        return CycloRational(self.order, [-c for c in self.coeffs])
+        return _make(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        try:
-            rhs = as_scalar(other)
-        except TypeError:
+        if (rhs := _lift(other)) is None:
             return NotImplemented
         return self + (-rhs)
 
@@ -261,13 +231,29 @@ class CycloRational:
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            rhs = as_scalar(other)
-        except TypeError:
+        if (rhs := _lift(other)) is None:
             return NotImplemented
-        a, b = self._unified(self, rhs)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return CycloRational(a.order, _poly_rem(prod, cyclotomic_polynomial(a.order)))
+        # a rational factor q scales the other one; of two, q is the one of lower order
+        if len(rhs.num) == 1 and (len(self.num) > 1 or rhs.order <= self.order):
+            q, b = rhs, self
+        elif len(self.num) == 1:
+            q, b = self, rhs
+        else:
+            a, b = self._unified(self, rhs)
+            an, bn = a.num, b.num
+            prod = [0] * (2 * len(an) - 1)
+            for i, x in enumerate(an):
+                if x:
+                    for j, y in enumerate(bn, i):
+                        if y:
+                            prod[j] += x * y
+            return _make(a.order, _reduce(prod, a.order), a.den * b.den)
+        if b.order % q.order:
+            b = b.embed(math.lcm(q.order, b.order))
+        k, den, bn = q.num[0], q.den * b.den, b.num
+        if k == 1 and den == 1:
+            return b
+        return _make(b.order, (k * bn[0],) if len(bn) == 1 else tuple(k * c for c in bn), den)
 
     __rmul__ = __mul__
 
@@ -275,46 +261,42 @@ class CycloRational:
         """Multiplicative inverse; Phi_m is irreducible so any nonzero element has one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = _poly_xgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        scaled = [c / g[0] for c in u]
-        reduced = _poly_rem(scaled, cyclotomic_polynomial(self.order))
-        return CycloRational(self.order, reduced)
+        num, den = self.num, self.den
+        if len(num) == 1:
+            return _make(self.order, (den if num[0] > 0 else -den,), abs(num[0]))
+        u = _inverse_mod(num, cyclotomic_polynomial(self.order))
+        return CycloRational(self.order, [c * den for c in u])
 
     def __truediv__(self, other):
-        try:
-            rhs = as_scalar(other)
-        except TypeError:
+        if (rhs := _lift(other)) is None:
             return NotImplemented
         return self * rhs.inverse()
 
     def __pow__(self, k: int) -> CycloRational:
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycloRational(self.order, [1])
+        out = _make(self.order, (1,) + (0,) * (len(self.num) - 1), 1)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        try:
-            rhs = as_scalar(other)
-        except TypeError:
+        if (rhs := _lift(other)) is None:
             return NotImplemented
         a, b = self._unified(self, rhs)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # == spans orders via embedding; a consistent hash isn't worth it
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- conversion and text format -------------------------------------------
 
@@ -326,7 +308,11 @@ class CycloRational:
         return sum(float(c) * w**i for i, c in enumerate(self.coeffs))
 
     def to_text(self) -> str:
-        body = ",".join(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
+        den = self.den
+        if den == 1:
+            body = ",".join(f"{c}/1" for c in self.num)
+        else:
+            body = ",".join(f"{c // g}/{den // g}" for c in self.num for g in (_gcd(c, den),))
         return f"{self.order}:[{body}]"
 
     @classmethod
@@ -349,26 +335,60 @@ class CycloRational:
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            base = "1" if i == 0 else ("w" if i == 1 else f"w^{i}")
-            parts.append(base if c == 1 and i > 0 else f"{c}*{base}" if i > 0 else str(c))
+            return str(self.to_fraction())
+        parts = [str(c) if i == 0 else ("" if c == 1 else f"{c}*") + ("w" if i == 1 else f"w^{i}")
+                 for i, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) + f" (order {self.order})"
 
     def __repr__(self) -> str:
         return f"CycloRational.from_text({self.to_text()!r})"
 
 
-def as_scalar(x) -> CycloRational:
-    """x as a field element: ints and Fractions are lifted, other types are a TypeError."""
+# the slots' own setters, which CycloRational.__setattr__ does not block
+_new = object.__new__
+_set_order, _set_num, _set_den = (vars(CycloRational)[k].__set__ for k in CycloRational.__slots__)
+
+
+def _inverse_mod(a: tuple[int, ...], mod: tuple[int, ...]) -> list[Fraction]:
+    """u with u * a == 1 modulo the irreducible `mod` (a nonzero, deg a < deg mod).
+
+    The extended Euclidean algorithm over Q; lists hold coefficients, constant
+    term first.  Every cofactor u_i has degree below deg mod, so lists of that
+    length hold them.
+    """
+    d = len(mod) - 1
+    r0, r1 = [Fraction(c) for c in mod], [Fraction(c) for c in a]
+    u0, u1 = [Fraction(0)] * d, [Fraction(1)] + [Fraction(0)] * (d - 1)
+    while True:  # r_i == u_i * a modulo mod
+        while not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            return [c / r1[0] for c in u1]
+        for k in range(len(r0) - len(r1), -1, -1):  # r0 -= q x^k r1 and u0 -= q x^k u1
+            q = r0[k + len(r1) - 1] / r1[-1]
+            for i, c in enumerate(r1, k):
+                r0[i] -= q * c
+            for i, c in enumerate(u1[:d - k], k):
+                u0[i] -= q * c
+        r0, r1, u0, u1 = r1, r0[:len(r1) - 1], u1, u0
+
+
+def _lift(x) -> CycloRational | None:
+    # ints and Fractions are lifted to order 1; None for every other type
     if isinstance(x, CycloRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CycloRational(1, [x])
-    raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
+    if isinstance(x, int):
+        return _make(1, (int(x),), 1)
+    if isinstance(x, Fraction):
+        return _make(1, (x.numerator,), x.denominator)
+    return None
+
+
+def as_scalar(x) -> CycloRational:
+    """x as a field element: ints and Fractions are lifted, other types are a TypeError."""
+    if (c := _lift(x)) is None:
+        raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
+    return c
 
 
 def root_of_unity(m: int, k: int = 1) -> CycloRational:
@@ -382,9 +402,8 @@ def root_of_unity(m: int, k: int = 1) -> CycloRational:
     if m < 1:
         raise ValueError("order must be a positive integer")
     k %= m
-    dense = [_ZERO] * k + [_ONE]
-    return CycloRational(m, _poly_rem(dense, cyclotomic_polynomial(m)))
+    return _make(m, _reduce([0] * k + [1], m), 1)
 
 
-ZERO = CycloRational.zero()
-ONE = CycloRational.one()
+ZERO = _make(1, (0,), 1)
+ONE = _make(1, (1,), 1)

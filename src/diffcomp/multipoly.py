@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import textfile
-from .cyclotomic import CycloRational, as_scalar
+from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
 from .errors import FormatError, InvalidRelabellingError
 
 
@@ -83,13 +83,11 @@ class Monomial:
 
     def diff(self, v: int) -> tuple[int, Monomial] | None:
         """(multiplier, reduced monomial) for d/dx_v, or None if v is absent."""
-        e = self.exponent(v)
-        if e == 0:
-            return None
-        rest = {var: ex for var, ex in self.exps if var != v}
-        if e > 1:
-            rest[v] = e - 1
-        return e, Monomial(tuple(sorted(rest.items())))
+        for k, (var, e) in enumerate(self.exps):
+            if var == v:
+                lower = ((v, e - 1),) if e > 1 else ()
+                return e, Monomial(self.exps[:k] + lower + self.exps[k + 1:])
+        return None
 
     def sort_key(self) -> tuple:
         # Graded lexicographic over variable index.
@@ -105,21 +103,21 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None) -> None:
-        clean: dict[Monomial, CycloRational] = {}
-        max_var = -1
-        for mono, raw in (terms or {}).items():
-            c = as_scalar(raw)
-            if c.is_zero():
-                continue
-            clean[mono] = c
-            max_var = max(max_var, mono.max_var())
-        if nvars < max_var + 1:
-            raise ValueError(f"nvars={nvars} but a term uses variable {max_var}")
+        clean = {mono: c for mono, raw in (terms or {}).items() if (c := as_scalar(raw))}
+        _check_universe(nvars, clean)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Monomial, CycloRational]) -> MultiPoly:
+        """Internal: scalar terms over variables below nvars; only zero sums are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -134,7 +132,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, v: int, nvars: int | None = None) -> MultiPoly:
         n = v + 1 if nvars is None else nvars
-        return cls(n, {Monomial.make({v: 1}): CycloRational.one()})
+        return cls(n, {Monomial.make({v: 1}): ONE})
 
     # -- inspection ----------------------------------------------------------
 
@@ -157,7 +155,7 @@ class MultiPoly:
         return degree is None or degs == {degree}
 
     def coefficient(self, mono: Monomial) -> CycloRational:
-        return self.terms.get(mono, CycloRational.zero())
+        return self.terms.get(mono, ZERO)
 
     def support_sets(self) -> set[frozenset[int]]:
         return {m.support() for m in self.terms}
@@ -167,10 +165,7 @@ class MultiPoly:
 
     def coefficient_order(self) -> int:
         """lcm of the cyclotomic orders appearing among coefficients (1 if none)."""
-        out = 1
-        for c in self.terms.values():
-            out = math.lcm(out, c.order)
-        return out
+        return math.lcm(*(c.order for c in self.terms.values()))
 
     # -- ring operations -----------------------------------------------------
 
@@ -180,12 +175,12 @@ class MultiPoly:
         for mono, c in other.terms.items():
             acc = out.get(mono)
             out[mono] = c if acc is None else acc + c
-        return MultiPoly(max(self.nvars, other.nvars), out)
+        return MultiPoly._trusted(max(self.nvars, other.nvars), out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._coerce_poly(other))
@@ -202,7 +197,7 @@ class MultiPoly:
                 c = c1 * c2
                 acc = out.get(mono)
                 out[mono] = c if acc is None else acc + c
-        return MultiPoly(max(self.nvars, other.nvars), out)
+        return MultiPoly._trusted(max(self.nvars, other.nvars), out)
 
     __rmul__ = __mul__
 
@@ -224,24 +219,22 @@ class MultiPoly:
                 continue
             mult, reduced = d
             acc = out.get(reduced)
-            contrib = c * mult
+            contrib = c if mult == 1 else c * mult
             out[reduced] = contrib if acc is None else acc + contrib
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
         """Exact evaluation; variables missing from `point` default to 0."""
-        vals = {v: as_scalar(c) for v, c in point.items()}
-        total = CycloRational.zero()
-        zero = CycloRational.zero()
+        vals = {v: x for v, c in point.items() if (x := as_scalar(c))}
+        total = ZERO
         for mono, c in self.terms.items():
             acc = c
             for v, e in mono.exps:
-                x = vals.get(v, zero)
-                if x.is_zero():
-                    acc = None
+                x = vals.get(v)
+                if x is None:
                     break
-                acc = acc * x**e
-            if acc is not None:
+                acc = acc * (x if e == 1 else x**e)
+            else:  # no factor of the term is zero at the point
                 total = total + acc
         return total
 
@@ -281,7 +274,7 @@ class MultiPoly:
                     if x.is_zero():
                         dead = True
                         break
-                    coeff = coeff * x**e
+                    coeff = coeff * (x if e == 1 else x**e)
                 else:
                     kept[relabel.get(v, v)] = e
             if dead:
@@ -289,9 +282,9 @@ class MultiPoly:
             new_mono = Monomial.make(kept)
             acc = out.get(new_mono)
             out[new_mono] = coeff if acc is None else acc + coeff
-        if nvars is None:
-            nvars = max((t for t in image), default=-1) + 1
-        return MultiPoly(nvars, out)
+        poly = MultiPoly._trusted(max(image, default=-1) + 1 if nvars is None else nvars, out)
+        _check_universe(poly.nvars, poly.terms)
+        return poly
 
     # -- comparison and display ------------------------------------------------
 
@@ -315,6 +308,12 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"<MultiPoly nvars={self.nvars} terms={len(self.terms)}>"
+
+
+def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None:
+    top = max((mono.max_var() for mono in terms), default=-1)
+    if nvars <= top:
+        raise ValueError(f"nvars={nvars} but a term uses variable {top}")
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,15 @@ def test_symmetric_matrix_examples():
     assert A[0][2] == ZERO
 
 
+def test_symmetric_matrix_covers_only_the_variables_in_use():
+    # x_3 * x_7 over 10 variables: the zero rows and columns of x_0.. are left out
+    p = MultiPoly(10, {Monomial.make({3: 1, 7: 1}): 4, Monomial.make({7: 2}): 1})
+    two = CycloRational.from_rational(2)
+    assert symmetric_matrix_of(p) == [[ZERO, two], [two, ONE]]
+    assert symmetric_matrix_of(MultiPoly.zero(10)) == []
+    assert degree2_chow_lower_bound(p) == 1
+
+
 def test_symmetric_matrix_rejects_wrong_degrees():
     with pytest.raises(NotHomogeneousError):
         symmetric_matrix_of(x(0, 1))

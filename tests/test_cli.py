@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from diffcomp import chow, cli, graphs, listings
@@ -229,6 +231,16 @@ def test_bound_quadratic_listing(tmp_path, capsys):
     assert run_cli(["bound", str(listing)]) == 0
     out, _ = capsys.readouterr()
     assert "upper 2" in out and "lower 2" in out and "exact 2" in out
+
+
+def test_bound_costs_nothing_for_a_wide_declared_universe(tmp_path, capsys):
+    # the rank bound works over the variables the terms use, not the declared 400
+    listing = tmp_path / "wide.poly"
+    listing.write_text("400 1\n1:[1/1] * a_0 * a_1\n")
+    start = time.perf_counter()
+    assert run_cli(["bound", str(listing)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "upper 1\nlower 1\nexact 1\n"
 
 
 def test_bound_pairwise_products_all_three_lines(tmp_path, capsys):

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import (
     CycloRational,
@@ -21,6 +23,67 @@ from diffcomp.errors import FormatError
 
 def brute_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+# -- the dense reference: Fraction coefficient lists, constant term first ----------
+
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def _poly_rem(p: list, mod: tuple[int, ...]) -> list:
+    # mod is monic, so reduction needs no divisions.
+    p = list(p)
+    d = len(mod) - 1
+    while len(p) > d:
+        lead = p[-1]
+        if lead != 0:
+            off = len(p) - 1 - d
+            for i in range(d):
+                p[off + i] -= lead * mod[i]
+        p.pop()
+    return _trim(p)
+
+
+def _coords(p: list, m: int) -> tuple:
+    """A reduced dense polynomial as the phi(m) coordinates `coeffs` reports."""
+    return tuple(Fraction(c) for c in p) + (Fraction(0),) * (euler_phi(m) - len(p))
+
+
+def _ref_mul(m: int, a: tuple, b: tuple) -> tuple:
+    return _coords(_poly_rem(_poly_mul(list(a), list(b)), cyclotomic_polynomial(m)), m)
+
+
+def _ref_embed(x: CycloRational, target: int) -> tuple:
+    step = target // x.order
+    dense = [Fraction(0)] * ((len(x.coeffs) - 1) * step + 1)
+    dense[::step] = x.coeffs
+    return _coords(_poly_rem(dense, cyclotomic_polynomial(target)), target)
+
+
+def assert_canonical(x: CycloRational) -> None:
+    """Integer coordinates over one positive denominator in lowest terms; zero is 0/1."""
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert any(x.num) or x.den == 1
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+    assert all(type(c) is Fraction for c in x.coeffs)
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -61,19 +124,25 @@ def test_as_scalar_lifts_rationals_and_refuses_other_types():
 
 
 def test_product_of_cyclotomics_is_x_pow_m_minus_1():
-    # prod_{d | m} Phi_d(x) = x^m - 1
-    for m in (1, 2, 6, 12, 30):
+    # prod_{d | m} Phi_d(x) = x^m - 1, which fixes every Phi_m given the smaller ones
+    for m in list(range(1, 61)) + [64, 90, 105, 210, 720]:
         prod = [Fraction(1)]
         for d in range(1, m + 1):
             if m % d == 0:
-                phi_d = cyclotomic_polynomial(d)
-                out = [Fraction(0)] * (len(prod) + len(phi_d) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(phi_d):
-                        out[i + j] += a * b
-                prod = out
+                prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
         expected = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
         assert prod == expected
+
+
+def test_cyclotomic_polynomial_of_a_large_order_is_a_spread_small_one():
+    # Phi_m(x) = Phi_rad(m)(x^(m / rad(m))): Phi_16000 is Phi_10 in powers of x^1600
+    big = cyclotomic_polynomial(16000)
+    assert len(big) == euler_phi(16000) + 1 == 6401
+    assert {i: c for i, c in enumerate(big) if c} == {
+        1600 * i: c for i, c in enumerate(cyclotomic_polynomial(10))}
+    assert cyclotomic_polynomial(10) == (1, -1, 1, -1, 1)
+    w = root_of_unity(16000, 4000)  # i, a fourth root of unity
+    assert w * w == -1 and (w**4).is_rational()
 
 
 def test_root_of_unity_basics():
@@ -225,3 +294,98 @@ def test_equality_ignores_representation_order():
     b = CycloRational.from_rational(3).embed(6)
     assert a == b
     assert not (a == root_of_unity(6))
+
+
+def test_values_are_canonical_and_constants_are_shared():
+    assert CycloRational.zero() is CycloRational.zero() and CycloRational.one() is CycloRational.one()
+    x = CycloRational(4, [Fraction(2, 6), Fraction(-4, 6)])
+    assert (x.num, x.den) == ((1, -2), 3)
+    zero = x - x
+    assert (zero.num, zero.den) == ((0, 0), 1) and zero.to_text() == "4:[0/1,0/1]"
+    assert CycloRational(12, [Fraction(1, 2), 0, Fraction(-3, 4), 2]).to_text() == \
+        "12:[1/2,0/1,-3/4,2/1]"
+    for value in (x, zero, x * x, x.inverse(), x + Fraction(1, 3), x.embed(12),
+                  as_scalar(Fraction(-6, 4)), root_of_unity(12, 7)):
+        assert_canonical(value)
+
+
+# -- the property: every operation agrees with the dense reference -----------------
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 20)
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def elements(draw, order=None):
+    """Field elements, biased to the cheap shapes listings use: rationals and +-w^k."""
+    m = draw(st.sampled_from(ORDERS)) if order is None else order
+    shape = draw(st.sampled_from(("dense", "sparse", "unit", "rational")))
+    if shape == "rational":
+        return as_scalar(draw(st.one_of(st.integers(-9, 9), small)))
+    if shape == "unit":
+        return draw(st.sampled_from((1, -1))) * root_of_unity(m, draw(st.integers(0, m - 1)))
+    phi = euler_phi(m)
+    coords = draw(st.lists(small if shape == "dense" else st.sampled_from((0, 0, 0, 1, -2)),
+                           min_size=phi, max_size=phi))
+    return CycloRational(m, coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(elements(), elements())
+def test_arithmetic_agrees_with_dense_reference(a, b):
+    lcm = math.lcm(a.order, b.order)
+    ea, eb = _ref_embed(a, lcm), _ref_embed(b, lcm)
+    for target in {a.order, lcm, 2 * lcm}:
+        assert a.embed(target).coeffs == _ref_embed(a, target)
+        assert_canonical(a.embed(target))
+    total, prod = a + b, a * b
+    assert total.order == prod.order == lcm
+    assert total.coeffs == tuple(x + y for x, y in zip(ea, eb))
+    assert prod.coeffs == _ref_mul(lcm, ea, eb)
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ea, eb))
+    assert (a == b) is (ea == eb) and (b == a) is (ea == eb)
+    assert (a.embed(2 * lcm) == b) is (ea == eb)
+    assert (a == a * Fraction(1, 2)) is a.is_zero() and (a == a.embed(lcm)) is True
+    for value in (total, prod, a - b, -a):
+        assert_canonical(value)
+    if not a.is_zero():
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert inv.order == a.order
+        assert _ref_mul(a.order, a.coeffs, inv.coeffs) == _coords([1], a.order)
+        assert (b / a).coeffs == _ref_mul(lcm, eb, _ref_embed(inv, lcm))
+
+
+# -- an outside oracle: sympy, when installed ---------------------------------------
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 201):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(m)) == [int(c) for c in expected], m
+
+
+def test_products_and_inverses_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+
+    def as_sympy(value):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                   for i, c in enumerate(value.coeffs))
+
+    def coords(expr, m):
+        got = sympy.Poly(expr, x).all_coeffs()[::-1] if expr != 0 else []
+        return _coords([Fraction(int(c.p), int(c.q)) for c in got], m)
+
+    for m in (1, 2, 3, 4, 5, 8, 12, 15):
+        phi_m = sympy.cyclotomic_poly(m, x)
+        for _ in range(10):
+            a, b = (CycloRational(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                      if rng.random() < 0.7 else 0 for _ in range(euler_phi(m))])
+                    for _ in range(2))
+            assert (a * b).coeffs == coords(sympy.rem(as_sympy(a) * as_sympy(b), phi_m, x), m)
+            if not a.is_zero():
+                assert a.inverse().coeffs == coords(sympy.invert(as_sympy(a), phi_m, x), m)
