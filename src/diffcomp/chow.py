@@ -102,14 +102,14 @@ class ChowDecomposition:
 
 def expand(c: ChowDecomposition) -> MultiPoly:
     """Multiply out every summand and add; the canonical polynomial."""
-    total = MultiPoly.zero(c.nvars)
+    total = None
     for u in range(c.rho):
-        prod = MultiPoly.constant(1, c.nvars)
-        for v in range(c.degree):
-            prod = prod * c.form(u, v)
+        prod = c.form(u, 0)
+        for v in range(1, c.degree):
             if prod.is_zero():
                 break
-        total = total + prod
+            prod = prod * c.form(u, v)
+        total = prod if total is None else total + prod
     return total
 
 
@@ -148,11 +148,11 @@ def symmetric_matrix_of(p: MultiPoly) -> Matrix:
     """
     if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
         raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
-    slot = {v: k for k, v in enumerate(sorted({v for m in p.terms for v, _ in m.exps}))}
+    slot = {v: k for k, v in enumerate(sorted({v for m in p.terms for v, _ in m}))}
     half = CycloRational.from_rational(Fraction(1, 2))
     A = [[ZERO] * len(slot) for _ in slot]
     for mono, c in p.terms.items():
-        (i, e), *rest = mono.exps
+        (i, e), *rest = mono
         if e == 2:
             A[slot[i]][slot[i]] = c
         else:
@@ -246,7 +246,7 @@ def pm_relabelling(p: MultiPoly) -> dict[int, int]:
     m = degrees.pop()
     relabel: dict[int, int] = {}
     for i, (mono, _) in enumerate(p.sorted_terms()):
-        for j, (v, _) in enumerate(mono.exps):
+        for j, (v, _) in enumerate(mono):
             relabel[v] = m * i + j
     return relabel
 
@@ -281,7 +281,7 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
     summands = []
     for mono, coeff in p.sorted_terms():
         slots: list[int] = []
-        for v, e in mono.exps:
+        for v, e in mono:
             slots.extend([v] * e)
         forms = []
         for k in range(d):

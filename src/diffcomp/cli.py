@@ -285,13 +285,8 @@ def cmd_selftest(args) -> int:
         except SingularMatrixError:
             check(f"inverse n={n} (singular input skipped)", True)
             continue
-        prod = [
-            [sum(M[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ok = all(
-            prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
+        ok = all(sum(M[i][k] * inv[k][j] for k in range(n)) == int(i == j)
+                 for i in range(n) for j in range(n))
         check(f"inverse n={n}", ok)
 
     # non-overlapping rank certificates
@@ -299,8 +294,7 @@ def cmd_selftest(args) -> int:
         for m in (2, 3):
             p = chow.pm_polynomial(n, m)
             count, cert = chow.chow_rank_non_overlapping(p)
-            check(f"P_m rank n={n} m={m}",
-                  count == n and chow.verify(cert, p))
+            check(f"P_m rank n={n} m={m}", count == n and chow.verify(cert, p))
 
     print(f"selftest {'FAILED' if failures else 'passed'}")
     return EXIT_MODEL if failures else EXIT_OK

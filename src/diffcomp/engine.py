@@ -15,6 +15,7 @@ leaves a non-constant remainder.  Either way, a post-power scalar outside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,7 +71,7 @@ class DifferentialComputer:
 
     def _show(self, mono: Monomial) -> str:
         table = (VarTable.vector if self.input_kind == "vector" else VarTable.matrix)(self.arity)
-        return " * ".join(table.factor(v, e) for v, e in mono.exps) or "1"
+        return " * ".join(table.factor(v, e) for v, e in mono) or "1"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
         powered = scalar**self.order
@@ -145,12 +146,7 @@ def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:
         raise ValueError("matrix must be square")
     if p.nvars > n * n:
         raise ValueError(f"listing uses {p.nvars} variables, matrix provides {n * n}")
-    point = {
-        matrix_index(n, i, j): 1
-        for i in range(n)
-        for j in range(n)
-        if rows[i][j]
-    }
+    point = {matrix_index(n, i, j): 1 for i in range(n) for j in range(n) if rows[i][j]}
     return p.evaluate(point)
 
 
@@ -158,24 +154,29 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
     """Invert an exact rational matrix through the determinant listing.
 
     Entry (i, j) of the inverse is (d/da_{j,i} Det)(M) / Det(M) — the
-    gradient-of-log-determinant identity, evaluated symbolically.
+    gradient-of-log-determinant identity.  One pass over the listing's terms
+    builds the whole gradient: each term adds, to every variable it holds,
+    its sign times the product of its other factors.  The pass runs in
+    integers: with D the lcm of M's denominators, M^-1 = D grad Det(DM) / Det(DM).
     """
     n = len(M)
     rows = [[Fraction(x) for x in row] for row in M]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    det_listing = listing_determinant(n)
-    point = {
-        matrix_index(n, i, j): rows[i][j] for i in range(n) for j in range(n)
-    }
-    det = det_listing.evaluate(point).to_fraction()
+    scale = math.lcm(*(x.denominator for r in rows for x in r))
+    point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
+    grad, det = [0] * (n * n), 0
+    for mono, c in listing_determinant(n).terms.items():
+        factors = [point[v] for v, _ in mono]
+        suffix = [1] * (len(factors) + 1)  # suffix[k]: product of factors k, k+1, ...
+        for k in range(len(factors) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] * factors[k]
+        prefix = int(c.to_fraction())  # the permutation's sign
+        for k, (v, _) in enumerate(mono):
+            grad[v] += prefix * suffix[k + 1]
+            prefix *= factors[k]
+        det += prefix
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            cof = det_listing.partial_derivative(matrix_index(n, j, i))
-            out_row.append(cof.evaluate(point).to_fraction() / det)
-        out.append(out_row)
-    return out
+    return [[Fraction(scale * grad[matrix_index(n, j, i)], det) for j in range(n)]
+            for i in range(n)]

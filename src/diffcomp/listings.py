@@ -16,39 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
 from .cyclotomic import CycloRational, root_of_unity
-from .errors import FormatError, NotApplicableError, SizeCapError
-from .multipoly import Monomial, MultiPoly, matrix_index
+from .errors import FormatError, NotApplicableError
+from .multipoly import Monomial, MultiPoly, _check_cap, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import Graph
-
-DEFAULT_MAX_TERMS = 100_000
-
-
-def max_terms() -> int:
-    """Size cap on expanded listings; override with DIFFCOMP_MAX_TERMS."""
-    raw = os.environ.get("DIFFCOMP_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise FormatError("DIFFCOMP_MAX_TERMS must be positive")
-    return value
-
-
-def _check_cap(projected: int, what: str) -> None:
-    cap = max_terms()
-    if projected > cap:
-        raise SizeCapError(f"{what} needs {projected} terms, over the cap of {cap}")
 
 
 def lex_index(bits: Sequence[int]) -> int:
@@ -311,13 +288,8 @@ def listing_permanent(n: int) -> MultiPoly:
 
 
 def _inversion_parity(sigma: Sequence[int]) -> int:
-    inv = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return inv & 1
+    n = len(sigma)
+    return sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n)) & 1
 
 
 def listing_determinant(n: int) -> MultiPoly:

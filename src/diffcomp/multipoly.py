@@ -2,7 +2,8 @@
 
 A monomial is a sparse map from variable index to a positive exponent; a
 polynomial maps monomials to nonzero coefficients (canonical sparse form:
-zero coefficients are never stored).  All operations are pure and exact.
+zero coefficients are never stored).  All operations are pure and exact, and
+a product charges its |A|*|B| term pairs to the DIFFCOMP_MAX_TERMS cap first.
 
 Polynomial equality compares term maps only, i.e. it is mathematical
 equality; the declared variable-universe size `nvars` is carried for
@@ -22,20 +23,47 @@ side).  Round-trips are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
-from .errors import FormatError, InvalidRelabellingError
+from .errors import FormatError, InvalidRelabellingError, SizeCapError
+
+DEFAULT_MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Sparse exponent vector, stored as (variable, exponent) pairs sorted by variable."""
+def max_terms() -> int:
+    """Size cap on expanded listings and products; override with DIFFCOMP_MAX_TERMS."""
+    raw = os.environ.get("DIFFCOMP_MAX_TERMS", str(DEFAULT_MAX_TERMS))
+    try:
+        value = int(raw)
+    except ValueError:
+        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise FormatError("DIFFCOMP_MAX_TERMS must be positive")
+    return value
 
-    exps: tuple[tuple[int, int], ...] = ()
+
+def _check_cap(projected: int, what: str) -> None:
+    if projected > (cap := max_terms()):
+        raise SizeCapError(f"{what} needs {projected} terms, over the cap of {cap}")
+
+
+class Monomial(tuple):
+    """Sparse exponent vector: a tuple of (variable, exponent) pairs sorted by variable.
+
+    Hashing and equality are the tuple's, so a monomial equals the plain tuple
+    of its pairs.  `*` multiplies monomials; tuple `+` and repetition raise.
+    """
+
+    __slots__ = ()
+
+    @property
+    def exps(self) -> Monomial:
+        return self
 
     @classmethod
     def make(cls, mapping: Mapping[int, int]) -> Monomial:
@@ -47,7 +75,7 @@ class Monomial:
                 raise ValueError("exponents must be non-negative")
             if e > 0:
                 items.append((v, e))
-        return cls(tuple(items))
+        return cls(items)
 
     @classmethod
     def of_vars(cls, variables: Iterable[int]) -> Monomial:
@@ -55,43 +83,57 @@ class Monomial:
         vs = sorted(variables)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable in multilinear monomial")
-        return cls(tuple((v, 1) for v in vs))
+        return cls([(v, 1) for v in vs])
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum([e for _, e in self])
 
     def support(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.exps)
+        return frozenset([v for v, _ in self])
 
     def is_multilinear(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
+        return all(e == 1 for _, e in self)
 
     def exponent(self, v: int) -> int:
-        for var, e in self.exps:
-            if var == v:
-                return e
-        return 0
+        return next((e for var, e in self if var == v), 0)
 
     def max_var(self) -> int:
-        return self.exps[-1][0] if self.exps else -1
+        return self[-1][0] if self else -1
 
     def __mul__(self, other: Monomial) -> Monomial:
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        if not isinstance(other, Monomial):
+            return self._refuse(other)
+        if not self or not other:
+            return other or self
+        if self[-1][0] < other[0][0]:  # disjoint and in order, as in expanding a product
+            return Monomial(tuple.__add__(self, other))
+        out, i, j = [], 0, 0  # merge the two sorted pair sequences
+        while i < len(self) and j < len(other):
+            (va, ea), (vb, eb) = self[i], other[j]
+            out.append((va, ea + eb) if va == vb else min(self[i], other[j]))
+            i += va <= vb
+            j += vb <= va
+        return Monomial((*out, *self[i:], *other[j:]))
+
+    def _refuse(self, other):
+        raise TypeError("a Monomial supports only Monomial * Monomial, not tuple + or repetition")
+
+    __add__ = __rmul__ = _refuse
+
+    def __repr__(self) -> str:
+        return f"Monomial({tuple(self)!r})"
 
     def diff(self, v: int) -> tuple[int, Monomial] | None:
         """(multiplier, reduced monomial) for d/dx_v, or None if v is absent."""
-        for k, (var, e) in enumerate(self.exps):
+        for k, (var, e) in enumerate(self):
             if var == v:
                 lower = ((v, e - 1),) if e > 1 else ()
-                return e, Monomial(self.exps[:k] + lower + self.exps[k + 1:])
+                return e, Monomial(self[:k] + lower + self[k + 1:])
         return None
 
     def sort_key(self) -> tuple:
         # Graded lexicographic over variable index.
-        return (self.degree(), self.exps)
+        return (self.degree(), self)
 
 
 _ONE_MONOMIAL = Monomial()
@@ -131,8 +173,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, v: int, nvars: int | None = None) -> MultiPoly:
-        n = v + 1 if nvars is None else nvars
-        return cls(n, {Monomial.make({v: 1}): ONE})
+        return cls(v + 1 if nvars is None else nvars, {Monomial.make({v: 1}): ONE})
 
     # -- inspection ----------------------------------------------------------
 
@@ -148,11 +189,7 @@ class MultiPoly:
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {m.degree() for m in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        return len(degs) <= 1 and (degree is None or degs <= {degree})
 
     def coefficient(self, mono: Monomial) -> CycloRational:
         return self.terms.get(mono, ZERO)
@@ -190,9 +227,12 @@ class MultiPoly:
 
     def __mul__(self, other) -> MultiPoly:
         other = self._coerce_poly(other)
+        a, b = len(self.terms), len(other.terms)
+        _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
         out: dict[Monomial, CycloRational] = {}
+        pairs = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in pairs:
                 mono = m1 * m2
                 c = c1 * c2
                 acc = out.get(mono)
@@ -202,9 +242,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def _coerce_poly(self, x) -> MultiPoly:
-        if isinstance(x, MultiPoly):
-            return x
-        return MultiPoly.constant(x)
+        return x if isinstance(x, MultiPoly) else MultiPoly.constant(x)
 
     # -- calculus and substitution --------------------------------------------
 
@@ -214,8 +252,7 @@ class MultiPoly:
             raise ValueError(f"variable {v} outside universe of size {self.nvars}")
         out: dict[Monomial, CycloRational] = {}
         for mono, c in self.terms.items():
-            d = mono.diff(v)
-            if d is None:
+            if (d := mono.diff(v)) is None:
                 continue
             mult, reduced = d
             acc = out.get(reduced)
@@ -229,7 +266,7 @@ class MultiPoly:
         total = ZERO
         for mono, c in self.terms.items():
             acc = c
-            for v, e in mono.exps:
+            for v, e in mono:
                 x = vals.get(v)
                 if x is None:
                     break
@@ -264,24 +301,19 @@ class MultiPoly:
             image[t] = v
 
         out: dict[Monomial, CycloRational] = {}
-        for mono, c in self.terms.items():
-            coeff = c
+        for mono, coeff in self.terms.items():
             kept: dict[int, int] = {}
-            dead = False
-            for v, e in mono.exps:
-                if v in fixings:
-                    x = fixings[v]
-                    if x.is_zero():
-                        dead = True
-                        break
-                    coeff = coeff * (x if e == 1 else x**e)
-                else:
+            for v, e in mono:
+                if v not in fixings:
                     kept[relabel.get(v, v)] = e
-            if dead:
-                continue
-            new_mono = Monomial.make(kept)
-            acc = out.get(new_mono)
-            out[new_mono] = coeff if acc is None else acc + coeff
+                elif (x := fixings[v]).is_zero():
+                    break
+                else:
+                    coeff = coeff * (x if e == 1 else x**e)
+            else:  # no fixed factor of the term is zero
+                new_mono = Monomial.make(kept)
+                acc = out.get(new_mono)
+                out[new_mono] = coeff if acc is None else acc + coeff
         poly = MultiPoly._trusted(max(image, default=-1) + 1 if nvars is None else nvars, out)
         _check_universe(poly.nvars, poly.terms)
         return poly
@@ -291,9 +323,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[m] for m, c in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -302,7 +332,7 @@ class MultiPoly:
             return "0"
         table = VarTable.vector(self.nvars)
         return " + ".join(
-            "*".join([f"({c})"] + [table.factor(v, e) for v, e in mono.exps])
+            "*".join([f"({c})"] + [table.factor(v, e) for v, e in mono])
             for mono, c in self.sorted_terms()
         )
 
@@ -403,11 +433,11 @@ def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None 
     if order is not None:
         m = math.lcm(m, order)
     # each distinct (variable, exponent) factor is formatted once per file
-    tokens = {ve: table.factor(*ve) for ve in {ve for mono in p.terms for ve in mono.exps}}
+    tokens = {ve: table.factor(*ve) for ve in {ve for mono in p.terms for ve in mono}}
     # the declared universe is the table's, so sparse matrix listings keep
     # their square shape through a round trip
     return textfile.write("poly", [f"{len(table)} {m}"] + [
-        " * ".join([c.to_text()] + [tokens[ve] for ve in mono.exps])
+        " * ".join([c.to_text()] + [tokens[ve] for ve in mono])
         for mono, c in p.sorted_terms()
     ])
 

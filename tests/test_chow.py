@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomp.chow import (
     ChowDecomposition,
@@ -103,6 +105,69 @@ def test_verify_accepts_and_rejects():
         tuple(tuple(tuple(f) for f in s) for s in bad_entries),
     )
     assert not verify(bad, target)
+
+
+# -- the zero-start expansion and the set-then-values equality, as references ------
+
+
+def _expand_from_zero(c: ChowDecomposition) -> MultiPoly:
+    total = MultiPoly.zero(c.nvars)
+    for u in range(c.rho):
+        prod = MultiPoly.constant(1, c.nvars)
+        for v in range(c.degree):
+            prod = prod * c.form(u, v)
+            if prod.is_zero():
+                break
+        total = total + prod
+    return total
+
+
+def _equal_by_sets(p: MultiPoly, q: MultiPoly) -> bool:
+    if set(p.terms) != set(q.terms):
+        return False
+    return all(c == q.terms[m] for m, c in p.terms.items())
+
+
+# zero-heavy, with rationals and roots of unity of mixed orders
+ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 2)),
+           root_of_unity(3), root_of_unity(4), root_of_unity(12, 3), root_of_unity(12, 8),
+           root_of_unity(6) + 1)
+
+
+@st.composite
+def decompositions(draw):
+    """rho 1..3, degree 1..3, nvars 0..3, some summands forced to zero, constant slots kept."""
+    rho, d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    entry = st.sampled_from(ENTRIES)
+    summands = []
+    for _ in range(rho):
+        forms = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(d)]
+        if draw(st.integers(0, 3)) == 0:
+            forms[draw(st.integers(0, d - 1))] = [ZERO] * (n + 1)
+        summands.append(tuple(map(tuple, forms)))
+    return ChowDecomposition(rho, d, n, tuple(summands))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decompositions(), decompositions())
+def test_expand_and_equality_agree_with_references(c, other):
+    got, want = expand(c), _expand_from_zero(c)
+    assert got.nvars == want.nvars
+    assert _equal_by_sets(got, want) and got == want
+    other_poly = expand(other)
+    assert (got == other_poly) is _equal_by_sets(got, other_poly)
+    assert (other_poly == got) is _equal_by_sets(other_poly, got)
+    assert verify(c, want) and verify(other, got) is _equal_by_sets(other_poly, got)
+
+
+def test_equality_spans_coefficient_orders():
+    mono = Monomial.of_vars([0, 1])
+    p = MultiPoly(2, {mono: root_of_unity(4)})
+    q = MultiPoly(2, {mono: root_of_unity(12, 3)})  # the same i, written in order 12
+    r = MultiPoly(2, {mono: root_of_unity(12, 4)})
+    assert p == q and q == p and _equal_by_sets(p, q)
+    assert p != r and not _equal_by_sets(p, r)
+    assert MultiPoly(2, {mono: 1}) != MultiPoly(2, {mono: 1, Monomial(): 1})
 
 
 def test_expand_scales_linearly_in_one_form():

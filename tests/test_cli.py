@@ -274,6 +274,52 @@ def test_bound_rejects_lying_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _all_ones_decomposition(degree: int, nvars: int) -> str:
+    """rho = 1: the product of `degree` forms 1 + x_0 + ... + x_{nvars-1}."""
+    row = " ".join(["1:[1]"] * (nvars + 1))
+    return f"# diffcomp-chow 1\n1 {degree} {nvars} 1\n" + f"{row}\n" * degree
+
+
+def test_verify_caps_the_expansion_of_a_tiny_file(tmp_path, capsys, monkeypatch):
+    # the product has C(24, 8) = 735,471 terms; the 17 x 17 first step is over the cap
+    dec, listing = tmp_path / "ones.chow", tmp_path / "x0.poly"
+    dec.write_text(_all_ones_decomposition(8, 16))
+    listing.write_text("# diffcomp-poly 1\n16 1\n1:[1] * a_0\n")
+    assert dec.stat().st_size == 843
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "100")
+    start = time.perf_counter()
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and "over the cap of 100" in err
+
+
+def test_default_cap_admits_the_functional_certificate_and_stops_a_larger_product(
+        tmp_path, capsys):
+    # a 6-form product peaks at 7,776 x 6 = 46,656 pairs under the default cap of 100,000
+    assert chow.verify(chow.functional_product_decomposition(6),
+                       listings.listing_functional_graphs(6))
+    dec, listing = tmp_path / "ones.chow", tmp_path / "x0.poly"
+    dec.write_text(_all_ones_decomposition(8, 16))
+    listing.write_text("# diffcomp-poly 1\n16 1\n1:[1] * a_0\n")
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    _, err = capsys.readouterr()
+    assert "20349-term by 17-term" in err and "over the cap of 100000" in err
+
+
+def test_build_lagrange_caps_the_interpolant_of_a_tiny_table(tmp_path, capsys, monkeypatch):
+    # one yes-instance, all zeros: prod_i (1 - y_i) has 2^13 terms
+    tt = tmp_path / "zeros.tt"
+    tt.write_text("# diffcomp-tt 1\n13 1\n0000000000000 0\n")
+    assert tt.stat().st_size == 37
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "100")
+    start = time.perf_counter()
+    assert run_cli(["build", "lagrange", "--table", str(tt)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and "over the cap of 100" in err
+
+
 # -- transform -------------------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ from diffcomp.listings import (
     listing_graph_isomorphism,
     listing_permanent,
 )
-from diffcomp.multipoly import Monomial, MultiPoly
+from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
 
 
 def cube(n):
@@ -490,6 +490,72 @@ def test_inverse_rejects_singular():
         inverse_via_gradient([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         inverse_via_gradient([[1, 2]])
+
+
+# The derivative-chain inverse: entry (i, j) is d/da_{j,i} Det at M, over Det(M),
+# with n^2 partial derivatives and n^2 + 1 evaluations of the listing.
+def _inverse_by_derivatives(M):
+    n = len(M)
+    rows = [[Fraction(x) for x in row] for row in M]
+    det_listing = listing_determinant(n)
+    point = {matrix_index(n, i, j): rows[i][j] for i in range(n) for j in range(n)}
+    det = det_listing.evaluate(point).to_fraction()
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    return [[det_listing.partial_derivative(matrix_index(n, j, i)).evaluate(point).to_fraction()
+             / det for j in range(n)] for i in range(n)]
+
+
+def _inverse_by_elimination(M):
+    """Gauss-Jordan over Fractions; None for a singular matrix."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+@st.composite
+def rational_matrices(draw):
+    """n = 1..5; entries biased to 0 and small integers, some with denominators;
+    about a third made singular by copying a combination of other rows."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(Fraction),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(entry)
+        rows[i] = [k * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rational_matrices())
+def test_inverse_agrees_with_derivative_chain_and_elimination(M):
+    expected = _inverse_by_elimination(M)
+    if expected is None:
+        for inverse in (inverse_via_gradient, _inverse_by_derivatives):
+            with pytest.raises(SingularMatrixError):
+                inverse(M)
+        return
+    got = inverse_via_gradient(M)
+    assert got == expected == _inverse_by_derivatives(M)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_inverse_rejects_ragged_input():
+    for ragged in ([[1, 2]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            inverse_via_gradient(ragged)
 
 
 def test_surviving_scalar_is_single_phase():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import CycloRational, root_of_unity
 from diffcomp.errors import FormatError, InvalidRelabellingError
@@ -42,6 +44,70 @@ def test_monomial_canonical_form():
     assert Monomial.of_vars([4, 2]).exps == ((2, 1), (4, 1))
     with pytest.raises(ValueError):
         Monomial.of_vars([1, 1])
+
+
+# -- the monomial property: every operation against a dict-of-exponents reference ----
+
+exponent_maps = st.dictionaries(st.integers(0, 12), st.integers(0, 4), max_size=6)
+
+
+def assert_canonical_monomial(m, ref: dict[int, int]) -> None:
+    """m is a Monomial of sorted, positive pairs that equals and hashes as ref's pairs."""
+    pairs = tuple(sorted((v, e) for v, e in ref.items() if e))
+    assert type(m) is Monomial
+    assert all(type(p) is tuple and len(p) == 2 and p[1] > 0 for p in m)
+    assert [v for v, _ in m] == sorted({v for v, _ in m})
+    assert m == pairs and pairs == m and tuple(m) == pairs
+    assert hash(m) == hash(pairs)
+    assert (m == Monomial(pairs + ((99, 1),))) is False
+
+
+def monomials_of(ref: dict[int, int]) -> list[Monomial]:
+    """ref's monomial, built every way the API offers."""
+    pairs = tuple(sorted((v, e) for v, e in ref.items() if e))
+    built = [Monomial.make(ref), Monomial(pairs), Monomial(list(pairs))]
+    by_product = Monomial()
+    for v, e in pairs:
+        by_product = by_product * Monomial(((v, e),))
+    built.append(by_product)
+    if all(e <= 1 for e in ref.values()):
+        built.append(Monomial.of_vars(v for v, e in ref.items() if e))
+    return built
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(exponent_maps, exponent_maps, st.integers(0, 13))
+def test_monomial_agrees_with_dict_reference(a_ref, b_ref, v):
+    a_live = {w: e for w, e in a_ref.items() if e}
+    for a in monomials_of(a_ref):
+        assert_canonical_monomial(a, a_live)
+        assert a.exps is a
+        assert a.degree() == sum(a_live.values())
+        assert a.support() == frozenset(a_live)
+        assert a.exponent(v) == a_live.get(v, 0)
+        assert a.max_var() == max(a_live, default=-1)
+        assert a.is_multilinear() is all(e == 1 for e in a_live.values())
+        assert a.sort_key() == (a.degree(), tuple(sorted(a_live.items())))
+        for b in monomials_of(b_ref):
+            product = {w: a_live.get(w, 0) + b_ref.get(w, 0) for w in {*a_live, *b_ref}}
+            assert_canonical_monomial(a * b, product)
+            assert a * b == b * a
+        d = a.diff(v)
+        if v not in a_live:
+            assert d is None
+        else:
+            mult, reduced = d
+            assert mult == a_live[v]
+            assert_canonical_monomial(reduced, {**a_live, v: a_live[v] - 1})
+
+
+def test_monomial_is_not_a_tuple_to_add_or_repeat():
+    m = Monomial.make({0: 1, 2: 3})
+    for bad in (lambda: m + m, lambda: 2 * m, lambda: m * 2, lambda: m + ((5, 1),)):
+        with pytest.raises(TypeError):
+            bad()
+    assert repr(m) == "Monomial(((0, 1), (2, 3)))"
+    assert MultiPoly(3, {m: 1}).coefficient(((0, 1), (2, 3))) == CycloRational.one()
 
 
 def test_zero_coefficients_are_dropped():
