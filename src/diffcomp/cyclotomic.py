@@ -262,10 +262,21 @@ class CycloRational:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         num, den = self.num, self.den
+        m = self.order
         if len(num) == 1:
-            return _make(self.order, (den if num[0] > 0 else -den,), abs(num[0]))
-        u = _inverse_mod(num, cyclotomic_polynomial(self.order))
-        return CycloRational(self.order, [c * den for c in u])
+            return _make(m, (den if num[0] > 0 else -den,), abs(num[0]))
+        # 1/a = den * c / N: c is the product of sigma_k(den * a) over the units k != 1 mod m,
+        # sigma_k (w -> w^k) moves coordinate i to slot i*k mod m, and N = den * a * c is an integer
+        cofactor = ONE
+        for k in range(2, m):
+            if _gcd(k, m) == 1:
+                spread = [0] * m
+                for i, c in enumerate(num):
+                    spread[i * k % m] = c
+                cofactor = cofactor * _make(m, _reduce(spread, m), 1)
+        norm = (_make(m, num, 1) * cofactor).num[0]
+        scale = den if norm > 0 else -den
+        return _make(m, tuple(scale * c for c in cofactor.num), abs(norm))
 
     def __truediv__(self, other):
         if (rhs := _lift(other)) is None:
@@ -347,30 +358,6 @@ class CycloRational:
 # the slots' own setters, which CycloRational.__setattr__ does not block
 _new = object.__new__
 _set_order, _set_num, _set_den = (vars(CycloRational)[k].__set__ for k in CycloRational.__slots__)
-
-
-def _inverse_mod(a: tuple[int, ...], mod: tuple[int, ...]) -> list[Fraction]:
-    """u with u * a == 1 modulo the irreducible `mod` (a nonzero, deg a < deg mod).
-
-    The extended Euclidean algorithm over Q; lists hold coefficients, constant
-    term first.  Every cofactor u_i has degree below deg mod, so lists of that
-    length hold them.
-    """
-    d = len(mod) - 1
-    r0, r1 = [Fraction(c) for c in mod], [Fraction(c) for c in a]
-    u0, u1 = [Fraction(0)] * d, [Fraction(1)] + [Fraction(0)] * (d - 1)
-    while True:  # r_i == u_i * a modulo mod
-        while not r1[-1]:
-            r1.pop()
-        if len(r1) == 1:
-            return [c / r1[0] for c in u1]
-        for k in range(len(r0) - len(r1), -1, -1):  # r0 -= q x^k r1 and u0 -= q x^k u1
-            q = r0[k + len(r1) - 1] / r1[-1]
-            for i, c in enumerate(r1, k):
-                r0[i] -= q * c
-            for i, c in enumerate(u1[:d - k], k):
-                u0[i] -= q * c
-        r0, r1, u0, u1 = r1, r0[:len(r1) - 1], u1, u0
 
 
 def _lift(x) -> CycloRational | None:

@@ -74,11 +74,16 @@ class DifferentialComputer:
         return " * ".join(table.factor(v, e) for v, e in mono) or "1"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
-        powered = scalar**self.order
-        if powered.is_zero():
+        # s^m without the power: every root of unity in the field of s (order k)
+        # has order dividing L = lcm(2, k), so s^m = 1 iff s^gcd(m, L) = 1
+        if scalar.is_zero():
             return RunResult(0, scalar)
-        if powered == CycloRational.one():
+        m, period = self.order, math.lcm(2, scalar.order)
+        if scalar ** math.gcd(m, period) == CycloRational.one():
             return RunResult(1, scalar)
+        # a root of unity has s^m = s^(m mod L); for any other s, print s^m only if m <= L
+        rooted = m <= period or scalar**period == CycloRational.one()
+        powered = scalar ** (m % period or period) if rooted else f"({scalar})^{m}"
         raise ModelViolationError(
             f"post-power scalar {powered} is neither 0 nor 1 at input monomial "
             f"{self._show(mono)}; the program is not an additive listing"

@@ -1,10 +1,11 @@
 """Directed graphs with loops, edge monomials, and the set transforms T and T_f.
 
 Both transforms turn arbitrary graph sets into functional-graph sets without
-lowering the Chow rank of the membership listing.  A graph on n vertices
-becomes a function on N points (N = n^2 for T, n^2 + 2 for T_f): the point
-n*i + j records, by mapping to 1 or 0, whether edge (i, j) is present.  The
-original listing is recovered from the transformed one by fixing all the
+lowering the Chow rank of the membership listing.  T is T_f with an empty
+seed: a graph on n vertices becomes a function on N = s + n^2 points, the
+first s carrying the seed (none for T, f(0) and f(1) for T_f), and point
+s + n*i + j recording, by mapping to 1 or 0, whether edge (i, j) is present.
+The original listing is recovered from the transformed one by fixing all the
 "edge absent" variables to 1 and renaming the "edge present" ones — so any
 Chow decomposition of the transformed listing restricts to one of the
 original, which is the whole point.
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import textfile
-from .cyclotomic import CycloRational
+from .cyclotomic import ONE
 from .errors import FormatError
-from .listings import FunctionTable
-from .multipoly import Monomial, MultiPoly, matrix_index
+from .listings import FunctionTable, _matrix_listing
+from .multipoly import MultiPoly, matrix_index
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ def graph_of_function(f: FunctionTable) -> Graph:
 
 def monomial_edge_listing(g: Graph) -> MultiPoly:
     """prod over edges (i,j) of a_{i,j}; the empty graph gives the constant 1."""
-    mono = Monomial.of_vars(matrix_index(g.n, i, j) for i, j in g.edges())
-    return MultiPoly(g.n * g.n, {mono: CycloRational.one()})
+    return _matrix_listing(g.n, 1, "edge listing", [([g.n * i + j for i, j in g.edges()], ONE)])
 
 
 def is_functional(g: Graph) -> bool:
@@ -115,6 +115,27 @@ def function_of_graph(g: Graph) -> FunctionTable:
 # The transforms.  Outputs are FunctionTables: out-degree one is intrinsic.
 # ---------------------------------------------------------------------------
 
+def _seed(mode: str, f: FunctionTable | None) -> tuple[int, ...]:
+    """The images of the points ahead of the edge points: () for T, (f(0), f(1)) for T_f."""
+    if mode == "T":
+        return ()
+    if mode != "Tf":
+        raise ValueError(f"unknown transform mode {mode!r}")
+    if f is None:
+        raise ValueError("mode Tf needs the seed function f")
+    if f.n != 2:
+        raise ValueError("the seed function must act on Z_2")
+    return (f(0), f(1))
+
+
+def _transform(g: Graph, seed: tuple[int, ...]) -> FunctionTable:
+    # point len(seed) + n*i + j maps to 1 iff (i, j) is an edge; marker points 0 and 1 must exist
+    images = seed + tuple(x for row in g.adj for x in row)
+    if len(images) < 2:
+        raise ValueError("transform T needs a graph on at least 2 vertices")
+    return FunctionTable(len(images), images)
+
+
 def transform_T(g: Graph) -> FunctionTable:
     """Functional graph on n^2 points: point n*i+j maps to 1 iff (i,j) is an edge.
 
@@ -122,24 +143,12 @@ def transform_T(g: Graph) -> FunctionTable:
     graph offers only one.  (T_f has no such limit — its two extra points
     carry the markers.)
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("transform T needs a graph on at least 2 vertices")
-    images = tuple(
-        1 if g.has_edge(i, j) else 0 for i in range(n) for j in range(n)
-    )
-    return FunctionTable(n * n, images)
+    return _transform(g, ())
 
 
 def transform_Tf(g: Graph, f: FunctionTable) -> FunctionTable:
     """Functional graph on n^2 + 2 points; points 0 and 1 carry f: Z_2 -> Z_2."""
-    if f.n != 2:
-        raise ValueError("the seed function must act on Z_2")
-    n = g.n
-    images = (f(0), f(1)) + tuple(
-        1 if g.has_edge(i, j) else 0 for i in range(n) for j in range(n)
-    )
-    return FunctionTable(n * n + 2, images)
+    return _transform(g, _seed("Tf", f))
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,6 @@ class TransformSetResult:
     functions: tuple[FunctionTable, ...]
     listing_before: MultiPoly
     listing_after: MultiPoly
-
-
-def _membership_listing(graphs: Sequence[Graph]) -> MultiPoly:
-    total = MultiPoly.zero(0)
-    for g in graphs:
-        total = total + monomial_edge_listing(g)
-    return total
 
 
 def transform_set(
@@ -173,16 +175,13 @@ def transform_set(
     sizes = {g.n for g in gs}
     if len(sizes) != 1:
         raise ValueError(f"graphs of mixed vertex counts {sorted(sizes)} in one set")
-    if mode == "T":
-        images = [transform_T(g) for g in gs]
-    elif mode == "Tf":
-        if f is None:
-            raise ValueError("mode Tf needs the seed function f")
-        images = [transform_Tf(g, f) for g in gs]
-    else:
-        raise ValueError(f"unknown transform mode {mode!r}")
-    before = _membership_listing(gs)
-    after = _membership_listing([graph_of_function(ft) for ft in images])
+    seed = _seed(mode, f)
+    images = [_transform(g, seed) for g in gs]
+    (n,), npoints = sizes, images[0].n
+    before = _matrix_listing(n, len(gs), "membership listing", [
+        ([n * i + j for i, j in g.edges()], ONE) for g in gs])
+    after = _matrix_listing(npoints, len(gs), "membership listing", [
+        ([npoints * i + x for i, x in enumerate(ft.images)], ONE) for ft in images])
     return TransformSetResult(tuple(images), before, after)
 
 
@@ -195,24 +194,13 @@ def recovery_restriction(
     variables realizing f), then rename each "edge present" variable
     a_{offset+k,1} to the original flat edge index k.
     """
-    if mode == "T":
-        npoints, offset = n * n, 0
-        fixings = {}
-    elif mode == "Tf":
-        if f is None:
-            raise ValueError("mode Tf needs the seed function f")
-        npoints, offset = n * n + 2, 2
-        fixings = {
-            matrix_index(npoints, 0, f(0)): 1,
-            matrix_index(npoints, 1, f(1)): 1,
-        }
-    else:
-        raise ValueError(f"unknown transform mode {mode!r}")
+    seed = _seed(mode, f)
+    offset = len(seed)
+    npoints = offset + n * n
+    fixings = {matrix_index(npoints, k, image): 1 for k, image in enumerate(seed)}
     for k in range(n * n):
         fixings[matrix_index(npoints, offset + k, 0)] = 1
-    relabel = {
-        matrix_index(npoints, offset + k, 1): k for k in range(n * n)
-    }
+    relabel = {matrix_index(npoints, offset + k, 1): k for k in range(n * n)}
     return fixings, relabel, n * n
 
 

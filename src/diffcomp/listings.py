@@ -9,7 +9,9 @@ constant term.  For m = 1 every coefficient is 1 (the binary listing).
 
 Matrix-variable listings (functional graphs, permanent, determinant, graph
 isomorphism, constant functions, cyclic group) live over n^2 variables indexed
-row-major, and enumerate structured families of 0/1 matrices.
+row-major and enumerate families of 0/1 matrices.  One constructor builds them
+all, and the transforms' membership listings too; it charges the family's size
+to the term cap before it builds a term.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
-from .cyclotomic import CycloRational, root_of_unity
+from .cyclotomic import ONE, CycloRational, root_of_unity
 from .errors import FormatError, NotApplicableError
-from .multipoly import Monomial, MultiPoly, _check_cap, matrix_index
+from .multipoly import Monomial, MultiPoly, _check_cap
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import Graph
@@ -259,32 +262,38 @@ def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
 # Matrix-variable listings.  Variables are a_{i,j} at flat index n*i + j.
 # ---------------------------------------------------------------------------
 
-def _product_monomial(n: int, pairs: Iterable[tuple[int, int]]) -> Monomial:
-    return Monomial.of_vars(matrix_index(n, i, j) for i, j in pairs)
+def _matrix_listing(n: int, count: int, what: str,
+                    family: Iterable[tuple[Iterable[int], CycloRational]]) -> MultiPoly:
+    """The one constructor of matrix listings: sum of c * prod_{e in entries} a_e.
+
+    Each member of `family` is a 0/1 n x n matrix, given as its set entries
+    (ascending flat indices n*i + j) and a coefficient; a matrix listed twice
+    is kept once.  `count`, the family's size, is charged to the cap first.
+    """
+    _check_cap(count, what)
+    ones = itertools.repeat(1)  # every exponent
+    return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family})
+
+
+def _rows(n: int) -> range:
+    """The flat index n*i of each row's a_{i,0}; n*i + f(i) then grows with i."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return range(0, n * n, n)
 
 
 def listing_functional_graphs(n: int) -> MultiPoly:
     """Sum over all n^n functions f of prod_i a_{i, f(i)}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_cap(n**n, f"functional-graph listing on Z_{n}")
-    terms = {
-        _product_monomial(n, ((i, f(i)) for i in range(n))): CycloRational.one()
-        for f in all_function_tables(n)
-    }
-    return MultiPoly(n * n, terms)
+    rows = _rows(n)
+    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", (
+        (map(add, rows, f), ONE) for f in itertools.product(range(n), repeat=n)))
 
 
 def listing_permanent(n: int) -> MultiPoly:
     """Sum over permutations of prod_i a_{i, sigma(i)}, all coefficients 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_cap(math.factorial(n), f"permanent listing on {n}x{n}")
-    terms = {
-        _product_monomial(n, enumerate(sigma)): CycloRational.one()
-        for sigma in itertools.permutations(range(n))
-    }
-    return MultiPoly(n * n, terms)
+    rows = _rows(n)
+    return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", (
+        (map(add, rows, sigma), ONE) for sigma in itertools.permutations(range(n))))
 
 
 def _inversion_parity(sigma: Sequence[int]) -> int:
@@ -294,54 +303,34 @@ def _inversion_parity(sigma: Sequence[int]) -> int:
 
 def listing_determinant(n: int) -> MultiPoly:
     """Permanent's signed twin: coefficient sgn(sigma) as an order-2 root of unity."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_cap(math.factorial(n), f"determinant listing on {n}x{n}")
-    terms = {}
-    for sigma in itertools.permutations(range(n)):
-        coeff = root_of_unity(2, _inversion_parity(sigma))
-        terms[_product_monomial(n, enumerate(sigma))] = coeff
-    return MultiPoly(n * n, terms)
+    rows, signs = _rows(n), (root_of_unity(2, 0), root_of_unity(2, 1))
+    return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", (
+        (map(add, rows, sigma), signs[_inversion_parity(sigma)])
+        for sigma in itertools.permutations(range(n))))
 
 
 def listing_graph_isomorphism(g: "Graph") -> MultiPoly:
     """Sum of monomial edge listings over all distinct relabellings of g.
 
-    Conjugates the edge set by every permutation of the vertices and
-    deduplicates, which quotients by the automorphism group without ever
-    computing it.
+    Conjugates the edge set by every permutation of the vertices; the
+    constructor keeps each conjugate once, which quotients by the
+    automorphism group without ever computing it.
     """
-    n = g.n
-    _check_cap(math.factorial(n), f"isomorphism listing on {n} vertices")
-    edges = list(g.edges())
-    seen: set[frozenset[tuple[int, int]]] = set()
-    terms: dict[Monomial, CycloRational] = {}
-    for sigma in itertools.permutations(range(n)):
-        conj = frozenset((sigma[i], sigma[j]) for i, j in edges)
-        if conj in seen:
-            continue
-        seen.add(conj)
-        terms[_product_monomial(n, conj)] = CycloRational.one()
-    return MultiPoly(n * n, terms)
+    n, edges = g.n, g.edges()
+    return _matrix_listing(n, math.factorial(n), f"isomorphism listing on {n} vertices", (
+        (sorted(n * sigma[i] + sigma[j] for i, j in edges), ONE)
+        for sigma in itertools.permutations(range(n))))
 
 
 def listing_constant_functions(n: int) -> MultiPoly:
     """sum_j prod_i a_{i,j}: the n constant functions on Z_n.  Column products."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    terms = {
-        _product_monomial(n, ((i, j) for i in range(n))): CycloRational.one()
-        for j in range(n)
-    }
-    return MultiPoly(n * n, terms)
+    rows = _rows(n)
+    return _matrix_listing(n, n, f"constant-function listing on Z_{n}", (
+        (map(add, rows, (j,) * n), ONE) for j in range(n)))
 
 
 def listing_cyclic_group(n: int) -> MultiPoly:
     """sum_j prod_i a_{i, i+j mod n}: the cyclic group generated by x -> x+1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    terms = {
-        _product_monomial(n, ((i, (i + j) % n) for i in range(n))): CycloRational.one()
-        for j in range(n)
-    }
-    return MultiPoly(n * n, terms)
+    rows = _rows(n)
+    return _matrix_listing(n, n, f"cyclic-group listing on Z_{n}", (
+        (map(add, rows, [(i + j) % n for i in range(n)]), ONE) for j in range(n)))

@@ -175,6 +175,35 @@ def test_run_bit_outside_the_listing_universe_is_zero(tmp_path, capsys):
         assert err.startswith("scalar ")
 
 
+
+@pytest.mark.parametrize("coefficient, shown", [("3/2", "3/2"), ("2/1", "2")])
+def test_run_refuses_a_non_root_at_a_huge_declared_order_at_once(tmp_path, capsys, coefficient,
+                                                                 shown):
+    # (3/2)^(10^9) has about 10^8 digits; no root of unity, so no power is taken
+    poly, inp = tmp_path / "big.poly", tmp_path / "in.bits"
+    poly.write_text(f"1 1000000000\n1:[{coefficient}] * a_0\n")
+    inp.write_text("1\n")
+    assert poly.stat().st_size == 27
+    start = time.perf_counter()
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: post-power scalar ({shown})^1000000000 is neither 0 nor 1 at input "
+        "monomial a_0; the program is not an additive listing"]
+
+
+def test_run_decides_a_root_of_unity_at_a_huge_declared_order(tmp_path, capsys):
+    poly, inp = tmp_path / "w4.poly", tmp_path / "in.bits"
+    poly.write_text("1 1000000000\n4:[0/1,1/1] * a_0\n")  # w_4, and 4 divides 10^9
+    inp.write_text("1\n")
+    start = time.perf_counter()
+    assert run_cli(["run", str(poly), str(inp)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "1\n"
+
+
 # -- verify and bound ------------------------------------------------------------
 
 

@@ -220,6 +220,18 @@ def test_inverse_and_division():
         CycloRational.zero().inverse()
 
 
+
+def test_inverse_in_wide_fields():
+    # phi(30) = 8 and phi(105) = 48: the norm is a product of 7 and 47 conjugates
+    rng = random.Random(3)
+    for m, count in ((30, 6), (105, 2)):
+        for _ in range(count):
+            x = CycloRational(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                  for _ in range(euler_phi(m))])
+            inv = x.inverse()
+            assert_canonical(inv)
+            assert x * inv == CycloRational.one()
+
 def test_negative_powers_use_inverse():
     w = root_of_unity(5)
     assert w**-1 == root_of_unity(5, 4)

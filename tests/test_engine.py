@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -566,3 +567,36 @@ def test_surviving_scalar_is_single_phase():
     result = run_matrix(dc, odd)
     assert result.bit == 1
     assert result.scalar == CycloRational.from_rational(-1)
+
+
+# -- deciding without the declared power -------------------------------------------
+
+
+@st.composite
+def run_scalars(draw):
+    """0, +-w^j, 2w, 1/2 and sums of up to three of them, in orders 1..12."""
+    k = draw(st.integers(1, 12))
+    atoms = st.one_of(
+        st.just(CycloRational.zero()),
+        st.builds(lambda j, sign: sign * root_of_unity(k, j),
+                  st.integers(0, k - 1), st.sampled_from((1, -1))),
+        st.just(2 * root_of_unity(k)),
+        st.just(CycloRational.from_rational(Fraction(1, 2))),
+    )
+    parts = draw(st.lists(atoms, min_size=1, max_size=3))
+    return sum(parts[1:], parts[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(run_scalars(), st.integers(1, 24))
+def test_decision_agrees_with_the_declared_power(s, m):
+    dc = DifferentialComputer(MultiPoly.zero(0), 0, m, "vector")
+    powered = s**m  # the decision as it was made before: the full power
+    if powered.is_zero() or powered == 1:
+        assert dc._decide(s, Monomial(())) == RunResult(0 if powered.is_zero() else 1, s)
+        return
+    with pytest.raises(ModelViolationError) as info:
+        dc._decide(s, Monomial(()))
+    period = math.lcm(2, s.order)
+    named = powered if m <= period or s**period == 1 else f"({s})^{m}"
+    assert f"post-power scalar {named} is neither 0 nor 1 at input monomial 1;" in str(info.value)

@@ -10,6 +10,7 @@ import pytest
 
 from diffcomp.cyclotomic import CycloRational, root_of_unity
 from diffcomp.errors import FormatError, NotApplicableError, SizeCapError
+from diffcomp import graphs
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
     FunctionTable,
@@ -372,3 +373,109 @@ def test_monomial_support_equals():
 def test_permanent_cap_allows_small_sizes():
     for n in range(1, 6):
         assert len(listing_permanent(n).terms) == math.factorial(n)
+
+
+
+# -- the builders as they were before the one matrix-listing constructor, as references
+
+
+def _product_monomial(n, pairs):
+    return Monomial.of_vars(matrix_index(n, i, j) for i, j in pairs)
+
+
+def _ref_functional(n):
+    return MultiPoly(n * n, {_product_monomial(n, ((i, f(i)) for i in range(n))): 1
+                             for f in all_function_tables(n)})
+
+
+def _ref_permanent(n):
+    return MultiPoly(n * n, {_product_monomial(n, enumerate(sigma)): 1
+                             for sigma in itertools.permutations(range(n))})
+
+
+def _ref_determinant(n):
+    terms = {}
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        terms[_product_monomial(n, enumerate(sigma))] = root_of_unity(2, inversions)
+    return MultiPoly(n * n, terms)
+
+
+def _ref_constants(n):
+    return MultiPoly(n * n, {_product_monomial(n, ((i, j) for i in range(n))): 1
+                             for j in range(n)})
+
+
+def _ref_cyclic(n):
+    return MultiPoly(n * n, {_product_monomial(n, ((i, (i + j) % n) for i in range(n))): 1
+                             for j in range(n)})
+
+
+def _ref_isomorphism(g):
+    n, edges = g.n, g.edges()
+    seen, terms = set(), {}
+    for sigma in itertools.permutations(range(n)):
+        conj = frozenset((sigma[i], sigma[j]) for i, j in edges)
+        if conj in seen:
+            continue
+        seen.add(conj)
+        terms[_product_monomial(n, conj)] = CycloRational.one()
+    return MultiPoly(n * n, terms)
+
+
+def _ref_membership_listing(gs):
+    total = MultiPoly.zero(0)
+    for g in gs:
+        total = total + MultiPoly(g.n * g.n, {_product_monomial(g.n, g.edges()): 1})
+    return total
+
+
+def _ref_transform(g, f):
+    bits = tuple(1 if g.has_edge(i, j) else 0 for i in range(g.n) for j in range(g.n))
+    seed = () if f is None else (f(0), f(1))
+    return FunctionTable(len(seed) + g.n * g.n, seed + bits)
+
+
+def assert_same_listing(got, want):
+    """Equal terms with equal coefficient representations, and equal universes."""
+    assert got.nvars == want.nvars
+    assert all(type(mono) is Monomial for mono in got.terms)
+    assert ({m: c.to_text() for m, c in got.terms.items()}
+            == {m: c.to_text() for m, c in want.terms.items()})
+
+
+def _random_graph(rng, n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4])
+
+
+def test_function_families_match_the_reference_builders():
+    for n in range(1, 6):
+        assert_same_listing(listing_functional_graphs(n), _ref_functional(n))
+        assert_same_listing(listing_permanent(n), _ref_permanent(n))
+        assert_same_listing(listing_determinant(n), _ref_determinant(n))
+    for n in range(1, 9):
+        assert_same_listing(listing_constant_functions(n), _ref_constants(n))
+        assert_same_listing(listing_cyclic_group(n), _ref_cyclic(n))
+
+
+def test_isomorphism_listing_matches_the_reference_builder():
+    small = [Graph(n, [bits[n * i:n * i + n] for i in range(n)])
+             for n in range(4) for bits in itertools.product((0, 1), repeat=n * n)]
+    rng = random.Random(4)
+    for g in small + [_random_graph(rng, 4) for _ in range(40)]:
+        assert_same_listing(listing_graph_isomorphism(g), _ref_isomorphism(g))
+
+
+def test_transform_listings_match_the_reference_builder():
+    rng = random.Random(6)
+    seeds = [None] + list(all_function_tables(2))
+    for _ in range(40):
+        f = rng.choice(seeds)
+        n = rng.randint(2 if f is None else 0, 3)
+        gs = [_random_graph(rng, n) for _ in range(rng.randint(1, 6))]
+        result = graphs.transform_set(gs, "T" if f is None else "Tf", f)
+        images = [_ref_transform(g, f) for g in dict.fromkeys(gs)]
+        assert result.functions == tuple(images)
+        assert_same_listing(result.listing_before, _ref_membership_listing(dict.fromkeys(gs)))
+        assert_same_listing(result.listing_after, _ref_membership_listing(
+            [graphs.graph_of_function(ft) for ft in images]))
