@@ -17,23 +17,8 @@ from .listings import FunctionTable, TruthTable
 from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
 
 __all__ = [
-    "chow",
-    "cyclotomic",
-    "engine",
-    "graphs",
-    "listings",
-    "multipoly",
-    "ChowDecomposition",
-    "CycloRational",
-    "root_of_unity",
-    "DifferentialComputer",
-    "RunResult",
-    "DiffcompError",
-    "Graph",
-    "FunctionTable",
-    "TruthTable",
-    "Monomial",
-    "MultiPoly",
-    "VarTable",
-    "matrix_index",
+    "chow", "cyclotomic", "engine", "graphs", "listings", "multipoly",
+    "ChowDecomposition", "CycloRational", "root_of_unity", "DifferentialComputer", "RunResult",
+    "DiffcompError", "Graph", "FunctionTable", "TruthTable", "Monomial", "MultiPoly",
+    "VarTable", "matrix_index",
 ]

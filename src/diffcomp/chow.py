@@ -16,9 +16,11 @@ expanded polynomial; two lower-bound tools live here as well:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
@@ -29,7 +31,7 @@ from .errors import (
     NotHomogeneousError,
 )
 from .listings import FunctionTable
-from .multipoly import Monomial, MultiPoly, matrix_index
+from .multipoly import Monomial, MultiPoly, matrix_index, max_terms
 
 Matrix = list[list[CycloRational]]
 
@@ -46,32 +48,59 @@ class ChowDecomposition:
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise ValueError("need rho >= 1, degree >= 1, nvars >= 0")
-        rows = tuple(tuple(tuple(map(as_scalar, form)) for form in summand)
-                     for summand in self.entries)
-        if len(rows) != self.rho:
-            raise ValueError(f"expected {self.rho} summands, got {len(rows)}")
-        for summand in rows:
+        # one pass coerces every entry and builds the sparse view: each form as its nonzero
+        # entries {w: H[u][v][w]}, then its constant under None; and each variable's holders
+        n, rows, sparse, holders = self.nvars, [], [], {}
+        for u, summand in enumerate(self.entries):
             if len(summand) != self.degree:
                 raise ValueError(f"expected {self.degree} forms per summand")
-            for form in summand:
-                if len(form) != self.nvars + 1:
-                    raise ValueError(f"each form needs {self.nvars + 1} entries, got {len(form)}")
-        object.__setattr__(self, "entries", rows)
+            rows.append(tuple(tuple(map(as_scalar, form)) for form in summand))
+            sparse.append([])
+            for form in rows[-1]:
+                if len(form) != n + 1:
+                    raise ValueError(f"each form needs {n + 1} entries, got {len(form)}")
+                sparse[-1].append({w: h for w, h in zip([*range(n), None], form) if h})
+                for w in sparse[-1][-1]:
+                    holders.setdefault(w, set()).add(u)
+        if len(rows) != self.rho:
+            raise ValueError(f"expected {self.rho} summands, got {len(rows)}")
+        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_holders", holders)
 
     def form(self, u: int, v: int) -> MultiPoly:
         """The linear form H[u][v][n] + sum_w H[u][v][w] x_w."""
-        *coeffs, constant = self.entries[u][v]
-        terms = {Monomial(((w, 1),)): c for w, c in enumerate(coeffs) if c}
-        if constant:
-            terms[Monomial()] = constant
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._trusted(self.nvars, {Monomial(() if w is None else ((w, 1),)): h
+                                               for w, h in self._sparse[u][v].items()})
 
     def is_homogeneous(self) -> bool:
-        return all(
-            summand[v][self.nvars].is_zero()
-            for summand in self.entries
-            for v in range(self.degree)
-        )
+        return all(None not in form for summand in self._sparse for form in summand)
+
+    def coefficient(self, mono: Monomial) -> CycloRational:
+        """d/dx_S at 0 on the certificate: the coefficient of x^mono in expand(self).
+
+        Per summand holding every variable of mono, a pass over its forms keyed by the
+        copies of mono's variables still to supply, dropping keys the later forms
+        cannot finish; each form supplies one copy or its constant."""
+        slot = {v: k for k, (v, _) in enumerate(mono)} | {None: None}  # a constant adds nothing
+        full, total = tuple(e for _, e in mono), ZERO
+        holding = [self._holders.get(v, set()) for v, _ in mono]
+        for u in set.intersection(*holding) if mono else range(self.rho):
+            forms, states = self._sparse[u], {full: ONE}
+            room = list(accumulate(reversed(forms[1:]), initial=[0] * len(full), func=lambda a, f: [
+                n + (v in f) for n, (v, _) in zip(a, mono)]))[::-1]  # room[i]: forms after i
+            for form, after in zip(forms, room):
+                moves = [(k, form[w]) for w, k in slot.items() if w in form]
+                nxt: dict[tuple[int, ...], CycloRational] = {}
+                for need, acc in states.items():
+                    for k, h in moves:
+                        if k is None or need[k]:
+                            key = need if k is None else need[:k] + (need[k] - 1,) + need[k + 1:]
+                            if all(x <= y for x, y in zip(key, after)):
+                                nxt[key] = nxt[key] + acc * h if key in nxt else acc * h
+                states = nxt
+            total = total + states.get((0,) * len(full), ZERO)
+        return total
 
     def coefficient_order(self) -> int:
         return math.lcm(*(c.order for summand in self.entries for form in summand for c in form))
@@ -96,8 +125,7 @@ class ChowDecomposition:
             if len(toks) != n + 1:
                 raise FormatError(f"expected {n + 1} entries on line {line!r}")
             forms.append(tuple(CycloRational.from_text(t) for t in toks))
-        entries = tuple(tuple(forms[u * d + v] for v in range(d)) for u in range(rho))
-        return cls(rho, d, n, entries), m
+        return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
@@ -113,8 +141,32 @@ def expand(c: ChowDecomposition) -> MultiPoly:
     return total
 
 
+def _fits_cap(c: ChowDecomposition) -> bool:
+    """Does the cap admit each product `expand(c)` makes, in its order?  A partial
+    product has at most the product of its forms' nonzero entry counts as terms,
+    exactly that many when a summand's forms use disjoint variables."""
+    peak = max([math.prod(map(len, s[:k])) for s in c._sparse for k in range(2, len(s) + 1)],
+               default=0)
+    return not peak or peak <= max_terms()
+
+
+def _probes(c: ChowDecomposition) -> Iterator[Monomial]:
+    """Per summand, its lead monomial (each form picks its first variable, else its
+    constant), and the lead with one form's pick swapped for each of its other picks."""
+    for summand in c._sparse:
+        lead = [next(iter(form), None) for form in summand]
+        for picks in [lead] + [lead[:v] + [w] + lead[v + 1:]
+                               for v, form in enumerate(summand) for w in list(form)[1:]]:
+            yield Monomial.make(Counter(w for w in picks if w is not None))
+
+
 def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
-    """Exact certificate check: expand(c) == target, so rho bounds the Chow rank."""
+    """Exact certificate check: expand(c) == target, so rho bounds the Chow rank.
+
+    If the cap admits the whole expansion, a probe whose coefficient differs is a
+    certain REJECT; otherwise, or when every probe agrees, the expansion is compared."""
+    if _fits_cap(c) and any(c.coefficient(m) != target.coefficient(m) for m in _probes(c)):
+        return False
     return expand(c) == target
 
 
@@ -218,8 +270,7 @@ def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:
     """The canonical non-overlapping benchmark: sum_i alpha_i x_{mi} ... x_{mi+m-1}."""
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 terms of degree m >= 2")
-    if alphas is None:
-        alphas = [1] * n
+    alphas = [1] * n if alphas is None else alphas
     if len(alphas) != n:
         raise ValueError(f"expected {n} coefficients")
     terms = {
@@ -244,11 +295,8 @@ def pm_relabelling(p: MultiPoly) -> dict[int, int]:
     if len(degrees) != 1 or min(degrees) < 2:
         raise NotApplicableError("terms must share a single degree m >= 2")
     m = degrees.pop()
-    relabel: dict[int, int] = {}
-    for i, (mono, _) in enumerate(p.sorted_terms()):
-        for j, (v, _) in enumerate(mono):
-            relabel[v] = m * i + j
-    return relabel
+    return {v: m * i + j for i, (mono, _) in enumerate(p.sorted_terms())
+            for j, (v, _) in enumerate(mono)}
 
 
 def pm_restriction_to_p2(n: int, m: int) -> tuple[dict[int, int], dict[int, int], int]:
@@ -260,11 +308,7 @@ def pm_restriction_to_p2(n: int, m: int) -> tuple[dict[int, int], dict[int, int]
     if m < 2:
         raise ValueError("P_m needs m >= 2")
     fixings = {m * i + j: 1 for i in range(n) for j in range(2, m)}
-    relabel: dict[int, int] = {}
-    for i in range(n):
-        relabel[m * i] = 2 * i
-        relabel[m * i + 1] = 2 * i + 1
-    return fixings, relabel, 2 * n
+    return fixings, {m * i + j: 2 * i + j for i in range(n) for j in (0, 1)}, 2 * n
 
 
 def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
@@ -280,20 +324,12 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
     n = p.nvars
     summands = []
     for mono, coeff in p.sorted_terms():
-        slots: list[int] = []
-        for v, e in mono:
-            slots.extend([v] * e)
-        forms = []
-        for k in range(d):
-            form = [ZERO] * (n + 1)
-            scale = coeff if k == 0 else ONE
-            if k < len(slots):
-                form[slots[k]] = scale
-            else:
-                form[n] = scale
-            forms.append(tuple(form))
-        summands.append(tuple(forms))
-    return ChowDecomposition(len(summands), d, n, tuple(summands))
+        slots = [v for v, e in mono for _ in range(e)] + [n] * (d - mono.degree())
+        forms = [[ZERO] * (n + 1) for _ in range(d)]
+        for k, (form, slot) in enumerate(zip(forms, slots)):
+            form[slot] = coeff if k == 0 else ONE
+        summands.append(forms)
+    return ChowDecomposition(len(summands), d, n, summands)
 
 
 def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
@@ -330,25 +366,15 @@ def compile_functional(
         raise ValueError(f"decomposition is over {c.nvars} variables, need {n * n}")
     if not c.is_homogeneous():
         raise NotHomogeneousError("functional compilation needs a homogeneous decomposition")
-    for u in range(c.rho):
-        for v in range(n):
-            form = c.entries[u][v]
-            lo, hi = n * v, n * v + n
-            for w in range(n * n):
-                if not (lo <= w < hi) and not form[w].is_zero():
-                    raise ValueError(f"form {v} of summand {u} touches variable {w}, "
-                                     f"outside row {v}")
+    for u, summand in enumerate(c._sparse):
+        for v, form in enumerate(summand):
+            stray = next((w for w in form if w // n != v), None)
+            if stray is not None:
+                raise ValueError(f"form {v} of summand {u} touches variable {stray}, "
+                                 f"outside row {v}")
     X: Matrix = [[c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]
                  for u in range(c.rho)]
-    scalar = ZERO
-    for u in range(c.rho):
-        prod = ONE
-        for v in range(n):
-            prod = prod * X[u][v]
-            if prod.is_zero():
-                break
-        scalar = scalar + prod
-    return X, scalar
+    return X, c.coefficient(Monomial.of_vars(matrix_index(n, v, g(v)) for v in range(n)))
 
 
 def functional_product_decomposition(n: int) -> ChowDecomposition:

@@ -74,27 +74,18 @@ def cmd_build(args) -> int:
             raise FormatError(f"build {kind} needs --table")
         t = TruthTable.from_text(_read(args.table))
         if kind == "truth-table":
-            poly = listings.listing_from_truth_table(t)
-            table = VarTable.vector(t.n)
-            order = t.m
+            poly, table, order = listings.listing_from_truth_table(t), VarTable.vector(t.n), t.m
         else:
-            poly = listings.lagrange_interpolant(t)
-            table = VarTable.vector(t.n, prefix="y")
-            order = 1
-        n_for_table = t.n
+            poly, table, order = listings.lagrange_interpolant(t), VarTable.vector(t.n, "y"), 1
     elif kind == "iso":
         if not args.graph:
             raise FormatError("build iso needs --graph")
         g = graphs.Graph.from_text(_read(args.graph))
-        poly = listings.listing_graph_isomorphism(g)
-        table = VarTable.matrix(g.n)
-        order = 1
-        n_for_table = g.n
+        poly, table, order = listings.listing_graph_isomorphism(g), VarTable.matrix(g.n), 1
     else:
         if args.n is None:
             raise FormatError(f"build {kind} needs --n")
-        n = args.n
-        if n < 1:
+        if args.n < 1:
             raise FormatError("--n must be positive")
         builder = {
             "functional": listings.listing_functional_graphs,
@@ -103,17 +94,15 @@ def cmd_build(args) -> int:
             "constants": listings.listing_constant_functions,
             "cyclic": listings.listing_cyclic_group,
         }[kind]
-        poly = builder(n)
-        table = VarTable.matrix(n)
+        poly, table = builder(args.n), VarTable.matrix(args.n)
         order = 2 if kind == "determinant" else 1
-        n_for_table = n
     text = poly_to_text(poly, table=table, order=order)
     if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
     print(f"built {kind} listing: {len(poly.terms)} terms over "
-          f"{len(table)} variables (n={n_for_table})", file=sys.stderr)
+          f"{len(table)} variables (n={table.side or len(table)})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -173,13 +162,10 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     decomposition, _ = chow.ChowDecomposition.from_text(_read(args.decomposition))
     target = poly_from_text(_read(args.listing)).poly
-    if decomposition.nvars != target.nvars and not target.is_zero():
-        # allow a wider decomposition universe; a narrower one cannot match
-        if decomposition.nvars < target.nvars:
-            raise FormatError(
-                f"decomposition over {decomposition.nvars} variables cannot "
-                f"express a {target.nvars}-variable listing"
-            )
+    if decomposition.nvars < target.nvars and not target.is_zero():
+        # a wider decomposition universe is allowed; a narrower one cannot match
+        raise FormatError(f"decomposition over {decomposition.nvars} variables cannot "
+                          f"express a {target.nvars}-variable listing")
     ok = chow.verify(decomposition, target)
     print(f"rho {decomposition.rho} degree {decomposition.degree} "
           f"nvars {decomposition.nvars}")
@@ -187,14 +173,16 @@ def cmd_verify(args) -> int:
         print("verdict REJECT")
         return EXIT_MODEL
     print("verdict ACCEPT")
-    try:
-        count, _ = chow.chow_rank_non_overlapping(target)
-    except (DiffcompError, ValueError):
-        pass
-    else:
-        if decomposition.rho == count:
-            print(f"matches non-overlapping lower bound {count}")
+    if _non_overlapping_rank(target) == decomposition.rho:
+        print(f"matches non-overlapping lower bound {decomposition.rho}")
     return EXIT_OK
+
+
+def _non_overlapping_rank(target: MultiPoly) -> int | None:
+    try:
+        return chow.chow_rank_non_overlapping(target)[0]
+    except (DiffcompError, ValueError):
+        return None
 
 
 # -- bound --------------------------------------------------------------------
@@ -212,13 +200,8 @@ def cmd_bound(args) -> int:
         print(f"certificate {decomposition.rho}")
     if target.is_homogeneous() and target.degree() == 2:
         print(f"lower {chow.degree2_chow_lower_bound(target)}")
-    if target.is_multilinear():
-        try:
-            count, _ = chow.chow_rank_non_overlapping(target)
-        except (DiffcompError, ValueError):
-            pass
-        else:
-            print(f"exact {count}")
+    if target.is_multilinear() and (count := _non_overlapping_rank(target)) is not None:
+        print(f"exact {count}")
     return EXIT_OK
 
 
@@ -237,13 +220,10 @@ def cmd_transform(args) -> int:
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     transformed = [graphs.graph_of_function(ft) for ft in result.functions]
-    out_prefix = args.out_prefix
-    npoints = result.functions[0].n
+    out_prefix, npoints = args.out_prefix, result.functions[0].n
     _write(f"{out_prefix}.graphset", graphs.graph_set_to_text(transformed))
-    _write(f"{out_prefix}.before.poly",
-           poly_to_text(result.listing_before, table=VarTable.matrix(n)))
-    _write(f"{out_prefix}.after.poly",
-           poly_to_text(result.listing_after, table=VarTable.matrix(npoints)))
+    _write(f"{out_prefix}.before.poly", poly_to_text(result.listing_before, VarTable.matrix(n)))
+    _write(f"{out_prefix}.after.poly", poly_to_text(result.listing_after, VarTable.matrix(npoints)))
     ok = graphs.recovers_original(result, n, args.mode, f)
     print(f"transformed {len(transformed)} graphs on {n} vertices to "
           f"functional graphs on {npoints} points")

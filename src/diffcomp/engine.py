@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .cyclotomic import CycloRational
 from .errors import ModelViolationError, SingularMatrixError
-from .listings import FunctionTable, listing_determinant
-from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
+from .listings import FunctionTable, signed_permutations
+from .multipoly import Monomial, MultiPoly, VarTable, _check_cap, matrix_index
 
 _KINDS = ("vector", "matrix", "functional")
 
@@ -159,10 +159,11 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
     """Invert an exact rational matrix through the determinant listing.
 
     Entry (i, j) of the inverse is (d/da_{j,i} Det)(M) / Det(M) — the
-    gradient-of-log-determinant identity.  One pass over the listing's terms
-    builds the whole gradient: each term adds, to every variable it holds,
-    its sign times the product of its other factors.  The pass runs in
-    integers: with D the lcm of M's denominators, M^-1 = D grad Det(DM) / Det(DM).
+    gradient-of-log-determinant identity.  One pass over the listing's terms, its
+    signed permutations (the listing is never built), gives the whole gradient:
+    each term adds, to every variable it holds, its sign times the product of
+    its other factors.  The pass runs in integers: with D the lcm of M's
+    denominators, M^-1 = D grad Det(DM) / Det(DM).
     """
     n = len(M)
     rows = [[Fraction(x) for x in row] for row in M]
@@ -170,14 +171,15 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
         raise ValueError("matrix must be square")
     scale = math.lcm(*(x.denominator for r in rows for x in r))
     point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
+    _check_cap(math.factorial(n), f"determinant listing on {n}x{n}")
     grad, det = [0] * (n * n), 0
-    for mono, c in listing_determinant(n).terms.items():
-        factors = [point[v] for v, _ in mono]
-        suffix = [1] * (len(factors) + 1)  # suffix[k]: product of factors k, k+1, ...
-        for k in range(len(factors) - 1, -1, -1):
+    for entries, parity in signed_permutations(n):
+        factors = [point[v] for v in entries]
+        suffix = [1] * (n + 1)  # suffix[k]: product of factors k, k+1, ...
+        for k in range(n - 1, -1, -1):
             suffix[k] = suffix[k + 1] * factors[k]
-        prefix = int(c.to_fraction())  # the permutation's sign
-        for k, (v, _) in enumerate(mono):
+        prefix = -1 if parity else 1
+        for k, v in enumerate(entries):
             grad[v] += prefix * suffix[k + 1]
             prefix *= factors[k]
         det += prefix

@@ -195,11 +195,9 @@ def recovery_restriction(
     a_{offset+k,1} to the original flat edge index k.
     """
     seed = _seed(mode, f)
-    offset = len(seed)
-    npoints = offset + n * n
+    offset, npoints = len(seed), len(seed) + n * n
     fixings = {matrix_index(npoints, k, image): 1 for k, image in enumerate(seed)}
-    for k in range(n * n):
-        fixings[matrix_index(npoints, offset + k, 0)] = 1
+    fixings.update((matrix_index(npoints, offset + k, 0), 1) for k in range(n * n))
     relabel = {matrix_index(npoints, offset + k, 1): k for k in range(n * n)}
     return fixings, relabel, n * n
 

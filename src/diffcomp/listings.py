@@ -27,6 +27,8 @@ from .cyclotomic import ONE, CycloRational, root_of_unity
 from .errors import FormatError, NotApplicableError
 from .multipoly import Monomial, MultiPoly, _check_cap
 
+FACTORS_PER_TERM = 4  # admits the densest listings under the default cap: 8! terms, 8 factors each
+
 if TYPE_CHECKING:  # pragma: no cover
     from .graphs import Graph
 
@@ -80,12 +82,6 @@ class TruthTable:
              phases: Mapping[Bits, int] | None = None) -> TruthTable:
         yes_set = frozenset(_as_bits(b, n) for b in yes)
         return cls(n, m, yes_set, dict(phases or {}))
-
-    @classmethod
-    def from_function(cls, n: int, func, m: int = 1) -> TruthTable:
-        """Tabulate a Python predicate over {0,1}^n."""
-        yes = [b for b in itertools.product((0, 1), repeat=n) if func(b)]
-        return cls.make(n, yes, m)
 
     def with_lex_phases(self) -> TruthTable:
         """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
@@ -191,10 +187,8 @@ def truth_table_from_listing(p: MultiPoly, m: int | None = None,
     Every coefficient must be a power of w_m; anything else means p is not
     an additive listing of order m.
     """
-    if m is None:
-        m = p.coefficient_order()
-    if n is None:
-        n = p.nvars
+    m = p.coefficient_order() if m is None else m
+    n = p.nvars if n is None else n
     yes: list[Bits] = []
     phases: dict[Bits, int] = {}
     for mono, c in p.terms.items():
@@ -267,10 +261,12 @@ def _matrix_listing(n: int, count: int, what: str,
     """The one constructor of matrix listings: sum of c * prod_{e in entries} a_e.
 
     Each member of `family` is a 0/1 n x n matrix, given as its set entries
-    (ascending flat indices n*i + j) and a coefficient; a matrix listed twice
-    is kept once.  `count`, the family's size, is charged to the cap first.
+    (ascending flat indices n*i + j) and a nonzero coefficient; a matrix listed
+    twice is kept once.  The family's size `count` is charged to the cap first,
+    then its projected factor count, count * n, to FACTORS_PER_TERM times it.
     """
     _check_cap(count, what)
+    _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
     ones = itertools.repeat(1)  # every exponent
     return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family})
 
@@ -289,24 +285,26 @@ def listing_functional_graphs(n: int) -> MultiPoly:
         (map(add, rows, f), ONE) for f in itertools.product(range(n), repeat=n)))
 
 
+def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
+    """Each permutation sigma of Z_n, in lexicographic order, as the set entries
+    n*i + sigma(i) of its matrix and its inversion parity: the digit sum, mod 2,
+    of its Lehmer code, which itertools.product yields in the same order."""
+    rows, codes = _rows(n), itertools.product(*map(range, range(n, 0, -1)))
+    return ((list(map(add, rows, sigma)), sum(code) & 1)
+            for sigma, code in zip(itertools.permutations(range(n)), codes))
+
+
 def listing_permanent(n: int) -> MultiPoly:
     """Sum over permutations of prod_i a_{i, sigma(i)}, all coefficients 1."""
-    rows = _rows(n)
     return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", (
-        (map(add, rows, sigma), ONE) for sigma in itertools.permutations(range(n))))
-
-
-def _inversion_parity(sigma: Sequence[int]) -> int:
-    n = len(sigma)
-    return sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n)) & 1
+        (entries, ONE) for entries, _ in signed_permutations(n)))
 
 
 def listing_determinant(n: int) -> MultiPoly:
     """Permanent's signed twin: coefficient sgn(sigma) as an order-2 root of unity."""
-    rows, signs = _rows(n), (root_of_unity(2, 0), root_of_unity(2, 1))
+    signs = (root_of_unity(2, 0), root_of_unity(2, 1))
     return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", (
-        (map(add, rows, sigma), signs[_inversion_parity(sigma)])
-        for sigma in itertools.permutations(range(n))))
+        (entries, signs[parity]) for entries, parity in signed_permutations(n)))
 
 
 def listing_graph_isomorphism(g: "Graph") -> MultiPoly:

@@ -47,9 +47,9 @@ def max_terms() -> int:
     return value
 
 
-def _check_cap(projected: int, what: str) -> None:
-    if projected > (cap := max_terms()):
-        raise SizeCapError(f"{what} needs {projected} terms, over the cap of {cap}")
+def _check_cap(projected: int, what: str, unit: str = "terms", per_term: int = 1) -> None:
+    if projected > (cap := per_term * max_terms()):
+        raise SizeCapError(f"{what} needs {projected} {unit}, over the cap of {cap}")
 
 
 class Monomial(tuple):
@@ -154,11 +154,16 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Monomial, CycloRational]) -> MultiPoly:
-        """Internal: scalar terms over variables below nvars; only zero sums are dropped."""
+    def _trusted(cls, nvars: int, terms: dict[Monomial, CycloRational],
+                 met: Iterable[Monomial] = ()) -> MultiPoly:
+        """Internal: scalar terms over variables below nvars, nonzero but maybe at the
+        keys in `met` (sums); zeros there are dropped, in place."""
+        for mono in met:
+            if not terms.get(mono, True):
+                del terms[mono]
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "terms", terms)
         return p
 
     # -- constructors --------------------------------------------------------
@@ -212,7 +217,8 @@ class MultiPoly:
         for mono, c in other.terms.items():
             acc = out.get(mono)
             out[mono] = c if acc is None else acc + c
-        return MultiPoly._trusted(max(self.nvars, other.nvars), out)
+        return MultiPoly._trusted(max(self.nvars, other.nvars), out,
+                                  self.terms.keys() & other.terms.keys())
 
     __radd__ = __add__
 
@@ -229,15 +235,17 @@ class MultiPoly:
         other = self._coerce_poly(other)
         a, b = len(self.terms), len(other.terms)
         _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
-        out: dict[Monomial, CycloRational] = {}
-        pairs = list(other.terms.items())
+        out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
+        pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in pairs:
+            one = _is_one(c1)  # a unit factor passes the other one through
+            for m2, c2, other_one in pairs:
                 mono = m1 * m2
-                c = c1 * c2
-                acc = out.get(mono)
+                c = c2 if one else c1 if other_one else c1 * c2
+                if (acc := out.get(mono)) is not None:
+                    met.append(mono)
                 out[mono] = c if acc is None else acc + c
-        return MultiPoly._trusted(max(self.nvars, other.nvars), out)
+        return MultiPoly._trusted(max(self.nvars, other.nvars), out, met)
 
     __rmul__ = __mul__
 
@@ -258,7 +266,7 @@ class MultiPoly:
             acc = out.get(reduced)
             contrib = c if mult == 1 else c * mult
             out[reduced] = contrib if acc is None else acc + contrib
-        return MultiPoly._trusted(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out, list(out))
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
         """Exact evaluation; variables missing from `point` default to 0."""
@@ -288,8 +296,7 @@ class MultiPoly:
         """
         fixings = {v: as_scalar(c) for v, c in (fixings or {}).items()}
         relabel = dict(relabel or {})
-        overlap = set(fixings) & set(relabel)
-        if overlap:
+        if overlap := set(fixings) & set(relabel):
             raise InvalidRelabellingError(f"variables both fixed and relabelled: {sorted(overlap)}")
 
         survivors = {v for m in self.terms for v in m.support()} - set(fixings)
@@ -314,7 +321,8 @@ class MultiPoly:
                 new_mono = Monomial.make(kept)
                 acc = out.get(new_mono)
                 out[new_mono] = coeff if acc is None else acc + coeff
-        poly = MultiPoly._trusted(max(image, default=-1) + 1 if nvars is None else nvars, out)
+        poly = MultiPoly._trusted(max(image, default=-1) + 1 if nvars is None else nvars, out,
+                                  list(out))
         _check_universe(poly.nvars, poly.terms)
         return poly
 
@@ -338,6 +346,10 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"<MultiPoly nvars={self.nvars} terms={len(self.terms)}>"
+
+
+def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passes through
+    return c.order == 1 and c.den == 1 and c.num[0] == 1
 
 
 def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None:
@@ -425,8 +437,7 @@ _NAME_RE = re.compile(r"([A-Za-z]+)_(?:(\d+)|\{(\d+),(\d+)\})")  # a_7, or a_{1,
 
 def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None = None) -> str:
     """Serialize in the canonical format; `order` defaults to the coefficient lcm."""
-    if table is None:
-        table = VarTable.vector(p.nvars)
+    table = VarTable.vector(p.nvars) if table is None else table
     if len(table) < p.nvars:
         raise ValueError("variable table smaller than the polynomial's universe")
     m = p.coefficient_order()

@@ -401,3 +401,42 @@ def test_selftest_passes(capsys):
 def test_selftest_seed_changes_cases(capsys):
     assert run_cli(["selftest", "--seed", "7"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["constants", "cyclic"])
+def test_build_charges_the_factor_count_before_it_builds(kind, capsys):
+    # 3,000 terms pass the term cap, but 9,000,000 factors are over 4 x 100,000
+    start = time.perf_counter()
+    assert run_cli(["build", kind, "--n", "3000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1
+    assert "needs 9000000 factors, over the cap of 400000" in err
+
+
+def test_the_default_factor_budget_admits_the_functional_listing_n6(tmp_path, capsys):
+    # 6^6 = 46,656 terms of 6 factors: 279,936 factors, under 400,000
+    assert run_cli(["build", "functional", "--n", "6", "--out", str(tmp_path / "f6.poly")]) == 0
+    assert "46656 terms" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_changed_entry_from_its_probes(tmp_path, capsys, monkeypatch):
+    # the rho = 1 functional certificate for n = 3 with the entry of a_{1,1} doubled
+    listing, good, bad = tmp_path / "f3.poly", tmp_path / "good.chow", tmp_path / "bad.chow"
+    run_cli(["build", "functional", "--n", "3", "--out", str(listing)])
+    cert = chow.functional_product_decomposition(3)
+    good.write_text(cert.to_text())
+    bad.write_text(cert.to_text().replace("1:[1/1]", "1:[2/1]", 5).replace("1:[2/1]", "1:[1/1]", 4))
+    capsys.readouterr()
+    expanded = []
+    real_expand = chow.expand
+    monkeypatch.setattr(chow, "expand", lambda c: expanded.append(c) or real_expand(c))
+    assert run_cli(["verify", str(good), str(listing)]) == 0
+    assert capsys.readouterr().out == "rho 1 degree 3 nvars 9\nverdict ACCEPT\n"
+    assert len(expanded) == 1
+    assert run_cli(["verify", str(bad), str(listing)]) == 3
+    assert capsys.readouterr().out == "rho 1 degree 3 nvars 9\nverdict REJECT\n"
+    assert len(expanded) == 1
+    assert run_cli(["bound", str(listing), "--certificate", str(bad)]) == 3
+    assert capsys.readouterr().err.count("error:") == 1
+    assert len(expanded) == 1

@@ -600,3 +600,21 @@ def test_decision_agrees_with_the_declared_power(s, m):
     period = math.lcm(2, s.order)
     named = powered if m <= period or s**period == 1 else f"({s})^{m}"
     assert f"post-power scalar {named} is neither 0 nor 1 at input monomial 1;" in str(info.value)
+
+
+def test_inverse_walks_signed_permutations_without_building_a_listing(monkeypatch):
+    from diffcomp import multipoly
+    from diffcomp.errors import SizeCapError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inverse built a polynomial")
+
+    monkeypatch.setattr(multipoly.MultiPoly, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(multipoly.MultiPoly, "__init__", refuse)
+    M = [[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 4, 1], [Fraction(1, 2), 0, 1, 5]]
+    inv = inverse_via_gradient(M)
+    assert all(sum(Fraction(M[i][k]) * inv[k][j] for k in range(4)) == int(i == j)
+               for i in range(4) for j in range(4))
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "23")  # 4! = 24 signed permutations
+    with pytest.raises(SizeCapError, match="determinant listing on 4x4 needs 24 terms"):
+        inverse_via_gradient(M)

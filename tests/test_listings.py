@@ -479,3 +479,31 @@ def test_transform_listings_match_the_reference_builder():
         assert_same_listing(result.listing_before, _ref_membership_listing(dict.fromkeys(gs)))
         assert_same_listing(result.listing_after, _ref_membership_listing(
             [graphs.graph_of_function(ft) for ft in images]))
+
+
+# -- signed permutations and the factor budget --------------------------------------
+
+
+def test_signed_permutations_carry_the_inversion_parity():
+    from diffcomp.listings import signed_permutations
+    for n in range(1, 7):
+        walked = list(signed_permutations(n))
+        assert len(walked) == math.factorial(n)
+        for (entries, parity), sigma in zip(walked, itertools.permutations(range(n))):
+            assert entries == [n * i + sigma[i] for i in range(n)]
+            inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+            assert parity == inversions % 2
+    with pytest.raises(ValueError):
+        signed_permutations(0)
+
+
+def test_matrix_listings_charge_their_factor_count(monkeypatch):
+    # the budget is four factors per capped term: 400 under a cap of 100
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "100")
+    assert len(listing_constant_functions(20).terms) == 20  # 400 factors
+    for builder in (listing_constant_functions, listing_cyclic_group):
+        with pytest.raises(SizeCapError, match="needs 441 factors, over the cap of 400"):
+            builder(21)
+    monkeypatch.delenv("DIFFCOMP_MAX_TERMS")
+    with pytest.raises(SizeCapError, match="needs 9000000 factors, over the cap of 400000"):
+        listing_constant_functions(3000)

@@ -339,3 +339,29 @@ def test_str_is_readable():
     p = 2 * x(0, 2) * x(1, 2) + 1
     s = str(p)
     assert "a_0" in s and "a_1" in s
+
+
+# -- products: unit coefficients and cancelled sums --------------------------------
+
+
+def test_product_with_unit_coefficients_matches_the_scalar_products():
+    # the order-1 one passes the other factor through; the order-2 one must not,
+    # since its products live in order 2
+    coeffs = [CycloRational.one(), root_of_unity(2, 0), root_of_unity(12, 5),
+              CycloRational.from_rational(Fraction(-2, 3)), root_of_unity(4)]
+    p = MultiPoly(2, {Monomial.make({0: k}): c for k, c in enumerate(coeffs)})
+    q = MultiPoly(2, {Monomial.make({1: k}): c for k, c in enumerate(reversed(coeffs))})
+    for a, b in ((p, q), (q, p)):
+        prod = a * b
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                got, want = prod.terms[m1 * m2], c1 * c2
+                assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
+def test_product_and_sum_drop_only_cancelled_terms():
+    one = MultiPoly.constant(1, 1)
+    assert (x(0, 1) + one) * (x(0, 1) - one) == x(0, 1) * x(0, 1) - one
+    assert ((x(0, 1) + one) * (x(0, 1) - one)).terms.keys() == {Monomial.make({0: 2}), Monomial()}
+    assert ((x(0, 1) + one) + (one - x(0, 1))).terms == {Monomial(): CycloRational.from_rational(2)}
+    assert not ((x(0, 1) + one) - (x(0, 1) + one)).terms

@@ -1,0 +1,144 @@
+"""The paper's d_S at 0 on a certificate, and the probe-first verify built on it."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffcomp import chow
+from diffcomp.chow import (
+    ChowDecomposition,
+    expand,
+    functional_product_decomposition,
+    pm_polynomial,
+    trivial_decomposition,
+    verify,
+)
+from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.errors import SizeCapError
+from diffcomp.listings import listing_functional_graphs
+from diffcomp.multipoly import Monomial
+
+ZERO, ONE = CycloRational.zero(), CycloRational.one()
+
+# zero-heavy, with entries of orders 1, 3, 4 and 12
+ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 3)),
+           root_of_unity(3), root_of_unity(4, 3), root_of_unity(12), root_of_unity(12, 7))
+
+
+@st.composite
+def certificates_and_monomials(draw):
+    """rho 1..3, degree 1..4, nvars 0..3 (so forms share variables and squares
+    appear), constant slots kept; monomials of the expansion and others, some
+    over variables outside the certificate."""
+    rho, d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    entry = st.sampled_from(ENTRIES)
+    summands = [[draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(d)]
+                for _ in range(rho)]
+    c = ChowDecomposition(rho, d, n, summands)
+    others = draw(st.lists(st.dictionaries(st.integers(0, n + 1), st.integers(1, 4), max_size=3),
+                           max_size=6))
+    return c, [Monomial.make(exps) for exps in others]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(certificates_and_monomials())
+def test_coefficient_is_the_coefficient_of_the_expansion(case):
+    c, others = case
+    expanded = expand(c)
+    for mono in [*expanded.terms, *others, Monomial()]:
+        assert c.coefficient(mono) == expanded.coefficient(mono), mono
+    assert verify(c, expanded)
+
+
+def test_coefficient_of_a_square_and_of_the_constant():
+    # (1 + 2 x0)(3 + x0) = 3 + 7 x0 + 2 x0^2
+    c = ChowDecomposition(1, 2, 1, [[[2, 1], [1, 3]]])
+    assert c.coefficient(Monomial.make({0: 2})) == 2
+    assert c.coefficient(Monomial.make({0: 1})) == 7
+    assert c.coefficient(Monomial()) == 3
+    assert c.coefficient(Monomial.make({0: 3})) == 0
+    assert c.coefficient(Monomial.make({5: 1})) == 0  # outside the certificate
+
+
+# -- planted mutants ----------------------------------------------------------------
+
+
+def _constant_slot_certificate() -> ChowDecomposition:
+    # (1 + x0 - x1)(2 + w x2) + (x3 - 3)(x4 + w^5 x5 + 1/2), w of order 12
+    w, w5 = root_of_unity(12), root_of_unity(12, 5)
+    half = CycloRational.from_rational(Fraction(1, 2))
+    row = [ZERO] * 7
+    return ChowDecomposition(2, 2, 6, [
+        [[ONE, -ONE] + row[2:6] + [ONE], row[:2] + [w] + row[3:6] + [2]],
+        [row[:3] + [ONE] + row[4:6] + [-3], row[:4] + [ONE, w5] + [half]],
+    ])
+
+
+def _pm_certificate() -> ChowDecomposition:
+    alphas = [root_of_unity(12, 5), -1, root_of_unity(3)]
+    return trivial_decomposition(pm_polynomial(3, 3, alphas))
+
+
+def _mutants(c: ChowDecomposition):
+    """Every certificate with one entry changed, and whether the entry was nonzero."""
+    for u in range(c.rho):
+        for v in range(c.degree):
+            for w in range(c.nvars + 1):
+                entries = [[list(form) for form in summand] for summand in c.entries]
+                old = entries[u][v][w]
+                entries[u][v][w] = old * root_of_unity(4) + 1 if old else ONE
+                yield ChowDecomposition(c.rho, c.degree, c.nvars, entries), bool(old)
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """The certificates `chow.expand` is called on, which `verify` calls by name."""
+    calls = []
+    real_expand = chow.expand
+    monkeypatch.setattr(chow, "expand", lambda c: calls.append(c) or real_expand(c))
+    return calls
+
+
+@pytest.mark.parametrize("certificate", [
+    functional_product_decomposition(3), _pm_certificate(), _constant_slot_certificate()],
+    ids=["functional", "pm", "constant-slots"])
+def test_a_changed_entry_is_rejected_without_expanding(certificate, expand_calls):
+    target = expand(certificate)
+    assert verify(certificate, target) and len(expand_calls) == 1  # ACCEPT expands once
+    checked = 0
+    for mutant, was_nonzero in _mutants(certificate):
+        expand_calls.clear()
+        assert not verify(mutant, target)
+        assert not expand_calls
+        checked += was_nonzero
+    assert checked == sum(1 for s in certificate.entries for f in s for x in f if x)
+
+
+def test_a_zeroed_entry_is_still_rejected_by_the_expansion():
+    # zeroing a form's first variable moves its lead off the target's terms:
+    # every probe agrees, and the exact comparison rejects
+    c = functional_product_decomposition(3)
+    entries = [[list(form) for form in summand] for summand in c.entries]
+    entries[0][1][3] = ZERO
+    assert not verify(ChowDecomposition(1, 3, 9, entries), listing_functional_graphs(3))
+
+
+def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls):
+    # three forms 1 + x0 + ... + x3: the bound charges 5 x 5, then 25 x 5 = 125 pairs,
+    # while the expansion itself multiplies 5 x 5, then 15 x 5 = 75
+    c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])
+    wrong = expand(trivial_decomposition(pm_polynomial(1, 2)))
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
+    with pytest.raises(SizeCapError, match="5-term by 5-term"):
+        verify(c, wrong)
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "124")  # over the bound: no probe, expand
+    expand_calls.clear()
+    assert not verify(c, wrong) and len(expand_calls) == 1
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "125")  # within it: a probe rejects
+    expand_calls.clear()
+    assert not verify(c, wrong) and not expand_calls
+    assert verify(c, expand(c)) and len(expand_calls) == 1
