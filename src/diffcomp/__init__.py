@@ -2,23 +2,27 @@
 
 Polynomials whose monomials enumerate the YES instances of a decision
 problem, executed by iterated partial derivatives, plus Chow-style
-decompositions of such listings into products of linear forms.
+decompositions of such listings into products of linear forms.  The
+submodules and the names below load on first use (PEP 562).
 """
 
-from __future__ import annotations
+from importlib import import_module
 
-from . import chow, cyclotomic, engine, graphs, listings, multipoly
-from .chow import ChowDecomposition
-from .cyclotomic import CycloRational, root_of_unity
-from .engine import DifferentialComputer, RunResult
-from .errors import DiffcompError
-from .graphs import Graph
-from .listings import FunctionTable, TruthTable
-from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
+_HOMES = {
+    "ChowDecomposition": "chow", "CycloRational": "cyclotomic", "root_of_unity": "cyclotomic",
+    "DifferentialComputer": "engine", "RunResult": "engine", "DiffcompError": "errors",
+    "Graph": "graphs", "FunctionTable": "listings", "TruthTable": "listings",
+    "Monomial": "multipoly", "MultiPoly": "multipoly", "VarTable": "multipoly",
+    "matrix_index": "multipoly",
+}
+_SUBMODULES = ("chow", "cyclotomic", "engine", "graphs", "listings", "multipoly")
 
-__all__ = [
-    "chow", "cyclotomic", "engine", "graphs", "listings", "multipoly",
-    "ChowDecomposition", "CycloRational", "root_of_unity", "DifferentialComputer", "RunResult",
-    "DiffcompError", "Graph", "FunctionTable", "TruthTable", "Monomial", "MultiPoly",
-    "VarTable", "matrix_index",
-]
+__all__ = [*_SUBMODULES, *_HOMES]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOMES:
+        return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

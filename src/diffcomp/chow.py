@@ -20,18 +20,21 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
 from .errors import (
+    DimensionError,
     FormatError,
     InternalInconsistencyError,
     NotApplicableError,
     NotHomogeneousError,
 )
-from .listings import FunctionTable
 from .multipoly import Monomial, MultiPoly, matrix_index, max_terms
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .listings import FunctionTable
 
 Matrix = list[list[CycloRational]]
 
@@ -47,23 +50,23 @@ class ChowDecomposition:
 
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
-            raise ValueError("need rho >= 1, degree >= 1, nvars >= 0")
+            raise DimensionError("need rho >= 1, degree >= 1, nvars >= 0")
         # one pass coerces every entry and builds the sparse view: each form as its nonzero
         # entries {w: H[u][v][w]}, then its constant under None; and each variable's holders
         n, rows, sparse, holders = self.nvars, [], [], {}
         for u, summand in enumerate(self.entries):
             if len(summand) != self.degree:
-                raise ValueError(f"expected {self.degree} forms per summand")
+                raise DimensionError(f"expected {self.degree} forms per summand")
             rows.append(tuple(tuple(map(as_scalar, form)) for form in summand))
             sparse.append([])
             for form in rows[-1]:
                 if len(form) != n + 1:
-                    raise ValueError(f"each form needs {n + 1} entries, got {len(form)}")
+                    raise DimensionError(f"each form needs {n + 1} entries, got {len(form)}")
                 sparse[-1].append({w: h for w, h in zip([*range(n), None], form) if h})
                 for w in sparse[-1][-1]:
                     holders.setdefault(w, set()).add(u)
         if len(rows) != self.rho:
-            raise ValueError(f"expected {self.rho} summands, got {len(rows)}")
+            raise DimensionError(f"expected {self.rho} summands, got {len(rows)}")
         object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_holders", holders)
@@ -180,7 +183,7 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
     if not target.is_homogeneous(c.degree):
         raise NotHomogeneousError(f"target is not homogeneous of degree {c.degree}")
     if not verify(c, target):
-        raise ValueError("decomposition does not verify against the target")
+        raise DimensionError("decomposition does not verify against the target")
     zeroed = ChowDecomposition(c.rho, c.degree, c.nvars, tuple(
         tuple(form[: c.nvars] + (ZERO,) for form in summand) for summand in c.entries))
     if not verify(zeroed, target):
@@ -216,11 +219,8 @@ def symmetric_matrix_of(p: MultiPoly) -> Matrix:
 def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
     """Rank by fraction-free (Bareiss-style) elimination; exact over the field."""
     m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    inv_prev = ONE  # the inverse of the previous pivot, by which Bareiss divides
-    r = 0
+    nr, nc = len(m), len(m[0]) if m else 0
+    r, inv_prev = 0, ONE  # the rank so far; the inverse of the last pivot, as Bareiss divides
     for c in range(nc):
         pivot = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
         if pivot is None:
@@ -231,11 +231,10 @@ def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) * inv_prev
             m[i][c] = ZERO
         inv_prev = m[r][c].inverse()
-        rank += 1
         r += 1
         if r == nr:
             break
-    return rank
+    return r
 
 
 def degree2_chow_lower_bound(p: MultiPoly) -> int:
@@ -256,7 +255,7 @@ def degree2_chow_lower_bound(p: MultiPoly) -> int:
 def is_totally_non_overlapping(p: MultiPoly) -> bool:
     """Does every variable appear in at most one term?"""
     if not p.is_multilinear():
-        raise ValueError("the non-overlapping test applies to multilinear polynomials")
+        raise DimensionError("the non-overlapping test applies to multilinear polynomials")
     seen: set[int] = set()
     for mono in p.terms:
         sup = mono.support()
@@ -269,17 +268,14 @@ def is_totally_non_overlapping(p: MultiPoly) -> bool:
 def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:
     """The canonical non-overlapping benchmark: sum_i alpha_i x_{mi} ... x_{mi+m-1}."""
     if n < 1 or m < 2:
-        raise ValueError("need n >= 1 terms of degree m >= 2")
+        raise DimensionError("need n >= 1 terms of degree m >= 2")
     alphas = [1] * n if alphas is None else alphas
     if len(alphas) != n:
-        raise ValueError(f"expected {n} coefficients")
-    terms = {
-        Monomial.of_vars(range(m * i, m * i + m)): as_scalar(alphas[i])
-        for i in range(n)
-    }
-    poly = MultiPoly(m * n, terms)
+        raise DimensionError(f"expected {n} coefficients")
+    poly = MultiPoly(m * n, {Monomial.of_vars(range(m * i, m * i + m)): as_scalar(alphas[i])
+                             for i in range(n)})
     if len(poly.terms) != n:
-        raise ValueError("coefficients must be nonzero")
+        raise DimensionError("coefficients must be nonzero")
     return poly
 
 
@@ -306,7 +302,7 @@ def pm_restriction_to_p2(n: int, m: int) -> tuple[dict[int, int], dict[int, int]
     x_{mi} -> x_{2i}, x_{mi+1} -> x_{2i+1}.
     """
     if m < 2:
-        raise ValueError("P_m needs m >= 2")
+        raise DimensionError("P_m needs m >= 2")
     fixings = {m * i + j: 1 for i in range(n) for j in range(2, m)}
     return fixings, {m * i + j: 2 * i + j for i in range(n) for j in (0, 1)}, 2 * n
 
@@ -361,16 +357,16 @@ def compile_functional(
     """
     n = g.n
     if c.degree != n:
-        raise ValueError(f"decomposition degree {c.degree} != domain size {n}")
+        raise DimensionError(f"decomposition degree {c.degree} != domain size {n}")
     if c.nvars != n * n:
-        raise ValueError(f"decomposition is over {c.nvars} variables, need {n * n}")
+        raise DimensionError(f"decomposition is over {c.nvars} variables, need {n * n}")
     if not c.is_homogeneous():
         raise NotHomogeneousError("functional compilation needs a homogeneous decomposition")
     for u, summand in enumerate(c._sparse):
         for v, form in enumerate(summand):
             stray = next((w for w in form if w // n != v), None)
             if stray is not None:
-                raise ValueError(f"form {v} of summand {u} touches variable {stray}, "
+                raise DimensionError(f"form {v} of summand {u} touches variable {stray}, "
                                  f"outside row {v}")
     X: Matrix = [[c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]
                  for u in range(c.rho)]
@@ -380,7 +376,7 @@ def compile_functional(
 def functional_product_decomposition(n: int) -> ChowDecomposition:
     """rho = 1 certificate for the n^n-term functional listing: prod_i sum_j a_{i,j}."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DimensionError("n must be positive")
     forms = []
     for v in range(n):
         form = [ZERO] * (n * n + 1)

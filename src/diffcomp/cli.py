@@ -5,27 +5,20 @@ encoded in the status); 2 for malformed files, bad dimensions, or size caps;
 3 when the mathematical model itself is violated — a post-power scalar
 outside {0,1}, or a transform whose restriction fails to recover the
 original listing.
+
+Each command imports the modules it uses when it runs: a `run` never loads
+the Chow or graph code, and a `verify` never loads the engine.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import chow, engine, graphs, listings, textfile
-from .errors import (
-    DiffcompError,
-    FormatError,
-    InternalInconsistencyError,
-    ModelViolationError,
-    SingularMatrixError,
-)
-from .listings import FunctionTable, TruthTable
+from . import textfile
+from .errors import DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError
 from .multipoly import MultiPoly, VarTable, poly_from_text, poly_to_text
 
 EXIT_OK = 0
@@ -44,23 +37,6 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
-def _parse_function(spec: str, n: int) -> FunctionTable:
-    """Parse '0,1,0' or the shorthands 'id', 'const:<c>', 'shift:<j>'."""
-    if spec == "id":
-        return FunctionTable.identity(n)
-    if spec.startswith("const:"):
-        return FunctionTable.constant(n, int(spec.split(":", 1)[1]))
-    if spec.startswith("shift:"):
-        return FunctionTable.shift(n, int(spec.split(":", 1)[1]))
-    try:
-        images = tuple(int(x) for x in spec.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad function {spec!r}") from exc
-    if len(images) != n:
-        raise FormatError(f"function {spec!r} must list {n} images")
-    return FunctionTable(n, images)
-
-
 # -- build ------------------------------------------------------------------
 
 _BUILDERS = ("truth-table", "functional", "permanent", "determinant",
@@ -68,11 +44,12 @@ _BUILDERS = ("truth-table", "functional", "permanent", "determinant",
 
 
 def cmd_build(args) -> int:
+    from . import listings
     kind = args.kind
     if kind in ("truth-table", "lagrange"):
         if not args.table:
             raise FormatError(f"build {kind} needs --table")
-        t = TruthTable.from_text(_read(args.table))
+        t = listings.TruthTable.from_text(_read(args.table))
         if kind == "truth-table":
             poly, table, order = listings.listing_from_truth_table(t), VarTable.vector(t.n), t.m
         else:
@@ -80,7 +57,8 @@ def cmd_build(args) -> int:
     elif kind == "iso":
         if not args.graph:
             raise FormatError("build iso needs --graph")
-        g = graphs.Graph.from_text(_read(args.graph))
+        from .graphs import Graph
+        g = Graph.from_text(_read(args.graph))
         poly, table, order = listings.listing_graph_isomorphism(g), VarTable.matrix(g.n), 1
     else:
         if args.n is None:
@@ -134,6 +112,7 @@ def cmd_run(args) -> int:
     poly, order = parsed.poly, parsed.order
     kind = args.kind
     input_text = _read(args.input)
+    from . import engine, listings  # only once both files are read and the listing parses
     if kind == "vector":
         bits = _parse_bits(input_text)
         dc = engine.DifferentialComputer(poly, len(bits), order, "vector")
@@ -147,7 +126,7 @@ def cmd_run(args) -> int:
         if len(lines) != 1:
             raise FormatError("functional input file must hold one image list")
         n = math.isqrt(poly.nvars)
-        g = _parse_function(lines[0], n)
+        g = listings.FunctionTable.parse(lines[0], n)
         dc = engine.DifferentialComputer(poly, n, order, "functional")
         result = engine.run_functional(dc, g)
     else:  # pragma: no cover - argparse restricts choices
@@ -160,6 +139,7 @@ def cmd_run(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import chow
     decomposition, _ = chow.ChowDecomposition.from_text(_read(args.decomposition))
     target = poly_from_text(_read(args.listing)).poly
     if decomposition.nvars < target.nvars and not target.is_zero():
@@ -179,24 +159,25 @@ def cmd_verify(args) -> int:
 
 
 def _non_overlapping_rank(target: MultiPoly) -> int | None:
+    from . import chow
     try:
         return chow.chow_rank_non_overlapping(target)[0]
-    except (DiffcompError, ValueError):
+    except DiffcompError:
         return None
 
 
 # -- bound --------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
+    from . import chow
     target = poly_from_text(_read(args.listing)).poly
     upper = len(target.terms)
     print(f"upper {upper}")
     if args.certificate:
         decomposition, _ = chow.ChowDecomposition.from_text(_read(args.certificate))
         if not chow.verify(decomposition, target):
-            raise ModelViolationError(
-                "certificate does not expand to the listing; its rho bounds nothing"
-            )
+            raise ModelViolationError("certificate does not expand to the listing; "
+                                      "its rho bounds nothing")
         print(f"certificate {decomposition.rho}")
     if target.is_homogeneous() and target.degree() == 2:
         print(f"lower {chow.degree2_chow_lower_bound(target)}")
@@ -208,17 +189,15 @@ def cmd_bound(args) -> int:
 # -- transform ----------------------------------------------------------------
 
 def cmd_transform(args) -> int:
+    from . import graphs, listings
     graph_set = graphs.graph_set_from_text(_read(args.graphset))
     n = graph_set[0].n
     f = None
     if args.mode == "Tf":
         if not args.f:
             raise FormatError("--mode Tf needs --f")
-        f = _parse_function(args.f, 2)
-    try:
-        result = graphs.transform_set(graph_set, args.mode, f)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        f = listings.FunctionTable.parse(args.f, 2)
+    result = graphs.transform_set(graph_set, args.mode, f)
     transformed = [graphs.graph_of_function(ft) for ft in result.functions]
     out_prefix, npoints = args.out_prefix, result.functions[0].n
     _write(f"{out_prefix}.graphset", graphs.graph_set_to_text(transformed))
@@ -236,6 +215,12 @@ def cmd_transform(args) -> int:
 # -- selftest -------------------------------------------------------------------
 
 def cmd_selftest(args) -> int:
+    import itertools
+    import random
+
+    from . import chow, engine, listings
+    from .errors import SingularMatrixError
+
     rng = random.Random(args.seed)
     failures = []
 
@@ -250,7 +235,7 @@ def cmd_selftest(args) -> int:
         m = rng.choice([1, 2, 4])
         cube = list(itertools.product((0, 1), repeat=n))
         yes = [b for b in cube if rng.random() < 0.5]
-        t = TruthTable.make(n, yes, m, {b: rng.randrange(m) for b in yes})
+        t = listings.TruthTable.make(n, yes, m, {b: rng.randrange(m) for b in yes})
         p = listings.listing_from_truth_table(t)
         dc = engine.DifferentialComputer(p, n, m, "vector")
         ok = all(engine.run_vector(dc, b).bit == t.value(b) for b in cube)
@@ -259,7 +244,7 @@ def cmd_selftest(args) -> int:
     # inverse via the determinant gradient
     for _ in range(3):
         n = rng.randint(1, 3)
-        M = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         try:
             inv = engine.inverse_via_gradient(M)
         except SingularMatrixError:
@@ -339,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelViolationError, InternalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (DiffcompError, ValueError) as exc:
+    except DiffcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 
 _COORD = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # an exact coordinate: n or n/d
 _gcd = math.gcd
@@ -52,7 +52,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     (1, 0, 1)
     """
     if m < 1:
-        raise ValueError("order must be a positive integer")
+        raise DimensionError("order must be a positive integer")
     primes = _prime_factors(m)
     poly, divisors = [1], []
     for mask in range(1 << len(primes)):
@@ -77,7 +77,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def euler_phi(m: int) -> int:
     """Euler's totient (the degree of Phi_m), from the factorization of m."""
     if m < 1:
-        raise ValueError("order must be a positive integer")
+        raise DimensionError("order must be a positive integer")
     phi = m
     for p in _prime_factors(m):
         phi -= phi // p
@@ -137,7 +137,7 @@ class CycloRational:
         phi = euler_phi(order)
         cs = [_as_fraction(c) for c in coeffs]
         if len(cs) > phi:
-            raise ValueError(f"{len(cs)} coordinates for order {order}, expected {phi}")
+            raise DimensionError(f"{len(cs)} coordinates for order {order}, expected {phi}")
         den = math.lcm(*(c.denominator for c in cs))  # each c is in lowest terms, so is num/den
         num = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * (phi - len(cs))
         _set_order(self, order)
@@ -174,7 +174,7 @@ class CycloRational:
         if target_order == m:
             return self
         if target_order % m != 0:
-            raise ValueError(f"cannot embed order {m} into order {target_order}")
+            raise DimensionError(f"cannot embed order {m} into order {target_order}")
         num = self.num
         if len(num) == 1:
             return _make(target_order, num + (0,) * (euler_phi(target_order) - 1), self.den)
@@ -198,7 +198,7 @@ class CycloRational:
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
+            raise DimensionError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -299,6 +299,8 @@ class CycloRational:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is CycloRational and other.order == self.order:  # canonical form
+            return self.num == other.num and self.den == other.den
         if (rhs := _lift(other)) is None:
             return NotImplemented
         a, b = self._unified(self, rhs)
@@ -328,19 +330,16 @@ class CycloRational:
 
     @classmethod
     def from_text(cls, text: str) -> CycloRational:
+        head, _, body = text.partition(":")
+        parts = [_COORD.fullmatch(p) for p in body[1:-1].split(",")]
         try:
-            head, _, body = text.partition(":")
             order = int(head)
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ValueError(body)
-            parts = [_COORD.fullmatch(p) for p in body[1:-1].split(",")]
-            if not all(parts):
-                raise ValueError(body)
-            coeffs = [Fraction(int(p[1]), int(p[2] or 1)) for p in parts]
+            coeffs = [Fraction(int(p[1]), int(p[2] or 1)) for p in parts if p]
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad cyclotomic value {text!r}") from exc
         # phi(m) >= sqrt(m/2), so a larger order cannot have this many coordinates
-        if not 1 <= order <= 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order):
+        if (body[:1] + body[-1:] != "[]" or len(coeffs) != len(parts)
+                or not 1 <= order <= 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order)):
             raise FormatError(f"bad cyclotomic value {text!r}")
         return cls(order, coeffs)
 
@@ -387,7 +386,7 @@ def root_of_unity(m: int, k: int = 1) -> CycloRational:
     True
     """
     if m < 1:
-        raise ValueError("order must be a positive integer")
+        raise DimensionError("order must be a positive integer")
     k %= m
     return _make(m, _reduce([0] * k + [1], m), 1)
 

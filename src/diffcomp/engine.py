@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .cyclotomic import CycloRational
-from .errors import ModelViolationError, SingularMatrixError
+from .errors import DimensionError, ModelViolationError, SingularMatrixError
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, _check_cap, matrix_index
 
@@ -46,23 +46,19 @@ class DifferentialComputer:
 
     def __post_init__(self):
         if self.input_kind not in _KINDS:
-            raise ValueError(f"input_kind must be one of {_KINDS}")
+            raise DimensionError(f"input_kind must be one of {_KINDS}")
         if self.arity < 0:
-            raise ValueError("arity must be non-negative")
+            raise DimensionError("arity must be non-negative")
         if self.order < 1:
-            raise ValueError("order must be positive")
+            raise DimensionError("order must be positive")
         universe = self.arity if self.input_kind == "vector" else self.arity**2
         if self.program.nvars > universe:
-            raise ValueError(
-                f"program uses {self.program.nvars} variables; "
-                f"{self.input_kind} inputs of arity {self.arity} allow {universe}"
-            )
+            raise DimensionError(f"program uses {self.program.nvars} variables; {self.input_kind} "
+                                 f"inputs of arity {self.arity} allow {universe}")
         cform = self.program.coefficient_order()
         if self.order % cform != 0:
-            raise ValueError(
-                f"program coefficients live in order {cform}, "
-                f"which does not divide the declared order {self.order}"
-            )
+            raise DimensionError(f"program coefficients live in order {cform}, which does not "
+                                 f"divide the declared order {self.order}")
 
     @cached_property
     def _tall_terms(self) -> tuple[Monomial, ...]:
@@ -83,11 +79,13 @@ class DifferentialComputer:
             return RunResult(1, scalar)
         # a root of unity has s^m = s^(m mod L); for any other s, print s^m only if m <= L
         rooted = m <= period or scalar**period == CycloRational.one()
-        powered = scalar ** (m % period or period) if rooted else f"({scalar})^{m}"
-        raise ModelViolationError(
-            f"post-power scalar {powered} is neither 0 nor 1 at input monomial "
-            f"{self._show(mono)}; the program is not an additive listing"
-        )
+        try:
+            powered = f"{scalar ** (m % period or period)}" if rooted else f"({scalar})^{m}"
+        except ValueError:  # s^m has integers too long for str(): name it as a power
+            powered = f"({scalar})^{m}"
+        raise ModelViolationError(f"post-power scalar {powered} is neither 0 nor 1 at input "
+                                  f"monomial {self._show(mono)}; the program is not an additive "
+                                  "listing")
 
 
 def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:
@@ -99,23 +97,23 @@ def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:
 def run_vector(dc: DifferentialComputer, b: Sequence[int]) -> RunResult:
     """Apply d/da_i per set bit, evaluate at zero, decide (by coefficient lookup)."""
     if dc.input_kind != "vector":
-        raise ValueError(f"run_vector on a {dc.input_kind}-input computer")
+        raise DimensionError(f"run_vector on a {dc.input_kind}-input computer")
     bits = [int(x) for x in b]
     if len(bits) != dc.arity or any(x not in (0, 1) for x in bits):
-        raise ValueError(f"expected a length-{dc.arity} bit vector")
+        raise DimensionError(f"expected a length-{dc.arity} bit vector")
     return _run(dc, [i for i, bit in enumerate(bits) if bit])
 
 
 def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResult:
     """As run_vector, differentiating along the set entries of a square 0/1 matrix."""
     if dc.input_kind != "matrix":
-        raise ValueError(f"run_matrix on a {dc.input_kind}-input computer")
+        raise DimensionError(f"run_matrix on a {dc.input_kind}-input computer")
     n = dc.arity
     rows = [[int(x) for x in row] for row in B]
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"expected a {n}x{n} matrix")
+        raise DimensionError(f"expected a {n}x{n} matrix")
     if any(x not in (0, 1) for r in rows for x in r):
-        raise ValueError("matrix entries must be 0 or 1")
+        raise DimensionError("matrix entries must be 0 or 1")
     return _run(dc, [matrix_index(n, i, j) for i in range(n) for j in range(n) if rows[i][j]])
 
 
@@ -125,17 +123,16 @@ def run_functional(dc: DifferentialComputer, g: FunctionTable) -> RunResult:
     A non-constant remainder is reported, naming one offending term.
     """
     if dc.input_kind != "functional":
-        raise ValueError(f"run_functional on a {dc.input_kind}-input computer")
+        raise DimensionError(f"run_functional on a {dc.input_kind}-input computer")
     n = dc.arity
     if g.n != n:
-        raise ValueError(f"function acts on Z_{g.n}, computer expects Z_{n}")
+        raise DimensionError(f"function acts on Z_{g.n}, computer expects Z_{n}")
     support = [matrix_index(n, i, g(i)) for i in range(n)]
     for term in dc._tall_terms:
         if term.support() >= set(support):
             raise ModelViolationError(
                 "differentiating along the function left a non-constant polynomial: term "
-                f"{dc._show(term)} contains input monomial {dc._show(Monomial.of_vars(support))}"
-            )
+                f"{dc._show(term)} contains input monomial {dc._show(Monomial.of_vars(support))}")
     return _run(dc, support)
 
 
@@ -148,9 +145,9 @@ def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:
     n = len(B)
     rows = [[int(x) for x in row] for row in B]
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+        raise DimensionError("matrix must be square")
     if p.nvars > n * n:
-        raise ValueError(f"listing uses {p.nvars} variables, matrix provides {n * n}")
+        raise DimensionError(f"listing uses {p.nvars} variables, matrix provides {n * n}")
     point = {matrix_index(n, i, j): 1 for i in range(n) for j in range(n) if rows[i][j]}
     return p.evaluate(point)
 
@@ -168,7 +165,7 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
     n = len(M)
     rows = [[Fraction(x) for x in row] for row in M]
     if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+        raise DimensionError("matrix must be square")
     scale = math.lcm(*(x.denominator for r in rows for x in r))
     point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
     _check_cap(math.factorial(n), f"determinant listing on {n}x{n}")

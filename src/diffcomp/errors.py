@@ -39,3 +39,7 @@ class InternalInconsistencyError(DiffcompError):
 
 class NotApplicableError(DiffcompError):
     """The input is outside the domain where the operation is defined."""
+
+
+class DimensionError(DiffcompError, ValueError):
+    """A size, index or shape is out of range; still a ValueError for library callers."""

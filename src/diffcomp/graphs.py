@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import textfile
 from .cyclotomic import ONE
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .listings import FunctionTable, _matrix_listing
 from .multipoly import MultiPoly, matrix_index
 
@@ -32,12 +32,12 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise DimensionError("vertex count must be non-negative")
         adj = tuple(tuple(int(x) for x in row) for row in self.adj)
         if len(adj) != self.n or any(len(row) != self.n for row in adj):
-            raise ValueError(f"adjacency matrix must be {self.n}x{self.n}")
+            raise DimensionError(f"adjacency matrix must be {self.n}x{self.n}")
         if any(x not in (0, 1) for row in adj for x in row):
-            raise ValueError("adjacency entries must be 0 or 1")
+            raise DimensionError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adj", adj)
 
     @classmethod
@@ -107,7 +107,7 @@ def is_functional(g: Graph) -> bool:
 
 def function_of_graph(g: Graph) -> FunctionTable:
     if not is_functional(g):
-        raise ValueError("graph is not functional")
+        raise DimensionError("graph is not functional")
     return FunctionTable(g.n, tuple(row.index(1) for row in g.adj))
 
 
@@ -120,11 +120,11 @@ def _seed(mode: str, f: FunctionTable | None) -> tuple[int, ...]:
     if mode == "T":
         return ()
     if mode != "Tf":
-        raise ValueError(f"unknown transform mode {mode!r}")
+        raise DimensionError(f"unknown transform mode {mode!r}")
     if f is None:
-        raise ValueError("mode Tf needs the seed function f")
+        raise DimensionError("mode Tf needs the seed function f")
     if f.n != 2:
-        raise ValueError("the seed function must act on Z_2")
+        raise DimensionError("the seed function must act on Z_2")
     return (f(0), f(1))
 
 
@@ -132,7 +132,7 @@ def _transform(g: Graph, seed: tuple[int, ...]) -> FunctionTable:
     # point len(seed) + n*i + j maps to 1 iff (i, j) is an edge; marker points 0 and 1 must exist
     images = seed + tuple(x for row in g.adj for x in row)
     if len(images) < 2:
-        raise ValueError("transform T needs a graph on at least 2 vertices")
+        raise DimensionError("transform T needs a graph on at least 2 vertices")
     return FunctionTable(len(images), images)
 
 
@@ -171,10 +171,10 @@ def transform_set(
     """
     gs = list(dict.fromkeys(graphs))  # dedupe, keep first-seen order
     if not gs:
-        raise ValueError("empty graph set")
+        raise DimensionError("empty graph set")
     sizes = {g.n for g in gs}
     if len(sizes) != 1:
-        raise ValueError(f"graphs of mixed vertex counts {sorted(sizes)} in one set")
+        raise DimensionError(f"graphs of mixed vertex counts {sorted(sizes)} in one set")
     seed = _seed(mode, f)
     images = [_transform(g, seed) for g in gs]
     (n,), npoints = sizes, images[0].n

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, CycloRational, root_of_unity
-from .errors import FormatError, NotApplicableError
+from .errors import DimensionError, FormatError, NotApplicableError
 from .multipoly import Monomial, MultiPoly, _check_cap
 
 FACTORS_PER_TERM = 4  # admits the densest listings under the default cap: 8! terms, 8 factors each
@@ -47,7 +47,7 @@ Bits = tuple[int, ...]
 def _as_bits(b: Iterable[int], n: int) -> Bits:
     t = tuple(int(x) for x in b)
     if len(t) != n or any(x not in (0, 1) for x in t):
-        raise ValueError(f"expected a length-{n} bit vector, got {t}")
+        raise DimensionError(f"expected a length-{n} bit vector, got {t}")
     return t
 
 
@@ -66,13 +66,13 @@ class TruthTable:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("arity must be non-negative")
+            raise DimensionError("arity must be non-negative")
         if self.m < 1:
-            raise ValueError("order m must be at least 1")
+            raise DimensionError("order m must be at least 1")
         yes = frozenset(_as_bits(b, self.n) for b in self.yes)
         stray = set(self.phases) - yes
         if stray:
-            raise ValueError(f"phase given for non-yes instance {sorted(stray)[0]}")
+            raise DimensionError(f"phase given for non-yes instance {sorted(stray)[0]}")
         phases = {b: self.phases.get(b, 0) % self.m for b in yes}
         object.__setattr__(self, "yes", yes)
         object.__setattr__(self, "phases", phases)
@@ -136,17 +136,33 @@ class FunctionTable:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("domain size must be positive")
+            raise DimensionError("domain size must be positive")
         images = tuple(int(x) for x in self.images)
         if len(images) != self.n:
-            raise ValueError(f"expected {self.n} images, got {len(images)}")
+            raise DimensionError(f"expected {self.n} images, got {len(images)}")
         bad = [x for x in images if not 0 <= x < self.n]
         if bad:
-            raise ValueError(f"image {bad[0]} outside Z_{self.n}")
+            raise DimensionError(f"image {bad[0]} outside Z_{self.n}")
         object.__setattr__(self, "images", images)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
+
+    @classmethod
+    def parse(cls, spec: str, n: int) -> FunctionTable:
+        """A function on Z_n written '0,1,0', or as one of 'id', 'const:<c>', 'shift:<j>'."""
+        if spec == "id":
+            return cls.identity(n)
+        shorthand = spec.startswith(("const:", "shift:"))  # both prefixes are six characters
+        try:
+            images = (int(spec[6:]),) if shorthand else tuple(int(x) for x in spec.split(","))
+        except ValueError as exc:
+            raise FormatError(f"bad function {spec!r}") from exc
+        if shorthand:
+            return (cls.constant if spec[0] == "c" else cls.shift)(n, images[0])
+        if len(images) != n:
+            raise FormatError(f"function {spec!r} must list {n} images")
+        return cls(n, images)
 
     @classmethod
     def constant(cls, n: int, c: int) -> FunctionTable:
@@ -173,11 +189,8 @@ def all_function_tables(n: int) -> Iterator[FunctionTable]:
 
 def listing_from_truth_table(t: TruthTable) -> MultiPoly:
     """One multilinear term per yes-instance, coefficient w_m^phase."""
-    terms: dict[Monomial, CycloRational] = {}
-    for b in t.yes:
-        mono = Monomial.of_vars(i for i, bit in enumerate(b) if bit)
-        terms[mono] = t.coefficient(b)
-    return MultiPoly(t.n, terms)
+    return MultiPoly(t.n, {Monomial.of_vars(i for i, bit in enumerate(b) if bit): t.coefficient(b)
+                           for b in t.yes})
 
 
 def truth_table_from_listing(p: MultiPoly, m: int | None = None,
@@ -193,14 +206,14 @@ def truth_table_from_listing(p: MultiPoly, m: int | None = None,
     phases: dict[Bits, int] = {}
     for mono, c in p.terms.items():
         if not mono.is_multilinear():
-            raise ValueError(f"non-multilinear monomial {mono} in a listing")
+            raise DimensionError(f"non-multilinear monomial {mono} in a listing")
         b = tuple(1 if mono.exponent(i) else 0 for i in range(n))
         for k in range(m):
             if c == root_of_unity(m, k):
                 phases[b] = k
                 break
         else:
-            raise ValueError(f"coefficient {c} is not an order-{m} root of unity")
+            raise DimensionError(f"coefficient {c} is not an order-{m} root of unity")
         yes.append(b)
     return TruthTable.make(n, yes, m, phases)
 
@@ -216,11 +229,9 @@ def lagrange_interpolant(t: TruthTable) -> MultiPoly:
     total = MultiPoly.zero(t.n)
     for b in t.sorted_yes():
         term = MultiPoly.constant(1, t.n)
-        for i, bit in enumerate(b):
+        for i, bit in enumerate(b):  # b_i = 1: (y_i - 0)/1; b_i = 0: (y_i - 1)/(-1) = 1 - y_i
             y = MultiPoly.variable(i, t.n)
-            # b_i = 1: (y_i - 0)/1 ; b_i = 0: (y_i - 1)/(-1) = 1 - y_i
-            factor = y if bit else (1 - y)
-            term = term * factor
+            term = term * (y if bit else 1 - y)
         total = total + term
     return total
 
@@ -238,8 +249,7 @@ def lagrange_reduction(t: TruthTable) -> MultiPoly:
     for b in t.sorted_yes():
         term = MultiPoly.constant(1, t.n)
         for i, bit in enumerate(b):
-            factor = MultiPoly.variable(i, t.n) if bit else MultiPoly.constant(1, t.n)
-            term = term * factor
+            term = term * (MultiPoly.variable(i, t.n) if bit else MultiPoly.constant(1, t.n))
         total = total + term
     return total
 
@@ -247,7 +257,7 @@ def lagrange_reduction(t: TruthTable) -> MultiPoly:
 def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
     """Does p's monomial support enumerate exactly t's yes-instances?"""
     if not p.is_multilinear():
-        raise ValueError("support comparison needs a multilinear polynomial")
+        raise DimensionError("support comparison needs a multilinear polynomial")
     instance_supports = {frozenset(i for i, bit in enumerate(b) if bit) for b in t.yes}
     return p.support_sets() == instance_supports
 
@@ -274,7 +284,7 @@ def _matrix_listing(n: int, count: int, what: str,
 def _rows(n: int) -> range:
     """The flat index n*i of each row's a_{i,0}; n*i + f(i) then grows with i."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DimensionError("n must be positive")
     return range(0, n * n, n)
 
 

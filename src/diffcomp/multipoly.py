@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
-from .errors import FormatError, InvalidRelabellingError, SizeCapError
+from .errors import DimensionError, FormatError, InvalidRelabellingError, SizeCapError
 
 DEFAULT_MAX_TERMS = 100_000
 
@@ -70,9 +70,9 @@ class Monomial(tuple):
         items = []
         for v, e in sorted(mapping.items()):
             if v < 0:
-                raise ValueError("variable indices must be non-negative")
+                raise DimensionError("variable indices must be non-negative")
             if e < 0:
-                raise ValueError("exponents must be non-negative")
+                raise DimensionError("exponents must be non-negative")
             if e > 0:
                 items.append((v, e))
         return cls(items)
@@ -82,7 +82,7 @@ class Monomial(tuple):
         """Multilinear monomial on the given (distinct) variables."""
         vs = sorted(variables)
         if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable in multilinear monomial")
+            raise DimensionError("duplicate variable in multilinear monomial")
         return cls([(v, 1) for v in vs])
 
     def degree(self) -> int:
@@ -257,7 +257,7 @@ class MultiPoly:
     def partial_derivative(self, v: int) -> MultiPoly:
         """Formal d/dx_v; terms not containing x_v vanish."""
         if not 0 <= v < self.nvars:
-            raise ValueError(f"variable {v} outside universe of size {self.nvars}")
+            raise DimensionError(f"variable {v} outside universe of size {self.nvars}")
         out: dict[Monomial, CycloRational] = {}
         for mono, c in self.terms.items():
             if (d := mono.diff(v)) is None:
@@ -355,7 +355,7 @@ def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passe
 def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None:
     top = max((mono.max_var() for mono in terms), default=-1)
     if nvars <= top:
-        raise ValueError(f"nvars={nvars} but a term uses variable {top}")
+        raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None
 def matrix_index(n: int, i: int, j: int) -> int:
     """Row-major flat index of the matrix variable a_{i,j}."""
     if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"({i},{j}) outside a {n}x{n} matrix")
+        raise DimensionError(f"({i},{j}) outside a {n}x{n} matrix")
     return n * i + j
 
 
@@ -417,9 +417,9 @@ class VarTable:
         if match is None or match[1] != self.prefix or (match[2] is None) == (self.side is None):
             raise FormatError(f"bad or inconsistently named variable {name!r}")
         if self.side is None:
-            index = int(match[2])
+            (index,) = textfile.ints(match[2], "variable index", 0)
         else:
-            i, j = int(match[3]), int(match[4])
+            i, j = textfile.ints(f"{match[3]} {match[4]}", "variable index", 0, 0)
             if i >= self.side or j >= self.side:
                 raise FormatError(f"variable {name!r} outside the {self.side}x{self.side} matrix")
             index = self.side * i + j
@@ -439,7 +439,7 @@ def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None 
     """Serialize in the canonical format; `order` defaults to the coefficient lcm."""
     table = VarTable.vector(p.nvars) if table is None else table
     if len(table) < p.nvars:
-        raise ValueError("variable table smaller than the polynomial's universe")
+        raise DimensionError("variable table smaller than the polynomial's universe")
     m = p.coefficient_order()
     if order is not None:
         m = math.lcm(m, order)
@@ -463,30 +463,35 @@ class ParsedPoly:
 def poly_from_text(text: str) -> ParsedPoly:
     (nvars, order), lines = textfile.read(text, "poly", 0, 1)
     table: VarTable | None = None  # fixed by the first variable the file names
-    # each distinct coefficient and factor token is parsed once per file
+    # each distinct raw coefficient and factor token is parsed once per file
     coeffs: dict[str, CycloRational] = {}
     factors: dict[str, tuple[int, int]] = {}  # token -> (variable, exponent)
     terms: dict[Monomial, CycloRational] = {}
     for line in lines:
-        pieces = [piece.strip() for piece in line.split(" * ")]
-        coeff = coeffs.get(pieces[0])
+        coeff_s, *tokens = line.split(" * ")
+        coeff = coeffs.get(coeff_s)
         if coeff is None:
-            coeff = coeffs[pieces[0]] = CycloRational.from_text(pieces[0])
-        exps: dict[int, int] = {}
-        for token in pieces[1:]:
-            factor = factors.get(token)
-            if factor is None:
-                name, _, exp_s = token.partition("^")
-                (e,) = textfile.ints(exp_s or "1", "exponent", 1)
-                if table is None:
-                    table = VarTable.naming(name, nvars)
-                factor = factors[token] = (table.index(name), e)
-            v, e = factor
-            exps[v] = exps.get(v, 0) + e
-        mono = Monomial.make(exps)
+            coeff = coeffs[coeff_s] = CycloRational.from_text(coeff_s.strip())
+        pairs = list(map(factors.get, tokens))
+        if None in pairs:  # a token this file has not used before
+            for k, token in enumerate(tokens):
+                if (factor := factors.get(token)) is None:
+                    name, _, exp_s = token.strip().partition("^")
+                    (e,) = textfile.ints(exp_s or "1", "exponent", 1)
+                    if table is None:
+                        table = VarTable.naming(name, nvars)
+                    factor = factors[token] = (table.index(name), e)
+                pairs[k] = factor
+        if len(dict(pairs)) == len(pairs) and pairs == sorted(pairs):  # already a Monomial
+            mono = Monomial(pairs)
+        else:  # repeated or unsorted variables: merge
+            exps: dict[int, int] = {}
+            for v, e in pairs:
+                exps[v] = exps.get(v, 0) + e
+            mono = Monomial.make(exps)
         if mono in terms:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff
-    if table is None:
-        table = VarTable.vector(nvars)
-    return ParsedPoly(MultiPoly(nvars, terms), table, order)
+    # VarTable.index bounds every variable below nvars; zeros drop after the duplicate test
+    poly = MultiPoly._trusted(nvars, terms, () if all(coeffs.values()) else list(terms))
+    return ParsedPoly(poly, VarTable.vector(nvars) if table is None else table, order)

@@ -440,3 +440,98 @@ def test_verify_rejects_a_changed_entry_from_its_probes(tmp_path, capsys, monkey
     assert run_cli(["bound", str(listing), "--certificate", str(bad)]) == 3
     assert capsys.readouterr().err.count("error:") == 1
     assert len(expanded) == 1
+
+
+# -- typed errors only --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["const:x", "shift:y", "const:", "shift:1,0"])
+def test_run_functional_refuses_a_shorthand_without_an_integer(tmp_path, capsys, spec):
+    poly, inp = tmp_path / "c.poly", tmp_path / "g.fn"
+    assert run_cli(["build", "constants", "--n", "2", "--out", str(poly)]) == 0
+    inp.write_text(spec + "\n")
+    capsys.readouterr()
+    assert run_cli(["run", str(poly), str(inp), "--kind", "functional"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: bad function {spec!r}"]
+
+
+# (listing, input, --kind, a phrase of the DimensionError that `run` must turn into exit 2)
+DIMENSION_ERRORS_FROM_RUN = [
+    ("3 1\n1:[1/1] * a_2\n", "10\n", "vector", "vector inputs of arity 2 allow 2"),
+    ("5 1\n1:[1/1] * a_4\n", "10\n01\n", "matrix", "matrix inputs of arity 2 allow 4"),
+    ("3 1\n1:[1/1] * a_2\n", "0\n", "functional", "functional inputs of arity 1 allow 1"),
+    ("1 2\n3:[0/1,1/1] * a_0\n", "1\n", "vector", "does not divide the declared order 2"),
+    ("4 1\n1:[1/1] * a_{0,0}\n", "const:7\n", "functional", "image 7 outside Z_2"),
+    ("0 1\n1:[1/1]\n", "const:0\n", "functional", "domain size must be positive"),
+]
+
+
+@pytest.mark.parametrize("listing, given, kind, phrase", DIMENSION_ERRORS_FROM_RUN)
+def test_every_dimension_error_reachable_from_run_exits_2(tmp_path, capsys, monkeypatch, listing,
+                                                          given, kind, phrase):
+    from diffcomp.errors import DiffcompError, DimensionError
+
+    assert issubclass(DimensionError, DiffcompError) and issubclass(DimensionError, ValueError)
+    raised, real_run = [], cli.cmd_run
+
+    def spy(args):  # what cmd_run raised, before main maps it to an exit code
+        try:
+            return real_run(args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(cli, "cmd_run", spy)
+    poly, inp = tmp_path / "p.poly", tmp_path / "p.in"
+    poly.write_text(listing)
+    inp.write_text(given)
+    code = run_cli(["run", str(poly), str(inp), "--kind", kind])
+    out, err = capsys.readouterr()
+    assert (code, out, raised) == (2, "", [DimensionError])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and phrase in err
+
+
+def test_an_untyped_exception_is_a_traceback_not_an_exit_code(tmp_path, monkeypatch):
+    from diffcomp import engine
+
+    poly, inp = tmp_path / "p.poly", tmp_path / "p.in"
+    poly.write_text("1 1\n1:[1/1] * a_0\n")
+    inp.write_text("1\n")
+
+    def broken(dc, bits):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(engine, "run_vector", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run_cli(["run", str(poly), str(inp)])
+
+
+def test_run_names_a_power_too_long_to_print_as_a_power(tmp_path, capsys):
+    # 7...7 (3,000 digits) squared has 6,000 digits, past what str() of an int allows
+    digits = "7" * 3000
+    poly, inp = tmp_path / "big.poly", tmp_path / "in.bits"
+    poly.write_text(f"1 2\n1:[{digits}/1] * a_0\n")
+    inp.write_text("1\n")
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"error: post-power scalar ({digits})^2 is neither 0 nor 1 at input monomial a_0; "
+        "the program is not an additive listing"]
+
+
+def test_transform_dimension_errors_keep_their_message(tmp_path, capsys):
+    gs = tmp_path / "one.graphset"
+    gs.write_text(graphs.graph_set_to_text([graphs.Graph.from_edges(1, [(0, 0)])]))
+    assert run_cli(["transform", str(gs), "--out-prefix", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == "error: transform T needs a graph on at least 2 vertices\n"
+
+
+@pytest.mark.parametrize("name", ["a_{digits}", "a_{{{digits},0}}"])
+def test_a_variable_index_too_long_for_int_is_a_format_error(tmp_path, capsys, name):
+    poly, inp = tmp_path / "p.poly", tmp_path / "p.in"
+    poly.write_text(f"4 1\n1:[1/1] * {name.format(digits='1' * 5000)}\n")
+    inp.write_text("1\n")
+    assert run_cli(["run", str(poly), str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad variable index")

@@ -401,3 +401,26 @@ def test_products_and_inverses_match_sympy():
             assert (a * b).coeffs == coords(sympy.rem(as_sympy(a) * as_sympy(b), phi_m, x), m)
             if not a.is_zero():
                 assert a.inverse().coeffs == coords(sympy.invert(as_sympy(a), phi_m, x), m)
+
+
+# -- equality -------------------------------------------------------------------------
+
+
+def test_same_order_equality_compares_coordinates_without_embedding(monkeypatch):
+    w = root_of_unity(12, 5)
+    a, b, c = w + Fraction(1, 3), w + Fraction(2, 6), w + Fraction(4, 3)
+    monkeypatch.setattr(CycloRational, "embed", lambda self, m: pytest.fail("embedded"))
+    assert a == b and a is not b
+    assert a != w and not a == c and a != 3 * a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 12]), st.sampled_from([1, 2, 3, 4, 6, 12]),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(1, 4))
+def test_equality_agrees_across_orders(m1, m2, coords, den):
+    # a value of order m1 and the same value built in order lcm(m1, m2): equal both ways,
+    # and equal to itself seen from m2's side whenever it lives there too
+    a = CycloRational(m1, [Fraction(c, den) for c in coords[:euler_phi(m1)]])
+    lifted = a.embed(math.lcm(m1, m2))
+    assert a == lifted and lifted == a
+    assert (a == root_of_unity(m2)) == (lifted == root_of_unity(m2).embed(lifted.order))

@@ -1,0 +1,86 @@
+"""The import surface: each command loads only the modules it uses, and the
+package's exports load on first use.
+
+Module loading is checked in a fresh interpreter, since this process has
+imported every module already.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diffcomp
+from diffcomp import chow, listings
+
+PACKAGE_ROOT = str(Path(diffcomp.__file__).resolve().parents[1])
+CORE = {"diffcomp.cli", "diffcomp.cyclotomic", "diffcomp.errors", "diffcomp.multipoly",
+        "diffcomp.textfile"}
+
+
+def loaded_after(code: str, cwd: Path | None = None) -> set[str]:
+    """The diffcomp.* modules loaded once `code` has run in a new interpreter."""
+    report = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('diffcomp.'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [PACKAGE_ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def main_then_report(argv: list[str]) -> str:
+    # run the command in process, its stdout swallowed, and insist on exit 0
+    return ("import contextlib, io\nfrom diffcomp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import diffcomp") == set()
+
+
+def test_the_cli_imports_only_its_core():
+    assert loaded_after("from diffcomp.cli import main") == CORE
+
+
+@pytest.fixture
+def functional_files(tmp_path):
+    (tmp_path / "fg.poly").write_text(
+        diffcomp.multipoly.poly_to_text(listings.listing_functional_graphs(3),
+                                        diffcomp.VarTable.matrix(3)))
+    (tmp_path / "fg.chow").write_text(chow.functional_product_decomposition(3).to_text())
+    (tmp_path / "f.in").write_text("2,0,1\n")
+    return tmp_path
+
+
+def test_verify_loads_neither_the_engine_nor_the_listings_nor_graphs(functional_files):
+    loaded = loaded_after(main_then_report(["verify", "fg.chow", "fg.poly"]), functional_files)
+    assert "diffcomp.chow" in loaded
+    assert not loaded & {"diffcomp.engine", "diffcomp.listings", "diffcomp.graphs"}
+
+
+def test_run_loads_neither_chow_nor_graphs(functional_files):
+    loaded = loaded_after(main_then_report(["run", "fg.poly", "f.in", "--kind", "functional"]),
+                          functional_files)
+    assert {"diffcomp.engine", "diffcomp.listings"} <= loaded
+    assert not loaded & {"diffcomp.chow", "diffcomp.graphs"}
+
+
+def test_exports_resolve_lazily_to_their_homes():
+    assert diffcomp.ChowDecomposition is diffcomp.chow.ChowDecomposition
+    assert diffcomp.TruthTable is listings.TruthTable
+    assert diffcomp.matrix_index is diffcomp.multipoly.matrix_index
+    namespace: dict = {}
+    exec("from diffcomp import *", namespace)
+    assert set(diffcomp.__all__) <= set(namespace)
+    assert namespace["RunResult"] is diffcomp.engine.RunResult
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        diffcomp.nope  # noqa: B018
+    assert not hasattr(diffcomp, "nope")
