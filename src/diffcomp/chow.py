@@ -16,10 +16,9 @@ expanded polynomial; two lower-bound tools live here as well:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import textfile
@@ -109,9 +108,7 @@ class ChowDecomposition:
         return math.lcm(*(c.order for summand in self.entries for form in summand for c in form))
 
     def to_text(self, order: int | None = None) -> str:
-        m = self.coefficient_order()
-        if order is not None:
-            m = math.lcm(m, order)
+        m = math.lcm(self.coefficient_order(), 1 if order is None else order)
         return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
             " ".join(c.to_text() for c in form) for summand in self.entries for form in summand
         ])
@@ -153,14 +150,17 @@ def _fits_cap(c: ChowDecomposition) -> bool:
     return not peak or peak <= max_terms()
 
 
-def _probes(c: ChowDecomposition) -> Iterator[Monomial]:
+def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
     """Per summand, its lead monomial (each form picks its first variable, else its
-    constant), and the lead with one form's pick swapped for each of its other picks."""
+    constant), and the lead with one form's pick swapped for each of its other picks;
+    then the target's first term, which catches a zeroed entry that moved a lead."""
     for summand in c._sparse:
         lead = [next(iter(form), None) for form in summand]
         for picks in [lead] + [lead[:v] + [w] + lead[v + 1:]
                                for v, form in enumerate(summand) for w in list(form)[1:]]:
-            yield Monomial.make(Counter(w for w in picks if w is not None))
+            vs = sorted([w for w in picks if w is not None])
+            yield Monomial([(v, vs.count(v)) for v in dict.fromkeys(vs)])
+    yield from islice(target.terms, 1)
 
 
 def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
@@ -168,7 +168,7 @@ def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
 
     If the cap admits the whole expansion, a probe whose coefficient differs is a
     certain REJECT; otherwise, or when every probe agrees, the expansion is compared."""
-    if _fits_cap(c) and any(c.coefficient(m) != target.coefficient(m) for m in _probes(c)):
+    if _fits_cap(c) and any(c.coefficient(m) != target.coefficient(m) for m in _probes(c, target)):
         return False
     return expand(c) == target
 
@@ -377,10 +377,6 @@ def functional_product_decomposition(n: int) -> ChowDecomposition:
     """rho = 1 certificate for the n^n-term functional listing: prod_i sum_j a_{i,j}."""
     if n < 1:
         raise DimensionError("n must be positive")
-    forms = []
-    for v in range(n):
-        form = [ZERO] * (n * n + 1)
-        for w in range(n):
-            form[matrix_index(n, v, w)] = ONE
-        forms.append(tuple(form))
+    # row v's variables a_{v,0}..a_{v,n-1} are the flat indices w with w // n == v
+    forms = [tuple(ONE if w // n == v else ZERO for w in range(n * n + 1)) for v in range(n)]
     return ChowDecomposition(1, n, n * n, (tuple(forms),))

@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
         B = _parse_bit_matrix(input_text)
         dc = engine.DifferentialComputer(poly, len(B), order, "matrix")
         result = engine.run_matrix(dc, B)
-    elif kind == "functional":
+    else:  # functional; argparse restricts the choices
         lines = textfile.records(input_text)
         if len(lines) != 1:
             raise FormatError("functional input file must hold one image list")
@@ -129,8 +129,6 @@ def cmd_run(args) -> int:
         g = listings.FunctionTable.parse(lines[0], n)
         dc = engine.DifferentialComputer(poly, n, order, "functional")
         result = engine.run_functional(dc, g)
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown input kind {kind!r}")
     print(result.bit)
     print(f"scalar {result.scalar.to_text()}", file=sys.stderr)
     return EXIT_OK
@@ -147,8 +145,7 @@ def cmd_verify(args) -> int:
         raise FormatError(f"decomposition over {decomposition.nvars} variables cannot "
                           f"express a {target.nvars}-variable listing")
     ok = chow.verify(decomposition, target)
-    print(f"rho {decomposition.rho} degree {decomposition.degree} "
-          f"nvars {decomposition.nvars}")
+    print(f"rho {decomposition.rho} degree {decomposition.degree} nvars {decomposition.nvars}")
     if not ok:
         print("verdict REJECT")
         return EXIT_MODEL

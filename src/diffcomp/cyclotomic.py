@@ -360,11 +360,11 @@ _set_order, _set_num, _set_den = (vars(CycloRational)[k].__set__ for k in CycloR
 
 
 def _lift(x) -> CycloRational | None:
-    # ints and Fractions are lifted to order 1; None for every other type
+    # ints and Fractions are lifted to order 1 (0 and 1 to ZERO and ONE); None for other types
     if isinstance(x, CycloRational):
         return x
     if isinstance(x, int):
-        return _make(1, (int(x),), 1)
+        return (ZERO, ONE)[x] if x in (0, 1) else _make(1, (int(x),), 1)
     if isinstance(x, Fraction):
         return _make(1, (x.numerator,), x.denominator)
     return None

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .cyclotomic import CycloRational
@@ -63,7 +64,8 @@ class DifferentialComputer:
     @cached_property
     def _tall_terms(self) -> tuple[Monomial, ...]:
         # the terms of degree > arity, found on the first functional run
-        return tuple(m for m in self.program.terms if m.degree() > self.arity)
+        exponent, arity = itemgetter(1), self.arity
+        return tuple(m for m in self.program.terms if sum(map(exponent, m)) > arity)
 
     def _show(self, mono: Monomial) -> str:
         table = (VarTable.vector if self.input_kind == "vector" else VarTable.matrix)(self.arity)

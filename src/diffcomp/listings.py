@@ -70,8 +70,7 @@ class TruthTable:
         if self.m < 1:
             raise DimensionError("order m must be at least 1")
         yes = frozenset(_as_bits(b, self.n) for b in self.yes)
-        stray = set(self.phases) - yes
-        if stray:
+        if stray := set(self.phases) - yes:
             raise DimensionError(f"phase given for non-yes instance {sorted(stray)[0]}")
         phases = {b: self.phases.get(b, 0) % self.m for b in yes}
         object.__setattr__(self, "yes", yes)
@@ -85,8 +84,7 @@ class TruthTable:
 
     def with_lex_phases(self) -> TruthTable:
         """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
-        return TruthTable(self.n, self.m, self.yes,
-                          {b: lex_index(b) for b in self.yes})
+        return TruthTable(self.n, self.m, self.yes, {b: lex_index(b) for b in self.yes})
 
     def value(self, b: Iterable[int]) -> int:
         return 1 if _as_bits(b, self.n) in self.yes else 0

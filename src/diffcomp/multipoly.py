@@ -37,7 +37,7 @@ DEFAULT_MAX_TERMS = 100_000
 
 def max_terms() -> int:
     """Size cap on expanded listings and products; override with DIFFCOMP_MAX_TERMS."""
-    raw = os.environ.get("DIFFCOMP_MAX_TERMS", str(DEFAULT_MAX_TERMS))
+    raw = os.environ.get("DIFFCOMP_MAX_TERMS", DEFAULT_MAX_TERMS)
     try:
         value = int(raw)
     except ValueError:
@@ -235,8 +235,16 @@ class MultiPoly:
         other = self._coerce_poly(other)
         a, b = len(self.terms), len(other.terms)
         _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
-        out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
         pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
+        # every variable of self below every one of other's: each product is the two monomials
+        # joined, none meets another and none is 0 (a single pair skips the test)
+        if a * b > 1 and max([m[-1][0] for m in self.terms if m] or [-1]) < min(
+                [m[0][0] for m in other.terms if m] or [math.inf]):
+            return MultiPoly._trusted(max(self.nvars, other.nvars), {
+                Monomial(tuple.__add__(m1, m2)): c2 if one else c1 if other_one else c1 * c2
+                for m1, c1 in self.terms.items() for one in [_is_one(c1)]
+                for m2, c2, other_one in pairs})
+        out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
         for m1, c1 in self.terms.items():
             one = _is_one(c1)  # a unit factor passes the other one through
             for m2, c2, other_one in pairs:
@@ -440,9 +448,7 @@ def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None 
     table = VarTable.vector(p.nvars) if table is None else table
     if len(table) < p.nvars:
         raise DimensionError("variable table smaller than the polynomial's universe")
-    m = p.coefficient_order()
-    if order is not None:
-        m = math.lcm(m, order)
+    m = math.lcm(p.coefficient_order(), 1 if order is None else order)
     # each distinct (variable, exponent) factor is formatted once per file
     tokens = {ve: table.factor(*ve) for ve in {ve for mono in p.terms for ve in mono}}
     # the declared universe is the table's, so sparse matrix listings keep

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import (
+    ONE,
+    ZERO,
     CycloRational,
     as_scalar,
     cyclotomic_polynomial,
@@ -424,3 +426,12 @@ def test_equality_agrees_across_orders(m1, m2, coords, den):
     lifted = a.embed(math.lcm(m1, m2))
     assert a == lifted and lifted == a
     assert (a == root_of_unity(m2)) == (lifted == root_of_unity(m2).embed(lifted.order))
+
+
+def test_the_ints_zero_and_one_lift_to_the_shared_constants():
+    assert as_scalar(0) is ZERO and as_scalar(1) is ONE
+    assert as_scalar(True) is ONE and as_scalar(False) is ZERO
+    w = root_of_unity(12)
+    assert (w * 0).is_zero() and (w - w + 1) == ONE  # every operator lifts through as_scalar
+    assert CycloRational.one() is ONE and CycloRational.from_rational(1) == ONE
+    assert as_scalar(2) is not as_scalar(2) and as_scalar(-1) == -ONE

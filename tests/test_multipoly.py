@@ -15,6 +15,8 @@ from diffcomp.multipoly import (
     Monomial,
     MultiPoly,
     VarTable,
+    _check_cap,
+    _is_one,
     matrix_index,
     poly_from_text,
     poly_to_text,
@@ -365,3 +367,87 @@ def test_product_and_sum_drop_only_cancelled_terms():
     assert ((x(0, 1) + one) * (x(0, 1) - one)).terms.keys() == {Monomial.make({0: 2}), Monomial()}
     assert ((x(0, 1) + one) + (one - x(0, 1))).terms == {Monomial(): CycloRational.from_rational(2)}
     assert not ((x(0, 1) + one) - (x(0, 1) + one)).terms
+
+
+# -- the product property: MultiPoly.__mul__ against the general merge loop ---------
+
+
+def reference_mul(self, other):
+    """MultiPoly.__mul__ before the order-disjoint path, kept verbatim."""
+    other = self._coerce_poly(other)
+    a, b = len(self.terms), len(other.terms)
+    _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
+    out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
+    pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
+    for m1, c1 in self.terms.items():
+        one = _is_one(c1)  # a unit factor passes the other one through
+        for m2, c2, other_one in pairs:
+            mono = m1 * m2
+            c = c2 if one else c1 if other_one else c1 * c2
+            if (acc := out.get(mono)) is not None:
+                met.append(mono)
+            out[mono] = c if acc is None else acc + c
+    return MultiPoly._trusted(max(self.nvars, other.nvars), out, met)
+
+
+# units of orders 1 and 12 and their negatives (sums cancel), and other order-12 values
+PRODUCT_COEFFS = (CycloRational.one(), -CycloRational.one(), root_of_unity(12, 0),
+                  -root_of_unity(12, 0), root_of_unity(12, 5), root_of_unity(12, 7),
+                  root_of_unity(2, 0), CycloRational.from_rational(Fraction(-2, 3)))
+
+# the two operands' variables: order-disjoint, interleaved, overlapping, and
+# disjoint with only a shared boundary variable possible
+LAYOUTS = {"order-disjoint": (range(0, 4), range(4, 8)),
+           "interleaved": (range(0, 8, 2), range(1, 8, 2)),
+           "overlapping": (range(0, 5), range(2, 7)),
+           "touching": (range(0, 4), range(3, 7))}
+
+
+@st.composite
+def polys_over(draw, variables):
+    """A polynomial on some of `variables`: maybe empty or constant-only, maybe with
+    a constant term, over a universe up to three wider than it needs."""
+    if draw(st.booleans()):  # constant-only or empty
+        variables = ()
+    exps = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=3) \
+        if variables else st.just({})
+    terms = draw(st.dictionaries(st.builds(Monomial.make, exps), st.sampled_from(PRODUCT_COEFFS),
+                                 max_size=5))
+    top = max((m.max_var() for m in terms), default=-1)
+    return MultiPoly(top + 1 + draw(st.integers(0, 3)), terms)
+
+
+@st.composite
+def product_operands(draw):
+    left, right = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    p, q = draw(polys_over(left)), draw(polys_over(right))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(product_operands())
+def test_product_matches_the_general_merge_loop(operands):
+    p, q = operands
+    got, want = p * q, reference_mul(p, q)
+    assert got.nvars == want.nvars
+    assert list(got.terms) == list(want.terms)  # the same keys, inserted in the same order
+    assert {m: (c.order, c.num, c.den) for m, c in got.terms.items()} == \
+        {m: (c.order, c.num, c.den) for m, c in want.terms.items()}
+    for mono, c in got.terms.items():
+        assert c and type(mono) is Monomial
+        assert all(type(pair) is tuple for pair in mono)
+        assert all(v < w for (v, _), (w, _) in zip(mono, mono[1:]))
+
+
+def test_product_on_named_boundary_cases():
+    # a constant term on either side of an order-disjoint product, and a shared
+    # boundary variable, which is not order-disjoint
+    one = MultiPoly.constant(1, 4)
+    for p, q in (((one + x(0, 4)), (one - x(3, 4))), (x(1, 4) + x(2, 4), x(2, 4) * x(3, 4)),
+                 (MultiPoly.zero(2), x(3, 4)), (one, MultiPoly.constant(root_of_unity(12), 0))):
+        got, want = p * q, reference_mul(p, q)
+        assert got.terms == want.terms and list(got.terms) == list(want.terms)
+        assert got.nvars == want.nvars
+    assert (x(1, 4) + x(2, 4)) * (x(2, 4) + x(3, 4)) == \
+        MultiPoly(4, {Monomial.make(e): c for e, c in (({1: 1, 2: 1}, 1), ({1: 1, 3: 1}, 1),
+                                                       ({2: 2}, 1), ({2: 1, 3: 1}, 1))})

@@ -127,6 +127,19 @@ def test_a_zeroed_entry_is_still_rejected_by_the_expansion():
     assert not verify(ChowDecomposition(1, 3, 9, entries), listing_functional_graphs(3))
 
 
+def test_the_targets_first_term_rejects_a_zeroed_entry_without_expanding(expand_calls):
+    # the case above: every lead probe agrees, but the target's first term
+    # a_0*a_3*a_6 has coefficient 0 on the changed certificate, against 1
+    c = functional_product_decomposition(3)
+    entries = [[list(form) for form in summand] for summand in c.entries]
+    entries[0][1][3] = ZERO
+    changed, target = ChowDecomposition(1, 3, 9, entries), listing_functional_graphs(3)
+    assert next(iter(target.terms)) == Monomial.of_vars([0, 3, 6])
+    assert changed.coefficient(Monomial.of_vars([0, 3, 6])) == 0
+    assert not verify(changed, target)
+    assert not expand_calls
+
+
 def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls):
     # three forms 1 + x0 + ... + x3: the bound charges 5 x 5, then 25 x 5 = 125 pairs,
     # while the expansion itself multiplies 5 x 5, then 15 x 5 = 75
