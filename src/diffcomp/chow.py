@@ -129,14 +129,15 @@ class ChowDecomposition:
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
-    """Multiply out every summand and add; the canonical polynomial."""
-    total = None
+    """Multiply out every summand and add; the canonical polynomial.  The cap is read once:
+    if a summand has two nonzero forms and the cap admits every product, none charges it."""
+    total, fits = None, any(all(s[:2]) for s in c._sparse) and _fits_cap(c)
     for u in range(c.rho):
         prod = c.form(u, 0)
         for v in range(1, c.degree):
             if prod.is_zero():
                 break
-            prod = prod * c.form(u, v)
+            prod = prod.__mul__(c.form(u, v), fits)
         total = prod if total is None else total + prod
     return total
 
@@ -346,9 +347,7 @@ def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
 # Compiling functional computers to depth-2 formulas.
 # ---------------------------------------------------------------------------
 
-def compile_functional(
-    c: ChowDecomposition, g: FunctionTable
-) -> tuple[Matrix, CycloRational]:
+def compile_functional(c: ChowDecomposition, g: FunctionTable) -> tuple[Matrix, CycloRational]:
     """Evaluate a functional computer as sum_u prod_v X[u][v].
 
     Needs a homogeneous decomposition whose v-th form uses only the matrix

@@ -21,9 +21,7 @@ from . import textfile
 from .errors import DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError
 from .multipoly import MultiPoly, VarTable, poly_from_text, poly_to_text
 
-EXIT_OK = 0
-EXIT_BAD_INPUT = 2
-EXIT_MODEL = 3
+EXIT_OK, EXIT_BAD_INPUT, EXIT_MODEL = 0, 2, 3
 
 
 def _read(path: str) -> str:
@@ -109,8 +107,7 @@ def _parse_bit_matrix(text: str) -> list[list[int]]:
 
 def cmd_run(args) -> int:
     parsed = poly_from_text(_read(args.listing))
-    poly, order = parsed.poly, parsed.order
-    kind = args.kind
+    poly, order, kind = parsed.poly, parsed.order, args.kind
     input_text = _read(args.input)
     from . import engine, listings  # only once both files are read and the listing parses
     if kind == "vector":

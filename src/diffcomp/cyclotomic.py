@@ -238,6 +238,10 @@ class CycloRational:
             q, b = rhs, self
         elif len(self.num) == 1:
             q, b = self, rhs
+        elif not any(rhs.num[1:]):  # rational, written in a wider field (a 1 of order 12, say)
+            q, b = rhs, self
+        elif not any(self.num[1:]):
+            q, b = self, rhs
         else:
             a, b = self._unified(self, rhs)
             an, bn = a.num, b.num
@@ -261,8 +265,7 @@ class CycloRational:
         """Multiplicative inverse; Phi_m is irreducible so any nonzero element has one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        num, den = self.num, self.den
-        m = self.order
+        num, den, m = self.num, self.den, self.order
         if len(num) == 1:
             return _make(m, (den if num[0] > 0 else -den,), abs(num[0]))
         # 1/a = den * c / N: c is the product of sigma_k(den * a) over the units k != 1 mod m,
@@ -286,8 +289,7 @@ class CycloRational:
     def __pow__(self, k: int) -> CycloRational:
         if k < 0:
             return self.inverse() ** (-k)
-        out = _make(self.order, (1,) + (0,) * (len(self.num) - 1), 1)
-        base = self
+        out, base = _make(self.order, (1,) + (0,) * (len(self.num) - 1), 1), self
         while k:
             if k & 1:
                 out = out * base

@@ -5,7 +5,9 @@ for every set bit b_i, evaluate what's left at a = 0, and raise the scalar
 to the m-th power.  Each variable of b's support S is differentiated once,
 so the chain leaves exactly the coefficient of the multilinear monomial on
 S (0 if P lacks it), multilinear P or not, and runs compute it by that one
-lookup.  The m-th power then collapses any phase to 1.
+lookup.  The m-th power then collapses any phase to 1; each computer stores which
+distinct coefficients decided 1, so only the first run on a coefficient computes the
+power, which pays off only when many runs share one listing.
 
 The functional variant differentiates along a function's graph instead and
 skips the evaluation at zero; only a term of degree > n containing the graph
@@ -16,9 +18,10 @@ leaves a non-constant remainder.  Either way, a post-power scalar outside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, count
 from operator import itemgetter
 from typing import Sequence
 
@@ -44,6 +47,8 @@ class DifferentialComputer:
     arity: int
     order: int
     input_kind: str = "vector"
+    # each coefficient, as (order, num, den), whose s^gcd(m, L) is 1, and its decision
+    _units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_kind not in _KINDS:
@@ -56,8 +61,7 @@ class DifferentialComputer:
         if self.program.nvars > universe:
             raise DimensionError(f"program uses {self.program.nvars} variables; {self.input_kind} "
                                  f"inputs of arity {self.arity} allow {universe}")
-        cform = self.program.coefficient_order()
-        if self.order % cform != 0:
+        if self.order % (cform := self.program.coefficient_order()):
             raise DimensionError(f"program coefficients live in order {cform}, which does not "
                                  f"divide the declared order {self.order}")
 
@@ -76,9 +80,11 @@ class DifferentialComputer:
         # has order dividing L = lcm(2, k), so s^m = 1 iff s^gcd(m, L) = 1
         if scalar.is_zero():
             return RunResult(0, scalar)
+        if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
+            return known
         m, period = self.order, math.lcm(2, scalar.order)
         if scalar ** math.gcd(m, period) == CycloRational.one():
-            return RunResult(1, scalar)
+            return self._units.setdefault(key, RunResult(1, scalar))
         # a root of unity has s^m = s^(m mod L); for any other s, print s^m only if m <= L
         rooted = m <= period or scalar**period == CycloRational.one()
         try:
@@ -91,8 +97,8 @@ class DifferentialComputer:
 
 
 def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:
-    """The one run path: d/da_S P at a = 0 is the coefficient of prod_S a_i."""
-    mono = Monomial.of_vars(support)
+    """The one run path: d/da_S P at a = 0 is the coefficient of prod_S a_i, S ascending."""
+    mono = Monomial([(v, 1) for v in support])
     return dc._decide(dc.program.coefficient(mono), mono)
 
 
@@ -100,10 +106,10 @@ def run_vector(dc: DifferentialComputer, b: Sequence[int]) -> RunResult:
     """Apply d/da_i per set bit, evaluate at zero, decide (by coefficient lookup)."""
     if dc.input_kind != "vector":
         raise DimensionError(f"run_vector on a {dc.input_kind}-input computer")
-    bits = [int(x) for x in b]
-    if len(bits) != dc.arity or any(x not in (0, 1) for x in bits):
+    bits = list(map(int, b))
+    if len(bits) != dc.arity or not {*bits} <= {0, 1}:
         raise DimensionError(f"expected a length-{dc.arity} bit vector")
-    return _run(dc, [i for i, bit in enumerate(bits) if bit])
+    return _run(dc, list(compress(count(), bits)))  # the indices of the set bits
 
 
 def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResult:
@@ -111,25 +117,23 @@ def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResul
     if dc.input_kind != "matrix":
         raise DimensionError(f"run_matrix on a {dc.input_kind}-input computer")
     n = dc.arity
-    rows = [[int(x) for x in row] for row in B]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    flat = list(map(int, chain.from_iterable(B)))  # row-major, as matrix_index numbers them
+    if len(B) != n or {*map(len, B)} - {n}:
         raise DimensionError(f"expected a {n}x{n} matrix")
-    if any(x not in (0, 1) for r in rows for x in r):
+    if not {*flat} <= {0, 1}:
         raise DimensionError("matrix entries must be 0 or 1")
-    return _run(dc, [matrix_index(n, i, j) for i in range(n) for j in range(n) if rows[i][j]])
+    return _run(dc, list(compress(count(), flat)))
 
 
 def run_functional(dc: DifferentialComputer, g: FunctionTable) -> RunResult:
-    """Differentiate along the graph of g, with no evaluation at zero.
-
-    A non-constant remainder is reported, naming one offending term.
-    """
+    """Differentiate along the graph of g, with no evaluation at zero.  A non-constant
+    remainder is reported, naming one offending term."""
     if dc.input_kind != "functional":
         raise DimensionError(f"run_functional on a {dc.input_kind}-input computer")
     n = dc.arity
     if g.n != n:
         raise DimensionError(f"function acts on Z_{g.n}, computer expects Z_{n}")
-    support = [matrix_index(n, i, g(i)) for i in range(n)]
+    support = [n * i + j for i, j in enumerate(g.images)]  # a_{i,g(i)}, g checked its images
     for term in dc._tall_terms:
         if term.support() >= set(support):
             raise ModelViolationError(
@@ -145,13 +149,12 @@ def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:
     of deciding membership.
     """
     n = len(B)
-    rows = [[int(x) for x in row] for row in B]
-    if any(len(r) != n for r in rows):
+    flat = list(map(int, chain.from_iterable(B)))
+    if {*map(len, B)} - {n}:
         raise DimensionError("matrix must be square")
     if p.nvars > n * n:
         raise DimensionError(f"listing uses {p.nvars} variables, matrix provides {n * n}")
-    point = {matrix_index(n, i, j): 1 for i in range(n) for j in range(n) if rows[i][j]}
-    return p.evaluate(point)
+    return p.evaluate(dict.fromkeys(compress(count(), flat), 1))
 
 
 def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:

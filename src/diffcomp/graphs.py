@@ -158,11 +158,8 @@ class TransformSetResult:
     listing_after: MultiPoly
 
 
-def transform_set(
-    graphs: Iterable[Graph],
-    mode: str = "T",
-    f: FunctionTable | None = None,
-) -> TransformSetResult:
+def transform_set(graphs: Iterable[Graph], mode: str = "T",
+                  f: FunctionTable | None = None) -> TransformSetResult:
     """Apply T (or T_f) elementwise and return both membership listings.
 
     The after-listing lives over N^2 matrix variables, N being the
@@ -185,9 +182,8 @@ def transform_set(
     return TransformSetResult(tuple(images), before, after)
 
 
-def recovery_restriction(
-    n: int, mode: str = "T", f: FunctionTable | None = None
-) -> tuple[dict[int, int], dict[int, int], int]:
+def recovery_restriction(n: int, mode: str = "T", f: FunctionTable | None = None
+                         ) -> tuple[dict[int, int], dict[int, int], int]:
     """(fixings, relabelling, nvars) that pull the transformed listing back.
 
     Fix every "edge absent" variable a_{v,0} to 1 (and, for T_f, the two

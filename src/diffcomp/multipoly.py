@@ -231,10 +231,11 @@ class MultiPoly:
     def __rsub__(self, other) -> MultiPoly:
         return (-self) + other
 
-    def __mul__(self, other) -> MultiPoly:
+    def __mul__(self, other, charged: bool = False) -> MultiPoly:
         other = self._coerce_poly(other)
         a, b = len(self.terms), len(other.terms)
-        _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
+        if not charged:  # `chow.expand` charges all its products to the cap at once
+            _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
         pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
         # every variable of self below every one of other's: each product is the two monomials
         # joined, none meets another and none is 0 (a single pair skips the test)

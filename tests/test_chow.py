@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -168,6 +169,55 @@ def test_equality_spans_coefficient_orders():
     assert p == q and q == p and _equal_by_sets(p, q)
     assert p != r and not _equal_by_sets(p, r)
     assert MultiPoly(2, {mono: 1}) != MultiPoly(2, {mono: 1, Monomial(): 1})
+
+
+def test_order12_units_in_a_certificate_keep_each_product_as_it_was():
+    # P_4 with order-12 phases and its trivial certificate written with the order-12 1,
+    # as the benchmark builds it, plus summands whose other factor has order 4, 3 or 1:
+    # each coefficient of the expansion has the order and coordinates of the full
+    # product, which embeds both factors into the lcm of their orders
+    one12, d = root_of_unity(12, 0), 4
+    firsts = [root_of_unity(12, k) for k in (0, 5, 7, 11)] + [
+        root_of_unity(4, 1), -root_of_unity(3, 1), CycloRational.from_rational(Fraction(2, 3)),
+        root_of_unity(24, 5)]
+    nvars = d * len(firsts)
+    summands = []
+    for i, first in enumerate(firsts):
+        forms = [[ZERO] * (nvars + 1) for _ in range(d)]
+        for j, f in enumerate(forms):
+            f[d * i + j] = first if j == 0 else one12
+        summands.append(forms)
+    got = expand(ChowDecomposition(len(firsts), d, nvars, summands))
+    for i, first in enumerate(firsts):
+        c = got.terms[Monomial.of_vars(range(d * i, d * i + d))]
+        full = first.embed(math.lcm(12, first.order))
+        assert (c.order, c.num, c.den) == (full.order, full.num, full.den)
+    assert len(got.terms) == len(firsts)
+
+
+def test_expand_reads_the_cap_once_and_charges_no_product_it_admits(monkeypatch):
+    from diffcomp import chow, multipoly
+    from diffcomp.errors import SizeCapError
+
+    reads, charges = [], []
+    read, charge = chow.max_terms, multipoly._check_cap
+    monkeypatch.setattr(chow, "max_terms", lambda: reads.append(1) or read())
+    monkeypatch.setattr(multipoly, "_check_cap", lambda *a: charges.append(a) or charge(*a))
+    c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])  # charged 5 x 5, then 25 x 5 = 125
+    got = expand(c)
+    assert len(got.terms) == 35 and len(reads) == 1 and not charges
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "124")  # the bound fails: every product charges
+    assert expand(c) == got and len(charges) == 2
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
+    with pytest.raises(SizeCapError, match="^multiplying 5-term by 5-term polynomials needs "
+                                           "25 terms, over the cap of 24$"):
+        expand(c)
+    # a product by a zero form still reads the cap, so a malformed one is still refused
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "many")
+    zeroed = ChowDecomposition(1, 2, 4, [[[ONE] * 5, [ZERO] * 5]])
+    with pytest.raises(FormatError, match="^DIFFCOMP_MAX_TERMS must be an integer, got 'many'$"):
+        expand(zeroed)
+    assert expand(ChowDecomposition(1, 2, 4, [[[ZERO] * 5, [ONE] * 5]])).is_zero()
 
 
 def test_expand_scales_linearly_in_one_form():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcomp import cyclotomic
 from diffcomp.cyclotomic import (
     ONE,
     ZERO,
@@ -368,6 +369,26 @@ def test_arithmetic_agrees_with_dense_reference(a, b):
         assert inv.order == a.order
         assert _ref_mul(a.order, a.coeffs, inv.coeffs) == _coords([1], a.order)
         assert (b / a).coeffs == _ref_mul(lcm, eb, _ref_embed(inv, lcm))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ORDERS), st.one_of(st.integers(-3, 3), small), elements(), st.booleans())
+def test_a_rational_in_a_wider_field_multiplies_like_the_dense_product(k, q, x, left):
+    # q written in the order-k field (the 1 of order 12, say) scales the other factor:
+    # the product has order lcm(k, x.order) and the dense product's coordinates
+    r = as_scalar(q).embed(k)
+    prod, lcm = (r * x if left else x * r), math.lcm(k, x.order)
+    assert prod.order == lcm
+    assert prod.coeffs == _ref_mul(lcm, _ref_embed(r, lcm), _ref_embed(x, lcm))
+    assert_canonical(prod)
+
+
+def test_a_one_of_any_order_passes_a_factor_of_a_multiple_order_through(monkeypatch):
+    one12, w5, i = root_of_unity(12, 0), root_of_unity(12, 5), root_of_unity(4)
+    assert (w5 * one12, one12 * w5, root_of_unity(4, 0) * w5) == (w5, w5, w5)
+    assert (i * one12).order == 12 and i * one12 == root_of_unity(12, 3)  # embedded, as before
+    monkeypatch.setattr(cyclotomic, "_reduce", lambda *a: pytest.fail("a full product"))
+    assert w5 * one12 is w5 and one12 * w5 is w5 and (-one12 * w5) == -w5
 
 
 # -- an outside oracle: sympy, when installed ---------------------------------------

@@ -212,6 +212,31 @@ def test_run_vector_input_validation():
         run_vector(dc, (2, 0))
     with pytest.raises(ValueError):
         run_matrix(dc, [[1, 0], [0, 1]])  # wrong kind
+    # every rejection keeps its exact message, whatever the input is wrong in
+    for bad in ((1, 2), (0, 1, 0), (1,), (), (1, -1), [0, 2]):
+        with pytest.raises(ValueError, match=r"^expected a length-2 bit vector$"):
+            run_vector(dc, bad)
+    with pytest.raises(ValueError, match=r"^run_functional on a vector-input computer$"):
+        run_functional(dc, FunctionTable.identity(2))
+    # bools are the bits 0 and 1, and convert like any int
+    assert [run_vector(dc, (x, y)).bit for x, y in ((True, True), (True, False))] == [1, 0]
+    assert run_vector(dc, ("1", 1)).bit == 1
+
+
+def test_run_matrix_input_validation():
+    dc = DifferentialComputer(listing_permanent(2), 2, 1, "matrix")
+    for bad in ([[1, 0]], [[1, 0], [0, 1], [0, 0]], [], [[1, 0], [0]], [[1], [0, 1]],
+                [[1, 0, 0], [0]], [[1, 0, 1], [0]]):  # the last two hold four entries
+        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix$"):
+            run_matrix(dc, bad)
+    for bad in ([[2, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 0], [3, 0]]):
+        with pytest.raises(ValueError, match=r"^matrix entries must be 0 or 1$"):
+            run_matrix(dc, bad)
+    with pytest.raises(ValueError, match=r"^run_vector on a matrix-input computer$"):
+        run_vector(dc, (1, 0, 0, 1))
+    assert run_matrix(dc, [[True, False], [False, True]]) == run_matrix(dc, [[1, 0], [0, 1]])
+    assert run_matrix(dc, ((0, 1), (1, 0))).bit == 1 and run_matrix(dc, [[1, 1], [0, 0]]).bit == 0
+    assert run_checked(dc, [[True, True], [True, False]]).bit == 0
 
 
 # -- matrix inputs ---------------------------------------------------------------
@@ -392,6 +417,82 @@ def test_lookup_agrees_with_derivative_chain(case):
     assert lookup(dc, x) == derivative_chain(dc, x)
 
 
+@st.composite
+def programs_and_input_streams(draw):
+    """One small program, built from a few repeated coefficients (some not roots of
+    unity), and a stream of inputs that revisits some of them."""
+    kind = draw(st.sampled_from(sorted(RUNS)))
+    n = draw(st.integers(0, 4) if kind == "vector" else st.integers(1, 3))
+    universe = n if kind == "vector" else n * n
+    order = draw(st.sampled_from((1, 2, 4, 6)))
+    coefficients = draw(st.lists(st.builds(
+        lambda scale, k: scale * root_of_unity(order, k),
+        st.sampled_from((1, 1, 1, -1, 2, Fraction(1, 2))), st.integers(0, order - 1)),
+        min_size=1, max_size=3))
+    pool = st.sampled_from(coefficients)
+    if kind == "functional":
+        inputs = st.builds(FunctionTable, st.just(n),
+                           st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple))
+    else:
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        inputs = bits if kind == "vector" else st.lists(bits, min_size=n, max_size=n)
+    stream = draw(st.lists(inputs, min_size=1, max_size=12))
+    stream += draw(st.lists(st.sampled_from(stream), max_size=12))  # repeats, memo warm
+    terms = {Monomial.of_vars(input_support(kind, n, x)): draw(pool)
+             for x in draw(st.lists(st.sampled_from(stream), max_size=8))}
+    for _ in range(draw(st.integers(0, 3))):  # and terms no input of the stream hits
+        variables = draw(st.sets(st.integers(0, universe - 1), max_size=3)) if universe else set()
+        terms[Monomial.of_vars(variables)] = draw(pool)
+    return DifferentialComputer(MultiPoly(universe, terms), n, order, kind), stream
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs_and_input_streams())
+def test_runs_on_one_computer_agree_with_derivative_chain(case):
+    # one computer takes the whole stream, so later runs meet decided coefficients
+    dc, stream = case
+    for x in stream:
+        assert lookup(dc, x) == derivative_chain(dc, x)
+    distinct = {(c.order, c.num, c.den) for c in dc.program.terms.values()}
+    assert set(dc._units) <= distinct
+    assert all(r.bit == 1 and (r.scalar.order, r.scalar.num, r.scalar.den) == key
+               for key, r in dc._units.items())
+
+
+def test_memo_holds_only_decided_units_and_violations_repeat_identically():
+    w = root_of_unity(4)
+    p = MultiPoly(3, {Monomial.of_vars([0]): w, Monomial.of_vars([1]): 2 * w,
+                      Monomial.of_vars([2]): w, Monomial.of_vars([0, 1]): -1,
+                      Monomial.of_vars([0, 2]): Fraction(1, 2), Monomial.of_vars([1, 2]): -1})
+    dc = DifferentialComputer(p, 3, 4, "vector")
+    messages = {}
+    for _ in range(3):
+        for b in cube(3):
+            try:
+                assert run_checked(dc, b).bit == (0 < sum(b) < 3)
+            except ModelViolationError as exc:
+                messages.setdefault(b, set()).add(str(exc))
+        # w and -1 decide 1 (w stored once for its two terms); no term at 000 or 111
+        assert len(dc._units) == 2
+    assert messages == {
+        (0, 1, 0): {"post-power scalar 16 is neither 0 nor 1 at input monomial a_1; the program "
+                    "is not an additive listing"},
+        (1, 0, 1): {"post-power scalar (1/2)^4 is neither 0 nor 1 at input monomial a_0 * a_2; "
+                    "the program is not an additive listing"}}
+    fresh = DifferentialComputer(p, 3, 4, "vector")  # the first run on a fresh computer
+    with pytest.raises(ModelViolationError, match="^post-power scalar 16 .* monomial a_1;"):
+        run_vector(fresh, (0, 1, 0))
+    assert not fresh._units
+
+
+def test_a_decided_coefficient_is_not_powered_again(monkeypatch):
+    dc = vector_computer(TruthTable.make(3, cube(3), 6).with_lex_phases())
+    first = [run_vector(dc, b) for b in cube(3)]
+    assert len(dc._units) == 6  # lex phases 0..7 mod 6: six distinct coefficients
+    monkeypatch.setattr(CycloRational, "__pow__", lambda *a: pytest.fail("powered again"))
+    assert [run_vector(dc, b) for b in cube(3)] == first
+
+
 def test_functional_domain_check():
     dc = DifferentialComputer(listing_constant_functions(2), 2, 1, "functional")
     with pytest.raises(ValueError):
@@ -438,6 +539,13 @@ def test_count_eval_validation():
         count_eval(per, [[1, 0]])
     with pytest.raises(ValueError):
         count_eval(per, [[1]])  # too few variables
+    for ragged in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0]]):
+        with pytest.raises(ValueError, match=r"^matrix must be square$"):
+            count_eval(per, ragged)
+    with pytest.raises(ValueError, match=r"^listing uses 4 variables, matrix provides 1$"):
+        count_eval(per, [[1]])
+    # any nonzero entry sets its variable to 1, as a plain evaluation at a 0/1 point
+    assert count_eval(per, [[True, 2], [-1, True]]) == 2
 
 
 # -- inverse via the determinant gradient --------------------------------------------
