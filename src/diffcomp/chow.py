@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import textfile
-from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
+from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import (
     DimensionError,
     FormatError,
@@ -51,24 +50,28 @@ class ChowDecomposition:
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise DimensionError("need rho >= 1, degree >= 1, nvars >= 0")
         # one pass coerces every entry and builds the sparse view: each form as its nonzero
-        # entries {w: H[u][v][w]}, then its constant under None; and each variable's holders
-        n, rows, sparse, holders = self.nvars, [], [], {}
+        # entries {w: H[u][v][w]}, then its constant under None; each variable's holders; per
+        # summand, the form holding each variable (None if two do); and the cap bound: the
+        # most terms a partial product of `expand` can have, its forms' entry counts multiplied
+        n, rows, sparse, holders, owners, peak = self.nvars, [], [], {}, [], 0
         for u, summand in enumerate(self.entries):
             if len(summand) != self.degree:
                 raise DimensionError(f"expected {self.degree} forms per summand")
             rows.append(tuple(tuple(map(as_scalar, form)) for form in summand))
             sparse.append([])
-            for form in rows[-1]:
+            owners.append({})
+            for v, form in enumerate(rows[-1]):
                 if len(form) != n + 1:
                     raise DimensionError(f"each form needs {n + 1} entries, got {len(form)}")
                 sparse[-1].append({w: h for w, h in zip([*range(n), None], form) if h})
                 for w in sparse[-1][-1]:
                     holders.setdefault(w, set()).add(u)
+                    owners[-1][w] = None if w in owners[-1] else v
+            peak = max([peak, *islice(accumulate(map(len, sparse[-1]), int.__mul__), 1, None)])
         if len(rows) != self.rho:
             raise DimensionError(f"expected {self.rho} summands, got {len(rows)}")
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "_holders", holders)
+        vars(self).update(entries=tuple(rows), _sparse=sparse, _holders=holders, _owners=owners,
+                          _peak=peak)
 
     def form(self, u: int, v: int) -> MultiPoly:
         """The linear form H[u][v][n] + sum_w H[u][v][w] x_w."""
@@ -81,14 +84,21 @@ class ChowDecomposition:
     def coefficient(self, mono: Monomial) -> CycloRational:
         """d/dx_S at 0 on the certificate: the coefficient of x^mono in expand(self).
 
-        Per summand holding every variable of mono, a pass over its forms keyed by the
-        copies of mono's variables still to supply, dropping keys the later forms
-        cannot finish; each form supplies one copy or its constant."""
-        slot = {v: k for k, (v, _) in enumerate(mono)} | {None: None}  # a constant adds nothing
-        full, total = tuple(e for _, e in mono), ZERO
+        Per summand holding every variable of mono: if mono is multilinear and each of its
+        variables has a form of its own, the product of each form's pick (that variable,
+        else its constant); otherwise a pass over the forms keyed by the copies of mono's
+        variables still to supply, dropping keys the later forms cannot finish."""
+        parts, linear = [], mono.is_multilinear()  # parts: each summand's share
         holding = [self._holders.get(v, set()) for v, _ in mono]
         for u in set.intersection(*holding) if mono else range(self.rho):
-            forms, states = self._sparse[u], {full: ONE}
+            forms, own = self._sparse[u], self._owners[u]
+            # pick: form -> the variable of mono it holds, if each holds its own
+            if linear and len(pick := {own[v]: v for v, _ in mono}) == len(mono) and (
+                    None not in pick):
+                parts.append(math.prod([f.get(pick.get(k), ZERO) for k, f in enumerate(forms)]))
+                continue
+            slot = {v: k for k, (v, _) in enumerate(mono)} | {None: None}  # a constant adds nothing
+            states = {(full := tuple(e for _, e in mono)): ONE}
             room = list(accumulate(reversed(forms[1:]), initial=[0] * len(full), func=lambda a, f: [
                 n + (v in f) for n, (v, _) in zip(a, mono)]))[::-1]  # room[i]: forms after i
             for form, after in zip(forms, room):
@@ -101,8 +111,8 @@ class ChowDecomposition:
                             if all(x <= y for x, y in zip(key, after)):
                                 nxt[key] = nxt[key] + acc * h if key in nxt else acc * h
                 states = nxt
-            total = total + states.get((0,) * len(full), ZERO)
-        return total
+            parts.append(states.get((0,) * len(full), ZERO))
+        return sum(parts[1:], parts[0]) if parts else ZERO
 
     def coefficient_order(self) -> int:
         return math.lcm(*(c.order for summand in self.entries for form in summand for c in form))
@@ -119,19 +129,18 @@ class ChowDecomposition:
         (rho, d, n, m), body = textfile.read(text, "chow", 1, 1, 0, 1)
         if len(body) != rho * d:
             raise FormatError(f"expected {rho * d} form lines, found {len(body)}")
-        forms = []
+        forms, read = [], ScalarReader().__getitem__
         for line in body:
-            toks = line.split()
-            if len(toks) != n + 1:
+            if len(toks := line.split()) != n + 1:
                 raise FormatError(f"expected {n + 1} entries on line {line!r}")
-            forms.append(tuple(CycloRational.from_text(t) for t in toks))
+            forms.append(tuple(map(read, toks)))
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
     """Multiply out every summand and add; the canonical polynomial.  The cap is read once:
     if a summand has two nonzero forms and the cap admits every product, none charges it."""
-    total, fits = None, any(all(s[:2]) for s in c._sparse) and _fits_cap(c)
+    total, fits = None, c._peak > 0 and _fits_cap(c)
     for u in range(c.rho):
         prod = c.form(u, 0)
         for v in range(1, c.degree):
@@ -146,9 +155,7 @@ def _fits_cap(c: ChowDecomposition) -> bool:
     """Does the cap admit each product `expand(c)` makes, in its order?  A partial
     product has at most the product of its forms' nonzero entry counts as terms,
     exactly that many when a summand's forms use disjoint variables."""
-    peak = max([math.prod(map(len, s[:k])) for s in c._sparse for k in range(2, len(s) + 1)],
-               default=0)
-    return not peak or peak <= max_terms()
+    return not c._peak or c._peak <= max_terms()
 
 
 def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
@@ -205,7 +212,7 @@ def symmetric_matrix_of(p: MultiPoly) -> Matrix:
     if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
         raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
     slot = {v: k for k, v in enumerate(sorted({v for m in p.terms for v, _ in m}))}
-    half = CycloRational.from_rational(Fraction(1, 2))
+    half = ONE / 2
     A = [[ZERO] * len(slot) for _ in slot]
     for mono, c in p.terms.items():
         (i, e), *rest = mono
@@ -218,23 +225,24 @@ def symmetric_matrix_of(p: MultiPoly) -> Matrix:
 
 
 def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
-    """Rank by fraction-free (Bareiss-style) elimination; exact over the field."""
+    """Rank by Gaussian elimination over the field: each pivot is inverted once, its row's
+    nonzero tail scaled by that inverse, and each row below with a nonzero entry under the
+    pivot takes one multiply and one add per entry of that tail."""
     m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    r, inv_prev = 0, ONE  # the rank so far; the inverse of the last pivot, as Bareiss divides
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
+    r = 0  # the rank so far; rows r.. are still to reduce
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) * inv_prev
-            m[i][c] = ZERO
-        inv_prev = m[r][c].inverse()
+        inv = m[r][c].inverse()
+        tail = [(j, x * inv) for j, x in enumerate(m[r][c + 1:], c + 1) if x]
+        for row in m[r + 1:]:
+            if f := row[c]:  # column c is never read again, so it is left as it is
+                f = -f
+                for j, y in tail:
+                    row[j] = row[j] + f * y
         r += 1
-        if r == nr:
-            break
     return r
 
 
@@ -315,11 +323,9 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
     coefficient rides on the first form); shorter terms are padded with
     constant-1 forms.
     """
-    d = p.degree()
+    d, n, summands = p.degree(), p.nvars, []
     if d < 1:
         raise NotApplicableError("need a polynomial of degree at least 1")
-    n = p.nvars
-    summands = []
     for mono, coeff in p.sorted_terms():
         slots = [v for v, e in mono for _ in range(e)] + [n] * (d - mono.degree())
         forms = [[ZERO] * (n + 1) for _ in range(d)]
@@ -363,8 +369,7 @@ def compile_functional(c: ChowDecomposition, g: FunctionTable) -> tuple[Matrix, 
         raise NotHomogeneousError("functional compilation needs a homogeneous decomposition")
     for u, summand in enumerate(c._sparse):
         for v, form in enumerate(summand):
-            stray = next((w for w in form if w // n != v), None)
-            if stray is not None:
+            if (stray := next((w for w in form if w // n != v), None)) is not None:
                 raise DimensionError(f"form {v} of summand {u} touches variable {stray}, "
                                  f"outside row {v}")
     X: Matrix = [[c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]

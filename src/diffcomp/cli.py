@@ -165,8 +165,7 @@ def _non_overlapping_rank(target: MultiPoly) -> int | None:
 def cmd_bound(args) -> int:
     from . import chow
     target = poly_from_text(_read(args.listing)).poly
-    upper = len(target.terms)
-    print(f"upper {upper}")
+    print(f"upper {len(target.terms)}")
     if args.certificate:
         decomposition, _ = chow.ChowDecomposition.from_text(_read(args.certificate))
         if not chow.verify(decomposition, target):
@@ -262,11 +261,8 @@ def cmd_selftest(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffcomp",
-        description="Listings of Boolean functions, differential execution, "
-                    "and Chow-decomposition certificates.",
-    )
+    parser = argparse.ArgumentParser(prog="diffcomp", description="Listings of Boolean functions, "
+                                     "differential execution, and Chow-decomposition certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a listing in the polynomial format")
@@ -315,12 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelViolationError, InternalInconsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except DiffcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        model = isinstance(exc, (ModelViolationError, InternalInconsistencyError))
+        return EXIT_MODEL if model else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

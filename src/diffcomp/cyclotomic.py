@@ -379,6 +379,15 @@ def as_scalar(x) -> CycloRational:
     return c
 
 
+class ScalarReader(dict):
+    """The one reader of scalar tokens in a file: reader[token] parses each distinct raw
+    token once (stripped, as `CycloRational.from_text`), and remembers what it read."""
+
+    def __missing__(self, token: str) -> CycloRational:
+        self[token] = value = CycloRational.from_text(token.strip())
+        return value
+
+
 def root_of_unity(m: int, k: int = 1) -> CycloRational:
     """w^(k mod m) in the order-m field, in canonical reduced form.
 

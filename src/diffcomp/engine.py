@@ -25,7 +25,7 @@ from itertools import chain, compress, count
 from operator import itemgetter
 from typing import Sequence
 
-from .cyclotomic import CycloRational
+from .cyclotomic import ZERO, CycloRational
 from .errors import DimensionError, ModelViolationError, SingularMatrixError
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, _check_cap, matrix_index
@@ -39,6 +39,9 @@ class RunResult:
 
     bit: int
     scalar: CycloRational
+
+
+_NO = RunResult(0, ZERO)  # every run whose coefficient is 0 decides this one result
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class DifferentialComputer:
         # s^m without the power: every root of unity in the field of s (order k)
         # has order dividing L = lcm(2, k), so s^m = 1 iff s^gcd(m, L) = 1
         if scalar.is_zero():
-            return RunResult(0, scalar)
+            return _NO
         if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
             return known
         m, period = self.order, math.lcm(2, scalar.order)

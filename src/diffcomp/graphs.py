@@ -84,8 +84,7 @@ class Graph:
             raise FormatError(f"expected {n} adjacency rows, found {len(rows)}")
         adj = []
         for line in rows:
-            row = line.split()
-            if len(row) != n or any(x not in ("0", "1") for x in row):
+            if len(row := line.split()) != n or any(x not in ("0", "1") for x in row):
                 raise FormatError(f"bad adjacency row {line!r}")
             adj.append(tuple(int(x) for x in row))
         return cls(n, tuple(adj))
@@ -169,8 +168,7 @@ def transform_set(graphs: Iterable[Graph], mode: str = "T",
     gs = list(dict.fromkeys(graphs))  # dedupe, keep first-seen order
     if not gs:
         raise DimensionError("empty graph set")
-    sizes = {g.n for g in gs}
-    if len(sizes) != 1:
+    if len(sizes := {g.n for g in gs}) != 1:
         raise DimensionError(f"graphs of mixed vertex counts {sorted(sizes)} in one set")
     seed = _seed(mode, f)
     images = [_transform(g, seed) for g in gs]

@@ -107,8 +107,7 @@ class TruthTable:
         (n, m), lines = textfile.read(text, "tt", 0, 1)
         phases: dict[Bits, int] = {}
         for line in lines:
-            parts = line.split()
-            if len(parts) != 2:
+            if len(parts := line.split()) != 2:
                 raise FormatError(f"bad truth-table line {line!r}")
             bits_s, phase_s = parts
             if bits_s == "-" and n == 0:
@@ -138,8 +137,7 @@ class FunctionTable:
         images = tuple(int(x) for x in self.images)
         if len(images) != self.n:
             raise DimensionError(f"expected {self.n} images, got {len(images)}")
-        bad = [x for x in images if not 0 <= x < self.n]
-        if bad:
+        if bad := [x for x in images if not 0 <= x < self.n]:
             raise DimensionError(f"image {bad[0]} outside Z_{self.n}")
         object.__setattr__(self, "images", images)
 
@@ -200,20 +198,15 @@ def truth_table_from_listing(p: MultiPoly, m: int | None = None,
     """
     m = p.coefficient_order() if m is None else m
     n = p.nvars if n is None else n
-    yes: list[Bits] = []
     phases: dict[Bits, int] = {}
     for mono, c in p.terms.items():
         if not mono.is_multilinear():
             raise DimensionError(f"non-multilinear monomial {mono} in a listing")
         b = tuple(1 if mono.exponent(i) else 0 for i in range(n))
-        for k in range(m):
-            if c == root_of_unity(m, k):
-                phases[b] = k
-                break
-        else:
+        if (k := next((k for k in range(m) if c == root_of_unity(m, k)), None)) is None:
             raise DimensionError(f"coefficient {c} is not an order-{m} root of unity")
-        yes.append(b)
-    return TruthTable.make(n, yes, m, phases)
+        phases[b] = k
+    return TruthTable.make(n, phases, m, phases)
 
 
 def lagrange_interpolant(t: TruthTable) -> MultiPoly:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import textfile
-from .cyclotomic import ONE, ZERO, CycloRational, as_scalar
+from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import DimensionError, FormatError, InvalidRelabellingError, SizeCapError
 
 DEFAULT_MAX_TERMS = 100_000
@@ -471,14 +471,12 @@ def poly_from_text(text: str) -> ParsedPoly:
     (nvars, order), lines = textfile.read(text, "poly", 0, 1)
     table: VarTable | None = None  # fixed by the first variable the file names
     # each distinct raw coefficient and factor token is parsed once per file
-    coeffs: dict[str, CycloRational] = {}
+    coeffs = ScalarReader()
     factors: dict[str, tuple[int, int]] = {}  # token -> (variable, exponent)
     terms: dict[Monomial, CycloRational] = {}
     for line in lines:
         coeff_s, *tokens = line.split(" * ")
-        coeff = coeffs.get(coeff_s)
-        if coeff is None:
-            coeff = coeffs[coeff_s] = CycloRational.from_text(coeff_s.strip())
+        coeff = coeffs[coeff_s]
         pairs = list(map(factors.get, tokens))
         if None in pairs:  # a token this file has not used before
             for k, token in enumerate(tokens):

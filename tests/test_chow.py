@@ -403,6 +403,58 @@ def test_exact_rank_matches_known_values_random():
     assert exact_rank([[ONE, w], [w, w * w]]) == 1
 
 
+# zero-heavy, with entries of orders 1, 3, 4 and 12
+RANK_ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 3)),
+                root_of_unity(3), root_of_unity(4), root_of_unity(12, 5),
+                ONE + root_of_unity(12))
+
+
+@st.composite
+def matrices_of_rank_at_most(draw):
+    """(M, r, generic): M = sum of r outer products u_k v_k^T, with a zero column and a
+    zero row inserted.  When generic, r rows of U and r rows of V are pinned to the unit
+    vectors, so both factors, and M, have rank exactly r; the pinned rows also give M
+    rows with zeros under a pivot, which the elimination skips."""
+    r = draw(st.integers(0, 3))
+    nr, nc = draw(st.integers(r, 5)), draw(st.integers(r, 5))
+    entry = st.sampled_from(RANK_ENTRIES)
+    U = [[draw(entry) for _ in range(r)] for _ in range(nr)]
+    V = [[draw(entry) for _ in range(r)] for _ in range(nc)]
+    generic = draw(st.booleans())
+    if generic:
+        for rows in (U, V):
+            for k, i in enumerate(draw(st.permutations(range(len(rows))))[:r]):
+                rows[i] = [ONE if j == k else ZERO for j in range(r)]
+    M = [[sum((a * b for a, b in zip(u, v)), ZERO) for v in V] for u in U]
+    col = draw(st.integers(0, nc))
+    M = [row[:col] + [ZERO] + row[col:] for row in M]
+    M.insert(draw(st.integers(0, nr)), [ZERO] * (nc + 1))
+    return M, r, generic
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices_of_rank_at_most())
+def test_exact_rank_of_a_sum_of_outer_products(case):
+    M, r, generic = case
+    before = [list(row) for row in M]
+    rank = exact_rank(M)
+    assert rank == exact_rank([list(col) for col in zip(*M)]) <= r
+    if generic:
+        assert rank == r
+    assert M == before  # the elimination works on a copy
+
+
+def test_exact_rank_skips_a_zero_pivot_column_and_rows_with_zero_under_the_pivot():
+    w = root_of_unity(12)
+    # column 0 is zero; under the first pivot (row 0, column 1) row 1 has a zero and is
+    # left alone, row 2 is reduced; row 3 repeats row 1
+    M = [[ZERO, w, ONE, ZERO], [ZERO, ZERO, w, ONE], [ZERO, w * w, ONE, ZERO],
+         [ZERO, ZERO, w, ONE]]
+    assert exact_rank(M) == 3
+    M[2][2] = w  # now w times row 0
+    assert exact_rank(M) == 2
+
+
 def test_degree2_bound_examples():
     assert degree2_chow_lower_bound(x(0, 2) * x(1, 2)) == 1
     # triangle x0x1 + x0x2 + x1x2: symmetric matrix has rank 3 -> bound 2

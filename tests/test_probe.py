@@ -64,6 +64,40 @@ def test_coefficient_of_a_square_and_of_the_constant():
     assert c.coefficient(Monomial.make({5: 1})) == 0  # outside the certificate
 
 
+def _linear_forms(*forms):
+    """A one-summand certificate over x0..x2 from (x0, x1, x2, constant) rows."""
+    return ChowDecomposition(1, len(forms), 3, [list(forms)])
+
+
+@pytest.mark.parametrize("c, mono, want", [
+    # (1 + x0)(1 + x0) x1: x0 is held by two forms, so x0 x1 comes from the pass (2)
+    (_linear_forms([1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0]), {0: 1, 1: 1}, 2),
+    # (x0 + x1)^2: one form holds both variables of x0 x1
+    (_linear_forms([1, 1, 0, 0], [1, 1, 0, 0]), {0: 1, 1: 1}, 2),
+    # 2 x0 * x1 * x2: the form x2 holds no variable of x0 x1 and has no constant
+    (_linear_forms([2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]), {0: 1, 1: 1}, 0),
+    # 2 x0 * x1 * (3 + x2): the product rule, the third form giving its constant
+    (_linear_forms([2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 3]), {0: 1, 1: 1}, 6),
+    # x0 (1 + x1): x0^2 is not multilinear, though x0 has a form of its own
+    (_linear_forms([1, 0, 0, 0], [0, 1, 0, 1]), {0: 2}, 0),
+    # (1 + x0)(2 + x0) x1: x0^2 x1 is not multilinear
+    (_linear_forms([1, 0, 0, 1], [1, 0, 0, 2], [0, 1, 0, 0]), {0: 2, 1: 1}, 1),
+], ids=["shared-variable", "two-variables-in-one-form", "zero-constant", "constant",
+        "square-own-form", "square-shared"])
+def test_the_product_rule_and_its_edges_agree_with_the_expansion(c, mono, want):
+    m = Monomial.make(mono)
+    assert c.coefficient(m) == expand(c).coefficient(m) == want
+
+
+def test_summands_mixing_the_product_rule_and_the_pass_agree_with_the_expansion():
+    # x0 x1 + (1 + x0)(x0 + x1) + x0 (x1 + 1): the middle summand needs the pass
+    c = ChowDecomposition(3, 2, 3, [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 1], [1, 1, 0, 0]],
+                                    [[1, 0, 0, 0], [0, 1, 0, 1]]])
+    expanded = expand(c)
+    for mono in [*expanded.terms, Monomial.make({0: 1, 1: 1}), Monomial()]:
+        assert c.coefficient(mono) == expanded.coefficient(mono), mono
+
+
 # -- planted mutants ----------------------------------------------------------------
 
 
