@@ -39,28 +39,27 @@ Matrix = list[list[CycloRational]]
 
 @dataclass(frozen=True)
 class ChowDecomposition:
-    """rho summands, each a product of degree linear forms over nvars variables."""
+    """rho summands, each a product of degree linear forms over nvars variables.  Built from
+    the dense H, it keeps each form's nonzero entries {w: H[u][v][w]}, the constant under None."""
 
     rho: int
     degree: int
     nvars: int
-    entries: tuple  # rho x degree x (nvars+1)
+    _sparse: tuple  # given H; kept as the sparse forms, so == ignores the order of a zero
 
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise DimensionError("need rho >= 1, degree >= 1, nvars >= 0")
-        # one pass coerces every entry and builds the sparse view: each form as its nonzero
-        # entries {w: H[u][v][w]}, then its constant under None; each variable's holders; per
-        # summand, the form holding each variable (None if two do); and the cap bound: the
+        # one pass coerces every entry and builds the sparse forms; each variable's holders;
+        # per summand, the form holding each variable (None if two do); and the cap bound: the
         # most terms a partial product of `expand` can have, its forms' entry counts multiplied
-        n, rows, sparse, holders, owners, peak = self.nvars, [], [], {}, [], 0
-        for u, summand in enumerate(self.entries):
+        n, sparse, holders, owners, peak = self.nvars, [], {}, [], 0
+        for u, summand in enumerate(self._sparse):
             if len(summand) != self.degree:
                 raise DimensionError(f"expected {self.degree} forms per summand")
-            rows.append(tuple(tuple(map(as_scalar, form)) for form in summand))
             sparse.append([])
             owners.append({})
-            for v, form in enumerate(rows[-1]):
+            for v, form in enumerate([tuple(map(as_scalar, form)) for form in summand]):
                 if len(form) != n + 1:
                     raise DimensionError(f"each form needs {n + 1} entries, got {len(form)}")
                 sparse[-1].append({w: h for w, h in zip([*range(n), None], form) if h})
@@ -68,10 +67,14 @@ class ChowDecomposition:
                     holders.setdefault(w, set()).add(u)
                     owners[-1][w] = None if w in owners[-1] else v
             peak = max([peak, *islice(accumulate(map(len, sparse[-1]), int.__mul__), 1, None)])
-        if len(rows) != self.rho:
-            raise DimensionError(f"expected {self.rho} summands, got {len(rows)}")
-        vars(self).update(entries=tuple(rows), _sparse=sparse, _holders=holders, _owners=owners,
-                          _peak=peak)
+        if len(sparse) != self.rho:
+            raise DimensionError(f"expected {self.rho} summands, got {len(sparse)}")
+        vars(self).update(_sparse=tuple(sparse), _holders=holders, _owners=owners, _peak=peak)
+
+    @property
+    def entries(self) -> tuple:  # H, read back from the sparse forms with each zero as ZERO
+        return tuple(tuple(tuple(f.get(w, ZERO) for w in [*range(self.nvars), None])
+                           for f in summand) for summand in self._sparse)
 
     def form(self, u: int, v: int) -> MultiPoly:
         """The linear form H[u][v][n] + sum_w H[u][v][w] x_w."""
@@ -115,13 +118,13 @@ class ChowDecomposition:
         return sum(parts[1:], parts[0]) if parts else ZERO
 
     def coefficient_order(self) -> int:
-        return math.lcm(*(c.order for summand in self.entries for form in summand for c in form))
+        return math.lcm(*(h.order for summand in self._sparse for f in summand for h in f.values()))
 
     def to_text(self, order: int | None = None) -> str:
         m = math.lcm(self.coefficient_order(), 1 if order is None else order)
         return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
-            " ".join(c.to_text() for c in form) for summand in self.entries for form in summand
-        ])
+            " ".join(f.get(w, ZERO).to_text() for w in [*range(self.nvars), None])
+            for summand in self._sparse for f in summand])
 
     @classmethod
     def from_text(cls, text: str) -> tuple[ChowDecomposition, int]:
@@ -372,8 +375,8 @@ def compile_functional(c: ChowDecomposition, g: FunctionTable) -> tuple[Matrix, 
             if (stray := next((w for w in form if w // n != v), None)) is not None:
                 raise DimensionError(f"form {v} of summand {u} touches variable {stray}, "
                                  f"outside row {v}")
-    X: Matrix = [[c.entries[u][v][matrix_index(n, v, g(v))] for v in range(n)]
-                 for u in range(c.rho)]
+    X: Matrix = [[form.get(matrix_index(n, v, g(v)), ZERO) for v, form in enumerate(summand)]
+                 for summand in c._sparse]
     return X, c.coefficient(Monomial.of_vars(matrix_index(n, v, g(v)) for v in range(n)))
 
 

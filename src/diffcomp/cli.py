@@ -32,7 +32,10 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 # -- build ------------------------------------------------------------------

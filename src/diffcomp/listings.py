@@ -73,14 +73,12 @@ class TruthTable:
         if stray := set(self.phases) - yes:
             raise DimensionError(f"phase given for non-yes instance {sorted(stray)[0]}")
         phases = {b: self.phases.get(b, 0) % self.m for b in yes}
-        object.__setattr__(self, "yes", yes)
-        object.__setattr__(self, "phases", phases)
+        vars(self).update(yes=yes, phases=phases)
 
     @classmethod
     def make(cls, n: int, yes: Iterable[Iterable[int]], m: int = 1,
              phases: Mapping[Bits, int] | None = None) -> TruthTable:
-        yes_set = frozenset(_as_bits(b, n) for b in yes)
-        return cls(n, m, yes_set, dict(phases or {}))
+        return cls(n, m, frozenset(_as_bits(b, n) for b in yes), dict(phases or {}))
 
     def with_lex_phases(self) -> TruthTable:
         """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
@@ -209,22 +207,26 @@ def truth_table_from_listing(p: MultiPoly, m: int | None = None,
     return TruthTable.make(n, phases, m, phases)
 
 
+def _yes_sum(t: TruthTable, what: str, factor) -> MultiPoly:
+    """Expand sum over yes b (sorted) of prod_i factor(y_i, b_i); m=1 listings only."""
+    if t.m != 1:
+        raise NotApplicableError(f"{what} applies to m=1 listings only")
+    total = MultiPoly.zero(t.n)
+    for b in t.sorted_yes():
+        term = MultiPoly.constant(1, t.n)
+        for i, bit in enumerate(b):
+            term = term * factor(MultiPoly.variable(i, t.n), bit)
+        total = total + term
+    return total
+
+
 def lagrange_interpolant(t: TruthTable) -> MultiPoly:
     """Expand sum over yes b of prod_i (y_i - (1 - b_i)) / (2 b_i - 1).
 
     Defined for binary listings only: the interpolant encodes F's 0/1 values,
-    not phases.
+    not phases.  b_i = 1 gives (y_i - 0)/1; b_i = 0 gives (y_i - 1)/(-1) = 1 - y_i.
     """
-    if t.m != 1:
-        raise NotApplicableError("Lagrange interpolant applies to m=1 listings only")
-    total = MultiPoly.zero(t.n)
-    for b in t.sorted_yes():
-        term = MultiPoly.constant(1, t.n)
-        for i, bit in enumerate(b):  # b_i = 1: (y_i - 0)/1; b_i = 0: (y_i - 1)/(-1) = 1 - y_i
-            y = MultiPoly.variable(i, t.n)
-            term = term * (y if bit else 1 - y)
-        total = total + term
-    return total
+    return _yes_sum(t, "Lagrange interpolant", lambda y, bit: y if bit else 1 - y)
 
 
 def lagrange_reduction(t: TruthTable) -> MultiPoly:
@@ -234,15 +236,7 @@ def lagrange_reduction(t: TruthTable) -> MultiPoly:
     before expansion, moving truth-table data from evaluations into
     coefficients.
     """
-    if t.m != 1:
-        raise NotApplicableError("binomial reduction applies to m=1 listings only")
-    total = MultiPoly.zero(t.n)
-    for b in t.sorted_yes():
-        term = MultiPoly.constant(1, t.n)
-        for i, bit in enumerate(b):
-            term = term * (MultiPoly.variable(i, t.n) if bit else MultiPoly.constant(1, t.n))
-        total = total + term
-    return total
+    return _yes_sum(t, "binomial reduction", lambda a, bit: a if bit else 1)
 
 
 def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:

@@ -30,6 +30,7 @@ from diffcomp.chow import (
 from diffcomp.cyclotomic import CycloRational, root_of_unity
 from diffcomp.engine import DifferentialComputer, run_functional
 from diffcomp.errors import (
+    DimensionError,
     FormatError,
     NotApplicableError,
     NotHomogeneousError,
@@ -683,3 +684,45 @@ def test_chow_text_with_cyclotomic_entries():
 def test_chow_text_rejects_garbage(bad):
     with pytest.raises(FormatError):
         ChowDecomposition.from_text(bad)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (ChowDecomposition, (0, 1, 1, ()), "need rho >= 1, degree >= 1, nvars >= 0"),
+    (pm_polynomial, (2, 2, [1]), "expected 2 coefficients"),
+    (pm_restriction_to_p2, (1, 1), "P_m needs m >= 2"),
+    (functional_product_decomposition, (0,), "n must be positive"),
+    (compile_functional, (ChowDecomposition(1, 2, 3, [[[ZERO] * 4] * 2]),
+                          FunctionTable.identity(2)), "decomposition is over 3 variables, need 4"),
+])
+def test_out_of_range_arguments_are_dimension_errors(make, args, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        make(*args)
+
+
+def test_a_certificate_keeps_only_its_sparse_forms():
+    w = root_of_unity(12)
+    dense = ((form(3, {0: w, 2: 2}, const=0), form(3, {1: 1})),
+             (form(3, {}, const=Fraction(1, 2)), form(3, {0: -1, 1: w * w})))
+    zero12 = CycloRational(12, [0])
+    dense += (tuple(tuple(zero12 if not h else h for h in f) for f in dense[0]),)
+    c = ChowDecomposition(3, 2, 3, dense)
+    assert c.entries == dense and all(  # entry by entry, each zero given back as ZERO
+        got == want and (want or got is ZERO) for s, t in zip(c.entries, dense)
+        for f, g in zip(s, t) for got, want in zip(f, g))
+    assert ChowDecomposition(c.rho, c.degree, c.nvars, c.entries) == c
+    held = [value for value in vars(c).values() if isinstance(value, (list, tuple, dict))]
+    assert not any(h is ZERO or h is zero12 for value in held for h in _leaves(value))
+    # an order-12 zero is written 1:[0/1], and the header order comes from nonzero entries
+    only_zero12 = ChowDecomposition(1, 1, 1, (((ONE, zero12),),))
+    assert only_zero12.to_text().splitlines()[1:] == ["1 1 1 1", "1:[1/1] 1:[0/1]"]
+    assert only_zero12.to_text(order=4).splitlines()[1] == "1 1 1 4"
+    assert ChowDecomposition(1, 1, 1, (((w, zero12),),)).to_text().splitlines()[1] == "1 1 1 12"
+
+
+def _leaves(value):
+    """The values nested in lists, tuples and dicts."""
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (list, tuple, dict)):
+            yield from _leaves(item)
+        else:
+            yield item

@@ -535,3 +535,45 @@ def test_a_variable_index_too_long_for_int_is_a_format_error(tmp_path, capsys, n
     assert run_cli(["run", str(poly), str(inp)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: bad variable index")
+
+
+# -- typed errors no other test reaches ----------------------------------------------
+
+
+def test_build_out_to_a_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.poly", tmp_path):  # no such directory; a directory
+        assert run_cli(["build", "functional", "--n", "2", "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith(f"error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_transform_out_prefix_that_cannot_be_written_exits_2(tmp_path, capsys):
+    gsf = tmp_path / "in.graphset"
+    gsf.write_text(graphs.graph_set_to_text([graphs.Graph.empty(2)]))
+    prefix = tmp_path / "missing" / "t"
+    assert run_cli(["transform", str(gsf), "--mode", "T", "--out-prefix", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {prefix}.graphset: ")
+
+
+def test_build_iso_needs_a_graph(capsys):
+    assert run_cli(["build", "iso"]) == 2
+    assert capsys.readouterr() == ("", "error: build iso needs --graph\n")
+
+
+def test_a_functional_input_of_two_lines_exits_2(tmp_path, capsys):
+    listing, inp = tmp_path / "f.poly", tmp_path / "two.fn"
+    listing.write_text(poly_to_text(listings.listing_functional_graphs(2)))
+    inp.write_text("0,1\n1,0\n")
+    assert run_cli(["run", str(listing), str(inp), "--kind", "functional"]) == 2
+    assert capsys.readouterr() == ("", "error: functional input file must hold one image list\n")
+
+
+def test_verify_refuses_a_decomposition_narrower_than_the_listing(tmp_path, capsys):
+    listing, dec = tmp_path / "f.poly", tmp_path / "narrow.chow"
+    listing.write_text(poly_to_text(listings.listing_functional_graphs(2)))
+    dec.write_text("# diffcomp-chow 1\n1 1 1 1\n1:[1] 1:[0]\n")
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: decomposition over 1 variables cannot express a 4-variable listing\n")

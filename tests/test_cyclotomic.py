@@ -21,7 +21,7 @@ from diffcomp.cyclotomic import (
     euler_phi,
     root_of_unity,
 )
-from diffcomp.errors import FormatError
+from diffcomp.errors import DimensionError, FormatError
 
 
 def brute_phi(m: int) -> int:
@@ -456,3 +456,14 @@ def test_the_ints_zero_and_one_lift_to_the_shared_constants():
     assert (w * 0).is_zero() and (w - w + 1) == ONE  # every operator lifts through as_scalar
     assert CycloRational.one() is ONE and CycloRational.from_rational(1) == ONE
     assert as_scalar(2) is not as_scalar(2) and as_scalar(-1) == -ONE
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (CycloRational, (1, [1, 2]), "2 coordinates for order 1, expected 1"),
+    (root_of_unity(4).embed, (6,), "cannot embed order 4 into order 6"),
+    (cyclotomic_polynomial, (0,), "order must be a positive integer"),
+    (root_of_unity, (0,), "order must be a positive integer"),
+])
+def test_out_of_range_arguments_are_dimension_errors(make, args, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        make(*args)

@@ -21,7 +21,7 @@ from diffcomp.engine import (
     run_matrix,
     run_vector,
 )
-from diffcomp.errors import ModelViolationError, SingularMatrixError
+from diffcomp.errors import DimensionError, ModelViolationError, SingularMatrixError
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
     FunctionTable,
@@ -726,3 +726,8 @@ def test_inverse_walks_signed_permutations_without_building_a_listing(monkeypatc
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "23")  # 4! = 24 signed permutations
     with pytest.raises(SizeCapError, match="determinant listing on 4x4 needs 24 terms"):
         inverse_via_gradient(M)
+
+
+def test_an_order_below_one_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="^order must be positive$"):
+        DifferentialComputer(MultiPoly.variable(0, 1), 1, 0)

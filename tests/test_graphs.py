@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from diffcomp.errors import FormatError
+from diffcomp.errors import DimensionError, FormatError
 from diffcomp.graphs import (
     Graph,
     TransformSetResult,
@@ -240,3 +240,8 @@ def test_graph_set_text_round_trip():
     assert graph_set_from_text(text) == gs
     with pytest.raises(FormatError):
         graph_set_from_text("# just a comment\n")
+
+
+def test_a_negative_vertex_count_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="^vertex count must be non-negative$"):
+        Graph(-1, ())

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from diffcomp.cyclotomic import CycloRational, root_of_unity
-from diffcomp.errors import FormatError, NotApplicableError, SizeCapError
+from diffcomp.errors import DimensionError, FormatError, NotApplicableError, SizeCapError
 from diffcomp import graphs
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
@@ -507,3 +507,16 @@ def test_matrix_listings_charge_their_factor_count(monkeypatch):
     monkeypatch.delenv("DIFFCOMP_MAX_TERMS")
     with pytest.raises(SizeCapError, match="needs 9000000 factors, over the cap of 400000"):
         listing_constant_functions(3000)
+
+
+def test_a_function_with_the_wrong_number_of_images_is_a_format_error():
+    with pytest.raises(FormatError, match="^function '0,1' must list 3 images$"):
+        FunctionTable.parse("0,1", 3)
+
+
+def test_out_of_range_tables_are_dimension_errors():
+    with pytest.raises(DimensionError, match="^arity must be non-negative$"):
+        TruthTable(-1, 1, frozenset(), {})
+    squared = MultiPoly(1, {Monomial.make({0: 2}): 1})
+    with pytest.raises(DimensionError, match="^non-multilinear monomial .* in a listing$"):
+        truth_table_from_listing(squared)

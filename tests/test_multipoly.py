@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import CycloRational, root_of_unity
-from diffcomp.errors import FormatError, InvalidRelabellingError
+from diffcomp.errors import DimensionError, FormatError, InvalidRelabellingError
 from diffcomp.multipoly import (
     Monomial,
     MultiPoly,
@@ -18,6 +18,7 @@ from diffcomp.multipoly import (
     _check_cap,
     _is_one,
     matrix_index,
+    max_terms,
     poly_from_text,
     poly_to_text,
 )
@@ -451,3 +452,19 @@ def test_product_on_named_boundary_cases():
     assert (x(1, 4) + x(2, 4)) * (x(2, 4) + x(3, 4)) == \
         MultiPoly(4, {Monomial.make(e): c for e, c in (({1: 1, 2: 1}, 1), ({1: 1, 3: 1}, 1),
                                                        ({2: 2}, 1), ({2: 1, 3: 1}, 1))})
+
+
+def test_a_cap_below_one_is_refused(monkeypatch):
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "0")
+    with pytest.raises(FormatError, match="^DIFFCOMP_MAX_TERMS must be positive$"):
+        max_terms()
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (MultiPoly, (1, {Monomial.of_vars([3]): 1}), "nvars=1 but a term uses variable 3"),
+    (Monomial.make, ({-1: 1},), "variable indices must be non-negative"),
+    (Monomial.make, ({0: -1},), "exponents must be non-negative"),
+])
+def test_out_of_range_construction_is_a_dimension_error(make, args, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        make(*args)
