@@ -89,8 +89,8 @@ class ChowDecomposition:
 
         Per summand holding every variable of mono: if mono is multilinear and each of its
         variables has a form of its own, the product of each form's pick (that variable,
-        else its constant); otherwise a pass over the forms keyed by the copies of mono's
-        variables still to supply, dropping keys the later forms cannot finish."""
+        else its constant); otherwise a pass over the forms keyed by the part of x^mono
+        still to supply, each form taking its constant or d/dx_w of that part."""
         parts, linear = [], mono.is_multilinear()  # parts: each summand's share
         holding = [self._holders.get(v, set()) for v, _ in mono]
         for u in set.intersection(*holding) if mono else range(self.rho):
@@ -100,21 +100,15 @@ class ChowDecomposition:
                     None not in pick):
                 parts.append(math.prod([f.get(pick.get(k), ZERO) for k, f in enumerate(forms)]))
                 continue
-            slot = {v: k for k, (v, _) in enumerate(mono)} | {None: None}  # a constant adds nothing
-            states = {(full := tuple(e for _, e in mono)): ONE}
-            room = list(accumulate(reversed(forms[1:]), initial=[0] * len(full), func=lambda a, f: [
-                n + (v in f) for n, (v, _) in zip(a, mono)]))[::-1]  # room[i]: forms after i
-            for form, after in zip(forms, room):
-                moves = [(k, form[w]) for w, k in slot.items() if w in form]
-                nxt: dict[tuple[int, ...], CycloRational] = {}
+            states = {mono: ONE}  # the part still to supply -> the share of the forms so far
+            for form in forms:
+                nxt: dict[Monomial, CycloRational] = {}
                 for need, acc in states.items():
-                    for k, h in moves:
-                        if k is None or need[k]:
-                            key = need if k is None else need[:k] + (need[k] - 1,) + need[k + 1:]
-                            if all(x <= y for x, y in zip(key, after)):
-                                nxt[key] = nxt[key] + acc * h if key in nxt else acc * h
+                    steps = [(need.diff(w)[1], form[w]) for w, _ in need if w in form]
+                    for key, h in steps + ([(need, form[None])] if None in form else []):
+                        nxt[key] = nxt[key] + acc * h if key in nxt else acc * h
                 states = nxt
-            parts.append(states.get((0,) * len(full), ZERO))
+            parts.append(states.get(Monomial(), ZERO))
         return sum(parts[1:], parts[0]) if parts else ZERO
 
     def coefficient_order(self) -> int:
@@ -123,8 +117,7 @@ class ChowDecomposition:
     def to_text(self, order: int | None = None) -> str:
         m = math.lcm(self.coefficient_order(), 1 if order is None else order)
         return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
-            " ".join(f.get(w, ZERO).to_text() for w in [*range(self.nvars), None])
-            for summand in self._sparse for f in summand])
+            " ".join(h.to_text() for h in form) for summand in self.entries for form in summand])
 
     @classmethod
     def from_text(cls, text: str) -> tuple[ChowDecomposition, int]:
@@ -338,7 +331,7 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
     return ChowDecomposition(len(summands), d, n, summands)
 
 
-def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
+def non_overlapping_rank(p: MultiPoly) -> int:
     """Exact Chow rank (= term count) of a totally non-overlapping polynomial.
 
     The trivial decomposition gives the upper bound; optimality holds
@@ -349,7 +342,12 @@ def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
         raise NotApplicableError("polynomial has overlapping terms")
     if p.is_zero() or any(mono.degree() < 2 for mono in p.terms):
         raise NotApplicableError("every term must have degree at least 2")
-    return len(p.terms), trivial_decomposition(p)
+    return len(p.terms)
+
+
+def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
+    """The exact rank of a totally non-overlapping polynomial and the certificate attaining it."""
+    return non_overlapping_rank(p), trivial_decomposition(p)
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,20 @@ def cmd_run(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def _verified(path: str, target: MultiPoly) -> tuple:
+    """The decomposition in the file at `path`, and whether it expands to `target`."""
     from . import chow
-    decomposition, _ = chow.ChowDecomposition.from_text(_read(args.decomposition))
-    target = poly_from_text(_read(args.listing)).poly
+    decomposition, _ = chow.ChowDecomposition.from_text(_read(path))
     if decomposition.nvars < target.nvars and not target.is_zero():
         # a wider decomposition universe is allowed; a narrower one cannot match
         raise FormatError(f"decomposition over {decomposition.nvars} variables cannot "
                           f"express a {target.nvars}-variable listing")
-    ok = chow.verify(decomposition, target)
+    return decomposition, chow.verify(decomposition, target)
+
+
+def cmd_verify(args) -> int:
+    target = poly_from_text(_read(args.listing)).poly
+    decomposition, ok = _verified(args.decomposition, target)
     print(f"rho {decomposition.rho} degree {decomposition.degree} nvars {decomposition.nvars}")
     if not ok:
         print("verdict REJECT")
@@ -158,7 +163,7 @@ def cmd_verify(args) -> int:
 def _non_overlapping_rank(target: MultiPoly) -> int | None:
     from . import chow
     try:
-        return chow.chow_rank_non_overlapping(target)[0]
+        return chow.non_overlapping_rank(target)
     except DiffcompError:
         return None
 
@@ -170,8 +175,8 @@ def cmd_bound(args) -> int:
     target = poly_from_text(_read(args.listing)).poly
     print(f"upper {len(target.terms)}")
     if args.certificate:
-        decomposition, _ = chow.ChowDecomposition.from_text(_read(args.certificate))
-        if not chow.verify(decomposition, target):
+        decomposition, ok = _verified(args.certificate, target)
+        if not ok:
             raise ModelViolationError("certificate does not expand to the listing; "
                                       "its rho bounds nothing")
         print(f"certificate {decomposition.rho}")

@@ -489,11 +489,8 @@ def poly_from_text(text: str) -> ParsedPoly:
                 pairs[k] = factor
         if len(dict(pairs)) == len(pairs) and pairs == sorted(pairs):  # already a Monomial
             mono = Monomial(pairs)
-        else:  # repeated or unsorted variables: merge
-            exps: dict[int, int] = {}
-            for v, e in pairs:
-                exps[v] = exps.get(v, 0) + e
-            mono = Monomial.make(exps)
+        else:  # repeated or unsorted variables: the product of the one-factor monomials
+            mono = math.prod([Monomial([pair]) for pair in pairs], start=_ONE_MONOMIAL)
         if mono in terms:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff

@@ -577,3 +577,36 @@ def test_verify_refuses_a_decomposition_narrower_than_the_listing(tmp_path, caps
     assert run_cli(["verify", str(dec), str(listing)]) == 2
     assert capsys.readouterr() == (
         "", "error: decomposition over 1 variables cannot express a 4-variable listing\n")
+
+
+def test_bound_refuses_a_certificate_narrower_than_the_listing(tmp_path, capsys):
+    # the same width rule as verify, so the same exit and message
+    listing, dec = tmp_path / "f.poly", tmp_path / "narrow.chow"
+    listing.write_text(poly_to_text(listings.listing_functional_graphs(2)))
+    dec.write_text("# diffcomp-chow 1\n1 1 1 1\n1:[1] 1:[0]\n")
+    assert run_cli(["bound", str(listing), "--certificate", str(dec)]) == 2
+    assert capsys.readouterr() == (
+        "upper 4\n", "error: decomposition over 1 variables cannot express a 4-variable listing\n")
+
+
+def test_verify_reports_the_listing_error_when_both_files_are_malformed(tmp_path, capsys):
+    listing, dec = tmp_path / "bad.poly", tmp_path / "bad.chow"
+    listing.write_text("# diffcomp-poly 1\nfour six\n")
+    dec.write_text("not a decomposition\n")
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    assert capsys.readouterr() == ("", "error: bad poly header 'four six'\n")
+
+
+def test_the_non_overlapping_count_builds_no_certificate(tmp_path, capsys, monkeypatch):
+    listing, dec = tmp_path / "p2.poly", tmp_path / "p2.chow"
+    listing.write_text(poly_to_text(chow.pm_polynomial(3, 2)))
+    dec.write_text(chow.trivial_decomposition(chow.pm_polynomial(3, 2)).to_text())
+
+    def refuse(p):
+        raise AssertionError("the count alone needs no certificate")
+
+    monkeypatch.setattr(chow, "trivial_decomposition", refuse)
+    assert run_cli(["bound", str(listing)]) == 0
+    assert "exact 3\n" in capsys.readouterr().out
+    assert run_cli(["verify", str(dec), str(listing)]) == 0
+    assert "matches non-overlapping lower bound 3\n" in capsys.readouterr().out

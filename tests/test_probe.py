@@ -82,8 +82,11 @@ def _linear_forms(*forms):
     (_linear_forms([1, 0, 0, 0], [0, 1, 0, 1]), {0: 2}, 0),
     # (1 + x0)(2 + x0) x1: x0^2 x1 is not multilinear
     (_linear_forms([1, 0, 0, 1], [1, 0, 0, 2], [0, 1, 0, 0]), {0: 2, 1: 1}, 1),
+    # (1 + x0)(1 + x1)(x0 + x1): each variable has two holders with constants, so the
+    # pass branches, and the part left at x0 x1 by two constants dies at the last form
+    (_linear_forms([1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 0]), {0: 1, 1: 1}, 2),
 ], ids=["shared-variable", "two-variables-in-one-form", "zero-constant", "constant",
-        "square-own-form", "square-shared"])
+        "square-own-form", "square-shared", "two-holders-with-constants"])
 def test_the_product_rule_and_its_edges_agree_with_the_expansion(c, mono, want):
     m = Monomial.make(mono)
     assert c.coefficient(m) == expand(c).coefficient(m) == want
