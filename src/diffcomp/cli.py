@@ -198,6 +198,8 @@ def cmd_transform(args) -> int:
         if not args.f:
             raise FormatError("--mode Tf needs --f")
         f = listings.FunctionTable.parse(args.f, 2)
+    elif args.f is not None:
+        raise FormatError("--f applies only to --mode Tf")
     result = graphs.transform_set(graph_set, args.mode, f)
     transformed = [graphs.graph_of_function(ft) for ft in result.functions]
     out_prefix, npoints = args.out_prefix, result.functions[0].n

@@ -152,20 +152,6 @@ class CycloRational:
         """The power-basis coordinates as Fractions."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> CycloRational:
-        return as_scalar(_as_fraction(q))
-
-    @classmethod
-    def zero(cls) -> CycloRational:
-        return ZERO
-
-    @classmethod
-    def one(cls) -> CycloRational:
-        return ONE
-
     # -- structure ----------------------------------------------------------
 
     def embed(self, target_order: int) -> CycloRational:

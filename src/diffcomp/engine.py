@@ -25,7 +25,7 @@ from itertools import chain, compress, count
 from operator import itemgetter
 from typing import Sequence
 
-from .cyclotomic import ZERO, CycloRational
+from .cyclotomic import ONE, ZERO, CycloRational
 from .errors import DimensionError, ModelViolationError, SingularMatrixError
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, _check_cap, matrix_index
@@ -86,10 +86,10 @@ class DifferentialComputer:
         if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
             return known
         m, period = self.order, math.lcm(2, scalar.order)
-        if scalar ** math.gcd(m, period) == CycloRational.one():
+        if scalar ** math.gcd(m, period) == ONE:
             return self._units.setdefault(key, RunResult(1, scalar))
         # a root of unity has s^m = s^(m mod L); for any other s, print s^m only if m <= L
-        rooted = m <= period or scalar**period == CycloRational.one()
+        rooted = m <= period or scalar**period == ONE
         try:
             powered = f"{scalar ** (m % period or period)}" if rooted else f"({scalar})^{m}"
         except ValueError:  # s^m has integers too long for str(): name it as a power

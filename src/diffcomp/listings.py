@@ -182,7 +182,9 @@ def all_function_tables(n: int) -> Iterator[FunctionTable]:
 # ---------------------------------------------------------------------------
 
 def listing_from_truth_table(t: TruthTable) -> MultiPoly:
-    """One multilinear term per yes-instance, coefficient w_m^phase."""
+    """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
+    phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
+    _check_cap(t.m, f"truth-table listing of order {t.m}", "coordinates")
     return MultiPoly(t.n, {Monomial.of_vars(i for i, bit in enumerate(b) if bit): t.coefficient(b)
                            for b in t.yes})
 

@@ -61,10 +61,6 @@ class Monomial(tuple):
 
     __slots__ = ()
 
-    @property
-    def exps(self) -> Monomial:
-        return self
-
     @classmethod
     def make(cls, mapping: Mapping[int, int]) -> Monomial:
         items = []
@@ -81,6 +77,8 @@ class Monomial(tuple):
     def of_vars(cls, variables: Iterable[int]) -> Monomial:
         """Multilinear monomial on the given (distinct) variables."""
         vs = sorted(variables)
+        if vs and vs[0] < 0:
+            raise DimensionError("variable indices must be non-negative")
         if len(set(vs)) != len(vs):
             raise DimensionError("duplicate variable in multilinear monomial")
         return cls([(v, 1) for v in vs])
@@ -365,6 +363,8 @@ def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None
     top = max((mono.max_var() for mono in terms), default=-1)
     if nvars <= top:
         raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
+    if min((mono[0][0] for mono in terms if mono), default=0) < 0:
+        raise DimensionError("variable indices must be non-negative")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from diffcomp.chow import (
     verify,
     ChowDecomposition,
 )
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import as_scalar, root_of_unity
 from diffcomp.engine import (
     DifferentialComputer,
     count_eval,
@@ -164,12 +164,12 @@ def test_criterion_04_counting_semantics():
     oracle = len(cycles)
     p = listing_graph_isomorphism(Graph.cycle(4))
     counted = count_eval(p, k4)
-    if counted != CycloRational.from_rational(oracle):
+    if counted != as_scalar(oracle):
         failures.append(f"C4 count {counted.to_text()} != oracle {oracle}")
     for size in range(1, 6):
         ones = [[1] * size for _ in range(size)]
         got = count_eval(listing_permanent(size), ones)
-        if got != CycloRational.from_rational(math.factorial(size)):
+        if got != as_scalar(math.factorial(size)):
             failures.append(f"Per ones n={size}: {got.to_text()} != {size}!")
     report(4, "count_eval matches Hamiltonian-cycle and permanent counts", failures)
 
@@ -240,8 +240,8 @@ def test_criterion_07_homogenization_preserves_verification():
         rho = rng.randint(1, 3)
 
         def linear_form(constant: int):
-            row = [CycloRational.from_rational(rng.randint(-2, 2)) for _ in range(n)]
-            row.append(CycloRational.from_rational(constant))
+            row = [as_scalar(rng.randint(-2, 2)) for _ in range(n)]
+            row.append(as_scalar(constant))
             return tuple(row)
 
         core = ChowDecomposition(rho, d, n, tuple(
@@ -333,7 +333,7 @@ def test_criterion_10_lagrange_interpolation():
         L = lagrange_interpolant(t)
         for bits in itertools.product((0, 1), repeat=t.n):
             got = L.evaluate(dict(enumerate(bits)))
-            if got != CycloRational.from_rational(t.value(bits)):
+            if got != as_scalar(t.value(bits)):
                 failures.append(f"L_F at {bits}: {got.to_text()}")
                 return
         reduced = lagrange_reduction(t)
@@ -405,7 +405,7 @@ def test_criterion_12_numerical_derivative_check():
         total = 0j
         for m, c in p.terms.items():
             value = c.to_complex()
-            for v, e in m.exps:
+            for v, e in m:
                 value *= xs[v] ** e
             total += value
         return total
@@ -419,7 +419,7 @@ def test_criterion_12_numerical_derivative_check():
                 {v: rng.randint(0, 2) for v in range(nvars)}
             )
             coeff = root_of_unity(rng.choice([1, 2, 4]))
-            coeff = coeff * CycloRational.from_rational(
+            coeff = coeff * as_scalar(
                 Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             )
             terms[monomial] = coeff

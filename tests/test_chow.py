@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcomp import chow
 from diffcomp.chow import (
     ChowDecomposition,
     chow_rank_non_overlapping,
@@ -27,11 +28,12 @@ from diffcomp.chow import (
     trivial_decomposition,
     verify,
 )
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import ONE, ZERO, CycloRational, as_scalar, root_of_unity
 from diffcomp.engine import DifferentialComputer, run_functional
 from diffcomp.errors import (
     DimensionError,
     FormatError,
+    InternalInconsistencyError,
     NotApplicableError,
     NotHomogeneousError,
 )
@@ -44,9 +46,6 @@ from diffcomp.listings import (
 )
 from diffcomp.multipoly import Monomial, MultiPoly
 
-ZERO = CycloRational.zero()
-ONE = CycloRational.one()
-
 
 def x(v, n=None):
     return MultiPoly.variable(v, n)
@@ -56,8 +55,8 @@ def form(n, coeffs, const=0):
     """Entry row for a linear form given {var: coeff} plus a constant."""
     row = [ZERO] * (n + 1)
     for v, c in coeffs.items():
-        row[v] = CycloRational.from_rational(c) if not isinstance(c, CycloRational) else c
-    row[n] = CycloRational.from_rational(const)
+        row[v] = as_scalar(c)
+    row[n] = as_scalar(const)
     return tuple(row)
 
 
@@ -101,7 +100,7 @@ def test_verify_accepts_and_rejects():
     assert verify(cert, target)
     # corrupt one entry
     bad_entries = [list(map(list, summand)) for summand in cert.entries]
-    bad_entries[0][1][2] = CycloRational.from_rational(5)
+    bad_entries[0][1][2] = as_scalar(5)
     bad = ChowDecomposition(
         cert.rho, cert.degree, cert.nvars,
         tuple(tuple(tuple(f) for f in s) for s in bad_entries),
@@ -131,7 +130,7 @@ def _equal_by_sets(p: MultiPoly, q: MultiPoly) -> bool:
 
 
 # zero-heavy, with rationals and roots of unity of mixed orders
-ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 2)),
+ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, as_scalar(Fraction(1, 2)),
            root_of_unity(3), root_of_unity(4), root_of_unity(12, 3), root_of_unity(12, 8),
            root_of_unity(6) + 1)
 
@@ -179,7 +178,7 @@ def test_order12_units_in_a_certificate_keep_each_product_as_it_was():
     # product, which embeds both factors into the lcm of their orders
     one12, d = root_of_unity(12, 0), 4
     firsts = [root_of_unity(12, k) for k in (0, 5, 7, 11)] + [
-        root_of_unity(4, 1), -root_of_unity(3, 1), CycloRational.from_rational(Fraction(2, 3)),
+        root_of_unity(4, 1), -root_of_unity(3, 1), as_scalar(Fraction(2, 3)),
         root_of_unity(24, 5)]
     nvars = d * len(firsts)
     summands = []
@@ -244,7 +243,7 @@ def test_expand_scales_linearly_in_one_form():
         lam = Fraction(rng.randint(2, 5))
         scaled_entries = [list(map(tuple, summand)) for summand in c.entries]
         scaled_entries[0][0] = tuple(
-            e * CycloRational.from_rational(lam) for e in scaled_entries[0][0]
+            e * as_scalar(lam) for e in scaled_entries[0][0]
         )
         scaled = ChowDecomposition(
             2, 2, n, tuple(tuple(s) for s in scaled_entries)
@@ -261,6 +260,15 @@ def test_expand_scales_linearly_in_one_form():
 def test_homogenize_fixed_point():
     c = functional_product_decomposition(2)
     assert homogenize(c, expand(c)) == c
+
+
+def test_homogenize_checks_its_own_result(monkeypatch):
+    # the post-condition cannot fail on a correct verify; make the second verdict a REJECT
+    verdicts = iter([True, False])
+    monkeypatch.setattr(chow, "verify", lambda *args: next(verdicts))
+    c = functional_product_decomposition(2)
+    with pytest.raises(InternalInconsistencyError, match="zeroing constant slots broke"):
+        homogenize(c, expand(c))
 
 
 def test_homogenize_hand_built_inhomogeneous():
@@ -336,13 +344,13 @@ def test_homogenize_rejects_non_verifying_decomposition():
 
 def test_symmetric_matrix_examples():
     A = symmetric_matrix_of(x(0, 2) * x(1, 2))
-    half = CycloRational.from_rational(Fraction(1, 2))
+    half = as_scalar(Fraction(1, 2))
     assert A == [[ZERO, half], [half, ZERO]]
     sq = MultiPoly(1, {Monomial.make({0: 2}): 1})
     assert symmetric_matrix_of(sq) == [[ONE]]
     p = 2 * x(0, 4) * x(1, 4) + 3 * x(2, 4) * x(3, 4)
     A = symmetric_matrix_of(p)
-    th = CycloRational.from_rational(Fraction(3, 2))
+    th = as_scalar(Fraction(3, 2))
     assert A[0][1] == ONE and A[1][0] == ONE
     assert A[2][3] == th and A[3][2] == th
     assert A[0][2] == ZERO
@@ -351,7 +359,7 @@ def test_symmetric_matrix_examples():
 def test_symmetric_matrix_covers_only_the_variables_in_use():
     # x_3 * x_7 over 10 variables: the zero rows and columns of x_0.. are left out
     p = MultiPoly(10, {Monomial.make({3: 1, 7: 1}): 4, Monomial.make({7: 2}): 1})
-    two = CycloRational.from_rational(2)
+    two = as_scalar(2)
     assert symmetric_matrix_of(p) == [[ZERO, two], [two, ONE]]
     assert symmetric_matrix_of(MultiPoly.zero(10)) == []
     assert degree2_chow_lower_bound(p) == 1
@@ -388,7 +396,7 @@ def test_exact_rank_matches_known_values_random():
             v = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
             M = [
                 [
-                    CycloRational.from_rational(
+                    as_scalar(
                         sum(u[k][i] * v[k][j] for k in range(r))
                     )
                     for j in range(n)
@@ -405,7 +413,7 @@ def test_exact_rank_matches_known_values_random():
 
 
 # zero-heavy, with entries of orders 1, 3, 4 and 12
-RANK_ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 3)),
+RANK_ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, as_scalar(Fraction(1, 3)),
                 root_of_unity(3), root_of_unity(4), root_of_unity(12, 5),
                 ONE + root_of_unity(12))
 
@@ -485,8 +493,8 @@ def test_pm_polynomial_shape():
         + x(6, 9) * x(7, 9) * x(8, 9)
     )
     withcoeffs = pm_polynomial(2, 2, alphas=[2, rootish := Fraction(1, 3)])
-    assert withcoeffs.coefficient(Monomial.of_vars([0, 1])) == CycloRational.from_rational(2)
-    assert withcoeffs.coefficient(Monomial.of_vars([2, 3])) == CycloRational.from_rational(rootish)
+    assert withcoeffs.coefficient(Monomial.of_vars([0, 1])) == as_scalar(2)
+    assert withcoeffs.coefficient(Monomial.of_vars([2, 3])) == as_scalar(rootish)
     with pytest.raises(ValueError):
         pm_polynomial(2, 1)
     with pytest.raises(ValueError):
@@ -540,7 +548,7 @@ def test_trivial_decomposition_round_trip():
             mono = Monomial.make(
                 {v: rng.randint(0, 2) for v in range(nvars)}
             )
-            terms[mono] = CycloRational.from_rational(rng.randint(-3, 3))
+            terms[mono] = as_scalar(rng.randint(-3, 3))
         p = MultiPoly(nvars, terms)
         if p.is_zero() or p.degree() < 1:
             continue
@@ -647,7 +655,7 @@ def test_chow_text_round_trip():
         entries = tuple(
             tuple(
                 tuple(
-                    CycloRational.from_rational(
+                    as_scalar(
                         Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                     )
                     for _ in range(n + 1)

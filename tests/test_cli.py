@@ -349,6 +349,35 @@ def test_build_lagrange_caps_the_interpolant_of_a_tiny_table(tmp_path, capsys, m
     assert out == "" and "over the cap of 100" in err
 
 
+def test_build_truth_table_charges_its_declared_order_before_a_coefficient(tmp_path, capsys):
+    # 16 bytes declaring order 10^8: each coefficient would carry phi(m) coordinates
+    tt = tmp_path / "huge.tt"
+    tt.write_text("1 100000000\n1 0\n")
+    assert tt.stat().st_size == 16
+    start = time.perf_counter()
+    assert run_cli(["build", "truth-table", "--table", str(tt)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: truth-table listing of order 100000000 needs 100000000 coordinates, "
+                   "over the cap of 100000\n")
+
+
+def test_the_default_cap_admits_every_truth_table_order_up_to_itself(tmp_path, capsys,
+                                                                     monkeypatch):
+    tt = tmp_path / "wide.tt"
+    tt.write_text("1 100000\n1 1\n")
+    assert run_cli(["build", "truth-table", "--table", str(tt)]) == 0
+    assert capsys.readouterr().out.startswith("# diffcomp-poly 1\n1 100000\n100000:[0/1,1/1,")
+    tt.write_text("1 100001\n1 1\n")
+    assert run_cli(["build", "truth-table", "--table", str(tt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and "100001 coordinates" in err
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "100001")
+    assert run_cli(["build", "truth-table", "--table", str(tt)]) == 0
+    assert capsys.readouterr().out.startswith("# diffcomp-poly 1\n1 100001\n100001:[0/1,1/1,")
+
+
 # -- transform -------------------------------------------------------------------
 
 
@@ -380,6 +409,27 @@ def test_transform_tf_needs_seed_function(tmp_path, capsys):
     assert "restriction recovery PASS" in out
 
 
+@pytest.mark.parametrize("mode", [["--mode", "T"], []])
+def test_transform_refuses_a_seed_function_outside_mode_tf(tmp_path, capsys, mode):
+    gsf = tmp_path / "in.graphset"
+    gsf.write_text(graphs.graph_set_to_text([graphs.Graph.empty(2)]))
+    prefix = tmp_path / "out"
+    assert run_cli(["transform", str(gsf), *mode, "--f", "0,0", "--out-prefix", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --f applies only to --mode Tf\n"
+    assert list(tmp_path.iterdir()) == [gsf]
+
+
+def test_transform_reports_a_failed_recovery_and_exits_3(tmp_path, capsys, monkeypatch):
+    gsf = tmp_path / "in.graphset"
+    gsf.write_text(graphs.graph_set_to_text([graphs.Graph.from_edges(2, [(0, 1)])]))
+    monkeypatch.setattr(graphs, "recovers_original", lambda *args: False)
+    assert run_cli(["transform", str(gsf), "--out-prefix", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "restriction recovery FAIL"
+    assert err == "error: restriction did not recover the original listing\n"
+
+
 def test_transform_rejects_mixed_sizes(tmp_path, capsys):
     gs = tmp_path / "in.graphset"
     gs.write_text(graphs.graph_set_to_text([graphs.Graph.empty(2), graphs.Graph.empty(3)]))
@@ -396,6 +446,14 @@ def test_selftest_passes(capsys):
     out, _ = capsys.readouterr()
     assert "selftest passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failed_check_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(chow, "verify", lambda *args: False)
+    assert run_cli(["selftest"]) == 3
+    out, _ = capsys.readouterr()
+    assert "FAIL  P_m rank n=1 m=2" in out
+    assert out.splitlines()[-1] == "selftest FAILED"
 
 
 def test_selftest_seed_changes_cases(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -113,7 +114,7 @@ def test_euler_phi_from_factorization():
 
 
 def test_as_scalar_lifts_rationals_and_refuses_other_types():
-    assert as_scalar(3) == CycloRational.from_rational(3)
+    assert as_scalar(3) == CycloRational(1, [3])
     assert as_scalar(Fraction(1, 2)).coeffs == (Fraction(1, 2),)
     w = root_of_unity(4)
     assert as_scalar(w) is w
@@ -121,9 +122,12 @@ def test_as_scalar_lifts_rationals_and_refuses_other_types():
         with pytest.raises(TypeError):
             as_scalar(foreign)
         # the operators defer instead, so Python reports the unsupported operand
-        with pytest.raises(TypeError):
-            w * foreign
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(w, foreign)
     assert w != "w" and 2 * w == w + w
+    with pytest.raises(TypeError, match="^cannot use float as an exact rational$"):
+        CycloRational(1, [0.5])
 
 
 def test_product_of_cyclotomics_is_x_pow_m_minus_1():
@@ -153,9 +157,9 @@ def test_root_of_unity_basics():
     assert w * w == root_of_unity(4, 2)
     # omega_4^2 = -1, which in the power basis of Q(omega_4) is (-1, 0)
     assert root_of_unity(4, 2).coeffs == (Fraction(-1), Fraction(0))
-    assert w**4 == CycloRational.one()
-    assert root_of_unity(1) == CycloRational.one()
-    assert root_of_unity(2) == CycloRational.from_rational(-1)
+    assert w**4 == ONE
+    assert root_of_unity(1) == ONE
+    assert root_of_unity(2) == as_scalar(-1)
 
 
 def test_power_of_root_wraps_modulo_order():
@@ -168,7 +172,7 @@ def test_power_of_root_wraps_modulo_order():
 def test_geometric_sum_of_all_roots_is_zero():
     # 1 + w + w^2 + ... + w^(m-1) = 0 for m > 1
     for m in (2, 3, 4, 5, 6, 9, 10):
-        total = CycloRational.zero()
+        total = ZERO
         for k in range(m):
             total = total + root_of_unity(m, k)
         assert total.is_zero()
@@ -177,7 +181,7 @@ def test_geometric_sum_of_all_roots_is_zero():
 def test_worked_product_in_fifth_roots():
     # (1 + w)(1 + w^4) with w = omega_5 reduces to 1 - w^2 - w^3.
     w = root_of_unity(5)
-    lhs = (CycloRational.one() + w) * (CycloRational.one() + w**4)
+    lhs = (ONE + w) * (ONE + w**4)
     assert lhs.coeffs == (Fraction(1), Fraction(0), Fraction(-1), Fraction(-1))
     # sanity: numerically it's 2cos(pi/5)+1... check against complex arithmetic
     z = cmath.exp(2j * cmath.pi / 5)
@@ -217,10 +221,10 @@ def test_inverse_and_division():
             if x.is_zero():
                 continue
             inv = x.inverse()
-            assert x * inv == CycloRational.one()
-            assert (x / x) == CycloRational.one()
+            assert x * inv == ONE
+            assert (x / x) == ONE
     with pytest.raises(ZeroDivisionError):
-        CycloRational.zero().inverse()
+        ZERO.inverse()
 
 
 
@@ -233,7 +237,7 @@ def test_inverse_in_wide_fields():
                                   for _ in range(euler_phi(m))])
             inv = x.inverse()
             assert_canonical(inv)
-            assert x * inv == CycloRational.one()
+            assert x * inv == ONE
 
 def test_negative_powers_use_inverse():
     w = root_of_unity(5)
@@ -254,15 +258,16 @@ def test_field_axioms_random():
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert a + (b + c) == (a + b) + c
-        assert a - a == CycloRational.zero()
+        assert a - a == ZERO
 
 
 def test_arithmetic_with_plain_rationals():
     w = root_of_unity(4)
-    assert 1 + w == CycloRational.one() + w
+    assert 1 + w == ONE + w
     assert 2 * w == w + w
     assert (w - Fraction(1, 2)) + Fraction(1, 2) == w
     assert w / 2 + w / 2 == w
+    assert 1 - w == -(w - 1) and Fraction(1, 2) - w + w == Fraction(1, 2)
 
 
 def test_text_round_trip():
@@ -278,7 +283,7 @@ def test_text_round_trip():
 
 
 def test_text_format_examples():
-    assert CycloRational.from_text("1:[5]") == CycloRational.from_rational(5)
+    assert CycloRational.from_text("1:[5]") == as_scalar(5)
     assert CycloRational.from_text("4:[0,1]") == root_of_unity(4)
     assert CycloRational.from_text(" 4:[ 1/2 , -1/3 ]").coeffs == (
         Fraction(1, 2),
@@ -306,13 +311,22 @@ def test_to_complex_matches_unit_circle():
 def test_equality_ignores_representation_order():
     # the same number written in Q(w_2) and Q(w_6)
     a = CycloRational(2, [Fraction(3)])
-    b = CycloRational.from_rational(3).embed(6)
+    b = as_scalar(3).embed(6)
     assert a == b
     assert not (a == root_of_unity(6))
 
 
+def test_values_are_immutable_and_their_repr_evaluates_back():
+    w = root_of_unity(12, 5) / 3 - Fraction(1, 2)
+    for name in ("order", "num", "den", "other"):
+        with pytest.raises(AttributeError, match="^CycloRational is immutable$"):
+            setattr(w, name, 1)
+    assert (w.order, w.num, w.den) == (12, (-3, -2, 0, 2), 6)
+    back = eval(repr(w), {"CycloRational": CycloRational})
+    assert back == w and back.to_text() == w.to_text()
+
+
 def test_values_are_canonical_and_constants_are_shared():
-    assert CycloRational.zero() is CycloRational.zero() and CycloRational.one() is CycloRational.one()
     x = CycloRational(4, [Fraction(2, 6), Fraction(-4, 6)])
     assert (x.num, x.den) == ((1, -2), 3)
     zero = x - x
@@ -454,7 +468,7 @@ def test_the_ints_zero_and_one_lift_to_the_shared_constants():
     assert as_scalar(True) is ONE and as_scalar(False) is ZERO
     w = root_of_unity(12)
     assert (w * 0).is_zero() and (w - w + 1) == ONE  # every operator lifts through as_scalar
-    assert CycloRational.one() is ONE and CycloRational.from_rational(1) == ONE
+    assert CycloRational(1, [1]) == ONE
     assert as_scalar(2) is not as_scalar(2) and as_scalar(-1) == -ONE
 
 

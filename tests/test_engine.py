@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import ONE, ZERO, CycloRational, as_scalar, root_of_unity
 from diffcomp.engine import (
     DifferentialComputer,
     RunResult,
@@ -77,7 +77,7 @@ def derivative_chain(dc: DifferentialComputer, x):
     powered = scalar**dc.order
     if powered.is_zero():
         return 0, scalar
-    if powered == CycloRational.one():
+    if powered == ONE:
         return 1, scalar
     return "violation"
 
@@ -521,16 +521,16 @@ def test_count_hamiltonian_cycles_of_k4():
     got = count_eval(p, k4.adj)
     want = brute_force_hamiltonian_cycles(k4)
     assert want == 6
-    assert got == CycloRational.from_rational(want)
+    assert got == as_scalar(want)
 
 
 def test_count_permanent_values():
     n = 3
     per = listing_permanent(n)
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert count_eval(per, identity) == CycloRational.one()
+    assert count_eval(per, identity) == ONE
     ones = [[1] * n for _ in range(n)]
-    assert count_eval(per, ones) == CycloRational.from_rational(6)
+    assert count_eval(per, ones) == as_scalar(6)
 
 
 def test_count_eval_validation():
@@ -674,7 +674,7 @@ def test_surviving_scalar_is_single_phase():
     odd = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # transposition: sign -1
     result = run_matrix(dc, odd)
     assert result.bit == 1
-    assert result.scalar == CycloRational.from_rational(-1)
+    assert result.scalar == as_scalar(-1)
 
 
 # -- deciding without the declared power -------------------------------------------
@@ -685,11 +685,11 @@ def run_scalars(draw):
     """0, +-w^j, 2w, 1/2 and sums of up to three of them, in orders 1..12."""
     k = draw(st.integers(1, 12))
     atoms = st.one_of(
-        st.just(CycloRational.zero()),
+        st.just(ZERO),
         st.builds(lambda j, sign: sign * root_of_unity(k, j),
                   st.integers(0, k - 1), st.sampled_from((1, -1))),
         st.just(2 * root_of_unity(k)),
-        st.just(CycloRational.from_rational(Fraction(1, 2))),
+        st.just(as_scalar(Fraction(1, 2))),
     )
     parts = draw(st.lists(atoms, min_size=1, max_size=3))
     return sum(parts[1:], parts[0])

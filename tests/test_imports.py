@@ -73,6 +73,11 @@ def test_run_loads_neither_chow_nor_graphs(functional_files):
     assert not loaded & {"diffcomp.chow", "diffcomp.graphs"}
 
 
+def test_a_submodule_loads_on_first_use_of_its_package_attribute():
+    loaded = loaded_after("import diffcomp\nassert diffcomp.chow.__name__ == 'diffcomp.chow'")
+    assert "diffcomp.chow" in loaded and "diffcomp.engine" not in loaded
+
+
 def test_exports_resolve_lazily_to_their_homes():
     assert diffcomp.ChowDecomposition is diffcomp.chow.ChowDecomposition
     assert diffcomp.TruthTable is listings.TruthTable

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
 from diffcomp.errors import DimensionError, FormatError, NotApplicableError, SizeCapError
 from diffcomp import graphs
 from diffcomp.graphs import Graph
@@ -224,12 +224,12 @@ def test_permanent_and_determinant_n2():
 def test_determinant_n3_sign_census():
     det = listing_determinant(3)
     assert len(det.terms) == 6
-    minus = CycloRational.from_rational(-1)
+    minus = as_scalar(-1)
     negatives = sum(1 for c in det.terms.values() if c == minus)
     assert negatives == 3
     # spot-check: the 3-cycle sigma = (0 1 2) -> images (1, 2, 0) is even
     even_cycle = mono_of_pairs(3, [(0, 1), (1, 2), (2, 0)])
-    assert det.coefficient(even_cycle) == CycloRational.one()
+    assert det.coefficient(even_cycle) == ONE
 
 
 def test_determinant_coefficients_live_in_order_two():
@@ -337,7 +337,7 @@ def test_lagrange_evaluates_to_the_function():
         t = TruthTable.make(n, yes)
         L = lagrange_interpolant(t)
         for b in cube(n):
-            want = CycloRational.from_rational(t.value(b))
+            want = as_scalar(t.value(b))
             assert L.evaluate(dict(enumerate(b))) == want
 
 
@@ -419,7 +419,7 @@ def _ref_isomorphism(g):
         if conj in seen:
             continue
         seen.add(conj)
-        terms[_product_monomial(n, conj)] = CycloRational.one()
+        terms[_product_monomial(n, conj)] = ONE
     return MultiPoly(n * n, terms)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
 from diffcomp.errors import DimensionError, FormatError, InvalidRelabellingError
 from diffcomp.multipoly import (
     Monomial,
@@ -34,17 +34,17 @@ def rand_poly(rng: random.Random, nvars: int, nterms: int, maxdeg: int = 3) -> M
         mono = Monomial.make(
             {v: rng.randint(0, maxdeg) for v in rng.sample(range(nvars), rng.randint(0, nvars))}
         )
-        terms[mono] = CycloRational.from_rational(Fraction(rng.randint(-5, 5)))
+        terms[mono] = as_scalar(Fraction(rng.randint(-5, 5)))
     return MultiPoly(nvars, terms)
 
 
 def test_monomial_canonical_form():
     m = Monomial.make({3: 2, 1: 1, 5: 0})
-    assert m.exps == ((1, 1), (3, 2))
+    assert m == ((1, 1), (3, 2))
     assert m.degree() == 3
     assert m.support() == {1, 3}
     assert not m.is_multilinear()
-    assert Monomial.of_vars([4, 2]).exps == ((2, 1), (4, 1))
+    assert Monomial.of_vars([4, 2]) == ((2, 1), (4, 1))
     with pytest.raises(ValueError):
         Monomial.of_vars([1, 1])
 
@@ -84,7 +84,6 @@ def test_monomial_agrees_with_dict_reference(a_ref, b_ref, v):
     a_live = {w: e for w, e in a_ref.items() if e}
     for a in monomials_of(a_ref):
         assert_canonical_monomial(a, a_live)
-        assert a.exps is a
         assert a.degree() == sum(a_live.values())
         assert a.support() == frozenset(a_live)
         assert a.exponent(v) == a_live.get(v, 0)
@@ -110,7 +109,7 @@ def test_monomial_is_not_a_tuple_to_add_or_repeat():
         with pytest.raises(TypeError):
             bad()
     assert repr(m) == "Monomial(((0, 1), (2, 3)))"
-    assert MultiPoly(3, {m: 1}).coefficient(((0, 1), (2, 3))) == CycloRational.one()
+    assert MultiPoly(3, {m: 1}).coefficient(((0, 1), (2, 3))) == ONE
 
 
 def test_zero_coefficients_are_dropped():
@@ -123,8 +122,8 @@ def test_zero_coefficients_are_dropped():
 def test_small_expansion():
     # (x0 + x1)^2 = x0^2 + 2 x0 x1 + x1^2
     p = (x(0, 2) + x(1, 2)) * (x(0, 2) + x(1, 2))
-    assert p.coefficient(Monomial.make({0: 2})) == CycloRational.one()
-    assert p.coefficient(Monomial.make({0: 1, 1: 1})) == CycloRational.from_rational(2)
+    assert p.coefficient(Monomial.make({0: 2})) == ONE
+    assert p.coefficient(Monomial.make({0: 1, 1: 1})) == as_scalar(2)
     assert len(p.terms) == 3
     assert p.is_homogeneous(2)
     assert not p.is_multilinear()
@@ -144,7 +143,7 @@ def test_ring_axioms_random():
 
 def test_scalar_coercion():
     p = 2 * x(0) + 1
-    assert p.coefficient(Monomial()) == CycloRational.one()
+    assert p.coefficient(Monomial()) == ONE
     assert (p - p).is_zero()
     q = Fraction(1, 2) * x(0) + Fraction(1, 2) * x(0)
     assert q == x(0)
@@ -164,10 +163,10 @@ def test_partial_derivative_product_rule():
 def test_partial_derivative_power():
     p = x(0) * x(0) * x(0)  # x0^3
     d = p.partial_derivative(0)
-    assert d.coefficient(Monomial.make({0: 2})) == CycloRational.from_rational(3)
+    assert d.coefficient(Monomial.make({0: 2})) == as_scalar(3)
     assert p.partial_derivative(0).partial_derivative(0).coefficient(
         Monomial.make({0: 1})
-    ) == CycloRational.from_rational(6)
+    ) == as_scalar(6)
 
 
 def test_derivative_outside_universe_rejected():
@@ -177,10 +176,10 @@ def test_derivative_outside_universe_rejected():
 
 def test_evaluate_defaults_missing_variables_to_zero():
     p = x(0, 3) * x(1, 3) + x(2, 3) + 1
-    assert p.evaluate({}) == CycloRational.one()
-    assert p.evaluate({0: 2, 1: 3}) == CycloRational.from_rational(7)
+    assert p.evaluate({}) == ONE
+    assert p.evaluate({0: 2, 1: 3}) == as_scalar(7)
     w = root_of_unity(4)
-    assert p.evaluate({2: w}) == CycloRational.one() + w
+    assert p.evaluate({2: w}) == ONE + w
 
 
 def test_evaluate_agrees_with_substitution_random():
@@ -192,10 +191,10 @@ def test_evaluate_agrees_with_substitution_random():
         total = Fraction(0)
         for mono, c in p.terms.items():
             val = c.to_fraction()
-            for v, e in mono.exps:
+            for v, e in mono:
                 val *= point[v] ** e
             total += val
-        assert p.evaluate(point) == CycloRational.from_rational(total)
+        assert p.evaluate(point) == as_scalar(total)
 
 
 def test_restrict_kills_terms_through_zero():
@@ -236,9 +235,10 @@ def test_relabel_collision_with_identity_mapping():
 
 
 def test_equality_is_mathematical():
-    a = MultiPoly(2, {Monomial.of_vars([0]): CycloRational.one()})
-    b = MultiPoly(5, {Monomial.of_vars([0]): CycloRational.one()})
+    a = MultiPoly(2, {Monomial.of_vars([0]): ONE})
+    b = MultiPoly(5, {Monomial.of_vars([0]): ONE})
     assert a == b  # nvars is bookkeeping, not content
+    assert a != "a_0" and a.__eq__(1) is NotImplemented  # only a polynomial compares
 
 
 def test_matrix_index_row_major():
@@ -258,6 +258,9 @@ def test_var_tables():
     assert m.index("a_{0,1}") == 1
     with pytest.raises(FormatError):
         t.index("b_0")
+    for outside in (-1, 3):
+        with pytest.raises(IndexError, match=f"^variable {outside} outside universe of size 3$"):
+            t.name(outside)
 
 
 def test_sorted_terms_graded_lex():
@@ -265,7 +268,7 @@ def test_sorted_terms_graded_lex():
     degrees = [m.degree() for m, _ in p.sorted_terms()]
     assert degrees == sorted(degrees)
     # within degree 1: x0 before x2
-    names = [m.exps for m, _ in p.sorted_terms() if m.degree() == 1]
+    names = [m for m, _ in p.sorted_terms() if m.degree() == 1]
     assert names == [((0, 1),), ((2, 1),)]
 
 
@@ -342,6 +345,16 @@ def test_str_is_readable():
     p = 2 * x(0, 2) * x(1, 2) + 1
     s = str(p)
     assert "a_0" in s and "a_1" in s
+    assert str(MultiPoly.zero(2)) == "0"
+    assert repr(p) == "<MultiPoly nvars=2 terms=2>"
+
+
+def test_polynomials_are_immutable():
+    p = x(0, 2) + 1
+    for name in ("nvars", "terms", "other"):
+        with pytest.raises(AttributeError, match="^MultiPoly is immutable$"):
+            setattr(p, name, 3)
+    assert p.nvars == 2 and p == x(0) + 1
 
 
 # -- products: unit coefficients and cancelled sums --------------------------------
@@ -350,8 +363,8 @@ def test_str_is_readable():
 def test_product_with_unit_coefficients_matches_the_scalar_products():
     # the order-1 one passes the other factor through; the order-2 one must not,
     # since its products live in order 2
-    coeffs = [CycloRational.one(), root_of_unity(2, 0), root_of_unity(12, 5),
-              CycloRational.from_rational(Fraction(-2, 3)), root_of_unity(4)]
+    coeffs = [ONE, root_of_unity(2, 0), root_of_unity(12, 5),
+              as_scalar(Fraction(-2, 3)), root_of_unity(4)]
     p = MultiPoly(2, {Monomial.make({0: k}): c for k, c in enumerate(coeffs)})
     q = MultiPoly(2, {Monomial.make({1: k}): c for k, c in enumerate(reversed(coeffs))})
     for a, b in ((p, q), (q, p)):
@@ -366,7 +379,7 @@ def test_product_and_sum_drop_only_cancelled_terms():
     one = MultiPoly.constant(1, 1)
     assert (x(0, 1) + one) * (x(0, 1) - one) == x(0, 1) * x(0, 1) - one
     assert ((x(0, 1) + one) * (x(0, 1) - one)).terms.keys() == {Monomial.make({0: 2}), Monomial()}
-    assert ((x(0, 1) + one) + (one - x(0, 1))).terms == {Monomial(): CycloRational.from_rational(2)}
+    assert ((x(0, 1) + one) + (one - x(0, 1))).terms == {Monomial(): as_scalar(2)}
     assert not ((x(0, 1) + one) - (x(0, 1) + one)).terms
 
 
@@ -392,9 +405,9 @@ def reference_mul(self, other):
 
 
 # units of orders 1 and 12 and their negatives (sums cancel), and other order-12 values
-PRODUCT_COEFFS = (CycloRational.one(), -CycloRational.one(), root_of_unity(12, 0),
+PRODUCT_COEFFS = (ONE, -ONE, root_of_unity(12, 0),
                   -root_of_unity(12, 0), root_of_unity(12, 5), root_of_unity(12, 7),
-                  root_of_unity(2, 0), CycloRational.from_rational(Fraction(-2, 3)))
+                  root_of_unity(2, 0), as_scalar(Fraction(-2, 3)))
 
 # the two operands' variables: order-disjoint, interleaved, overlapping, and
 # disjoint with only a shared boundary variable possible
@@ -464,6 +477,14 @@ def test_a_cap_below_one_is_refused(monkeypatch):
     (MultiPoly, (1, {Monomial.of_vars([3]): 1}), "nvars=1 but a term uses variable 3"),
     (Monomial.make, ({-1: 1},), "variable indices must be non-negative"),
     (Monomial.make, ({0: -1},), "exponents must be non-negative"),
+    (Monomial.of_vars, ([-1],), "variable indices must be non-negative"),
+    (Monomial.of_vars, ([2, -3, 0],), "variable indices must be non-negative"),
+    # a monomial built straight from its pairs is checked where a polynomial takes it
+    (MultiPoly, (2, {Monomial([(-1, 1)]): 1}), "variable indices must be non-negative"),
+    (MultiPoly, (2, {Monomial(): 1, Monomial([(-2, 1), (1, 1)]): 1}),
+     "variable indices must be non-negative"),
+    (poly_to_text, (x(3), VarTable.vector(2)),
+     "variable table smaller than the polynomial's universe"),
 ])
 def test_out_of_range_construction_is_a_dimension_error(make, args, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):

@@ -17,15 +17,13 @@ from diffcomp.chow import (
     trivial_decomposition,
     verify,
 )
-from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.cyclotomic import ONE, ZERO, as_scalar, root_of_unity
 from diffcomp.errors import SizeCapError
 from diffcomp.listings import listing_functional_graphs
 from diffcomp.multipoly import Monomial
 
-ZERO, ONE = CycloRational.zero(), CycloRational.one()
-
 # zero-heavy, with entries of orders 1, 3, 4 and 12
-ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, CycloRational.from_rational(Fraction(1, 3)),
+ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, as_scalar(Fraction(1, 3)),
            root_of_unity(3), root_of_unity(4, 3), root_of_unity(12), root_of_unity(12, 7))
 
 
@@ -107,7 +105,7 @@ def test_summands_mixing_the_product_rule_and_the_pass_agree_with_the_expansion(
 def _constant_slot_certificate() -> ChowDecomposition:
     # (1 + x0 - x1)(2 + w x2) + (x3 - 3)(x4 + w^5 x5 + 1/2), w of order 12
     w, w5 = root_of_unity(12), root_of_unity(12, 5)
-    half = CycloRational.from_rational(Fraction(1, 2))
+    half = as_scalar(Fraction(1, 2))
     row = [ZERO] * 7
     return ChowDecomposition(2, 2, 6, [
         [[ONE, -ONE] + row[2:6] + [ONE], row[:2] + [w] + row[3:6] + [2]],
