@@ -345,11 +345,6 @@ def non_overlapping_rank(p: MultiPoly) -> int:
     return len(p.terms)
 
 
-def chow_rank_non_overlapping(p: MultiPoly) -> tuple[int, ChowDecomposition]:
-    """The exact rank of a totally non-overlapping polynomial and the certificate attaining it."""
-    return non_overlapping_rank(p), trivial_decomposition(p)
-
-
 # ---------------------------------------------------------------------------
 # Compiling functional computers to depth-2 formulas.
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ def cmd_build(args) -> int:
             raise FormatError(f"build {kind} needs --table")
         t = listings.TruthTable.from_text(_read(args.table))
         if kind == "truth-table":
-            poly, table, order = listings.listing_from_truth_table(t), VarTable.vector(t.n), t.m
+            poly, table, order = listings.listing_from_truth_table(t), VarTable(t.n), t.m
         else:
-            poly, table, order = listings.lagrange_interpolant(t), VarTable.vector(t.n, "y"), 1
+            poly, table, order = listings.lagrange_interpolant(t), VarTable(t.n, "y"), 1
     elif kind == "iso":
         if not args.graph:
             raise FormatError("build iso needs --graph")
@@ -81,7 +81,7 @@ def cmd_build(args) -> int:
     else:
         sys.stdout.write(text)
     print(f"built {kind} listing: {len(poly.terms)} terms over "
-          f"{len(table)} variables (n={table.side or len(table)})", file=sys.stderr)
+          f"{table.size} variables (n={table.side or table.size})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -261,7 +261,7 @@ def cmd_selftest(args) -> int:
     for n in (1, 2, 3):
         for m in (2, 3):
             p = chow.pm_polynomial(n, m)
-            count, cert = chow.chow_rank_non_overlapping(p)
+            count, cert = chow.non_overlapping_rank(p), chow.trivial_decomposition(p)
             check(f"P_m rank n={n} m={m}", count == n and chow.verify(cert, p))
 
     print(f"selftest {'FAILED' if failures else 'passed'}")

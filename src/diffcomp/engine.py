@@ -75,7 +75,7 @@ class DifferentialComputer:
         return tuple(m for m in self.program.terms if sum(map(exponent, m)) > arity)
 
     def _show(self, mono: Monomial) -> str:
-        table = (VarTable.vector if self.input_kind == "vector" else VarTable.matrix)(self.arity)
+        table = (VarTable if self.input_kind == "vector" else VarTable.matrix)(self.arity)
         return " * ".join(table.factor(v, e) for v, e in mono) or "1"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:

@@ -78,7 +78,7 @@ class TruthTable:
     @classmethod
     def make(cls, n: int, yes: Iterable[Iterable[int]], m: int = 1,
              phases: Mapping[Bits, int] | None = None) -> TruthTable:
-        return cls(n, m, frozenset(_as_bits(b, n) for b in yes), dict(phases or {}))
+        return cls(n, m, yes, phases or {})
 
     def with_lex_phases(self) -> TruthTable:
         """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
@@ -213,7 +213,7 @@ def _yes_sum(t: TruthTable, what: str, factor) -> MultiPoly:
     """Expand sum over yes b (sorted) of prod_i factor(y_i, b_i); m=1 listings only."""
     if t.m != 1:
         raise NotApplicableError(f"{what} applies to m=1 listings only")
-    total = MultiPoly.zero(t.n)
+    total = MultiPoly(t.n)
     for b in t.sorted_yes():
         term = MultiPoly.constant(1, t.n)
         for i, bit in enumerate(b):
@@ -246,7 +246,7 @@ def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
     if not p.is_multilinear():
         raise DimensionError("support comparison needs a multilinear polynomial")
     instance_supports = {frozenset(i for i, bit in enumerate(b) if bit) for b in t.yes}
-    return p.support_sets() == instance_supports
+    return {m.support() for m in p.terms} == instance_supports
 
 
 # ---------------------------------------------------------------------------

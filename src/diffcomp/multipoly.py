@@ -95,9 +95,6 @@ class Monomial(tuple):
     def exponent(self, v: int) -> int:
         return next((e for var, e in self if var == v), 0)
 
-    def max_var(self) -> int:
-        return self[-1][0] if self else -1
-
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return self._refuse(other)
@@ -134,9 +131,6 @@ class Monomial(tuple):
         return (self.degree(), self)
 
 
-_ONE_MONOMIAL = Monomial()
-
-
 class MultiPoly:
     """Immutable sparse polynomial; `terms` maps Monomial -> nonzero CycloRational."""
 
@@ -167,12 +161,8 @@ class MultiPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int = 0) -> MultiPoly:
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, c, nvars: int = 0) -> MultiPoly:
-        return cls(nvars, {_ONE_MONOMIAL: as_scalar(c)})
+        return cls(nvars, {Monomial(): as_scalar(c)})
 
     @classmethod
     def variable(cls, v: int, nvars: int | None = None) -> MultiPoly:
@@ -196,9 +186,6 @@ class MultiPoly:
 
     def coefficient(self, mono: Monomial) -> CycloRational:
         return self.terms.get(mono, ZERO)
-
-    def support_sets(self) -> set[frozenset[int]]:
-        return {m.support() for m in self.terms}
 
     def sorted_terms(self) -> list[tuple[Monomial, CycloRational]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -328,10 +315,7 @@ class MultiPoly:
                 new_mono = Monomial.make(kept)
                 acc = out.get(new_mono)
                 out[new_mono] = coeff if acc is None else acc + coeff
-        poly = MultiPoly._trusted(max(image, default=-1) + 1 if nvars is None else nvars, out,
-                                  list(out))
-        _check_universe(poly.nvars, poly.terms)
-        return poly
+        return MultiPoly(max(image, default=-1) + 1 if nvars is None else nvars, out)
 
     # -- comparison and display ------------------------------------------------
 
@@ -345,7 +329,7 @@ class MultiPoly:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        table = VarTable.vector(self.nvars)
+        table = VarTable(self.nvars)
         return " + ".join(
             "*".join([f"({c})"] + [table.factor(v, e) for v, e in mono])
             for mono, c in self.sorted_terms()
@@ -359,12 +343,18 @@ def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passe
     return c.order == 1 and c.den == 1 and c.num[0] == 1
 
 
-def _check_universe(nvars: int, terms: Mapping[Monomial, CycloRational]) -> None:
-    top = max((mono.max_var() for mono in terms), default=-1)
-    if nvars <= top:
-        raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
-    if min((mono[0][0] for mono in terms if mono), default=0) < 0:
-        raise DimensionError("variable indices must be non-negative")
+def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:
+    for mono in terms:  # each key a canonical Monomial over the variables 0..nvars-1
+        if not isinstance(mono, Monomial):
+            raise DimensionError(f"term key {mono!r} is not a Monomial")
+        top = -1
+        for v, e in mono:  # canonical: variables strictly ascending, exponents at least 1
+            if v <= top or e < 1:
+                raise DimensionError("variable indices must be non-negative" if v < 0 else
+                                     f"{mono!r} is not canonical")
+            top = v
+        if nvars <= top:
+            raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +381,6 @@ class VarTable:
     side: int | None = None
 
     @classmethod
-    def vector(cls, n: int, prefix: str = "a") -> VarTable:
-        return cls(n, prefix)
-
-    @classmethod
     def matrix(cls, n: int, prefix: str = "a") -> VarTable:
         return cls(n * n, prefix, n)
 
@@ -408,9 +394,6 @@ class VarTable:
         if side is not None and side * side != size:
             raise FormatError(f"matrix variable {name!r} in a non-square universe")
         return cls(size, match[1], side)
-
-    def __len__(self) -> int:
-        return self.size
 
     def name(self, index: int) -> str:
         if not 0 <= index < self.size:
@@ -446,15 +429,15 @@ _NAME_RE = re.compile(r"([A-Za-z]+)_(?:(\d+)|\{(\d+),(\d+)\})")  # a_7, or a_{1,
 
 def poly_to_text(p: MultiPoly, table: VarTable | None = None, order: int | None = None) -> str:
     """Serialize in the canonical format; `order` defaults to the coefficient lcm."""
-    table = VarTable.vector(p.nvars) if table is None else table
-    if len(table) < p.nvars:
+    table = VarTable(p.nvars) if table is None else table
+    if table.size < p.nvars:
         raise DimensionError("variable table smaller than the polynomial's universe")
     m = math.lcm(p.coefficient_order(), 1 if order is None else order)
     # each distinct (variable, exponent) factor is formatted once per file
     tokens = {ve: table.factor(*ve) for ve in {ve for mono in p.terms for ve in mono}}
     # the declared universe is the table's, so sparse matrix listings keep
     # their square shape through a round trip
-    return textfile.write("poly", [f"{len(table)} {m}"] + [
+    return textfile.write("poly", [f"{table.size} {m}"] + [
         " * ".join([c.to_text()] + [tokens[ve] for ve in mono])
         for mono, c in p.sorted_terms()
     ])
@@ -490,10 +473,10 @@ def poly_from_text(text: str) -> ParsedPoly:
         if len(dict(pairs)) == len(pairs) and pairs == sorted(pairs):  # already a Monomial
             mono = Monomial(pairs)
         else:  # repeated or unsorted variables: the product of the one-factor monomials
-            mono = math.prod([Monomial([pair]) for pair in pairs], start=_ONE_MONOMIAL)
+            mono = math.prod([Monomial([pair]) for pair in pairs], start=Monomial())
         if mono in terms:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff
     # VarTable.index bounds every variable below nvars; zeros drop after the duplicate test
     poly = MultiPoly._trusted(nvars, terms, () if all(coeffs.values()) else list(terms))
-    return ParsedPoly(poly, VarTable.vector(nvars) if table is None else table, order)
+    return ParsedPoly(poly, VarTable(nvars) if table is None else table, order)

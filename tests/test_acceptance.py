@@ -15,12 +15,12 @@ import time
 from fractions import Fraction
 
 from diffcomp.chow import (
-    chow_rank_non_overlapping,
     compile_functional,
     degree2_chow_lower_bound,
     expand,
     functional_product_decomposition,
     homogenize,
+    non_overlapping_rank,
     pm_polynomial,
     pm_relabelling,
     pm_restriction_to_p2,
@@ -204,7 +204,7 @@ def test_criterion_06_non_overlapping_rank():
             restricted = p.restrict_and_relabel(fixings, relabel, nvars)
             if degree2_chow_lower_bound(restricted) != n:
                 failures.append(f"P_m n={n} m={m}: quadratic bound != {n}")
-            count, cert = chow_rank_non_overlapping(p)
+            count, cert = non_overlapping_rank(p), trivial_decomposition(p)
             if count != n or not verify(cert, p):
                 failures.append(f"P_m n={n} m={m}: rank {count} != {n}")
     for builder in (listing_constant_functions, listing_cyclic_group):
@@ -215,7 +215,7 @@ def test_criterion_06_non_overlapping_rank():
                 failures.append(f"{builder.__name__} n={n}: trivial broken")
             if n < 2:
                 continue  # degree-1 terms: the exact-rank rule needs degree >= 2
-            count, cert = chow_rank_non_overlapping(p)
+            count, cert = non_overlapping_rank(p), trivial_decomposition(p)
             if count != n or not verify(cert, p):
                 failures.append(f"{builder.__name__} n={n}: rank {count} != {n}")
             witness = pm_relabelling(p)
@@ -338,7 +338,7 @@ def test_criterion_10_lagrange_interpolation():
                 return
         reduced = lagrange_reduction(t)
         p = listing_from_truth_table(t)
-        if reduced.support_sets() != p.support_sets():
+        if {m.support() for m in reduced.terms} != {m.support() for m in p.terms}:
             failures.append(f"reduction support mismatch for yes={sorted(t.yes)}")
 
     for n in range(3):

@@ -33,6 +33,17 @@ def test_build_to_stdout(capsys):
     assert "built constants listing" in err
 
 
+@pytest.mark.parametrize("args, line", [
+    (["truth-table", "--table", "f.tt"], "built truth-table listing: 2 terms over 2 variables (n=2)"),
+    (["functional", "--n", "3"], "built functional listing: 27 terms over 9 variables (n=3)"),
+])
+def test_build_reports_the_listing_on_one_stderr_line(tmp_path, monkeypatch, capsys, args, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.tt").write_text(TruthTable.make(2, [(1, 0), (1, 1)]).to_text())
+    assert run_cli(["build", *args, "--out", "out.poly"]) == 0
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_build_truth_table_and_run_vector(tmp_path, capsys):
     t = TruthTable.make(2, [(1, 0), (1, 1)])  # F(b) = b0
     tt = tmp_path / "f.tt"
@@ -210,7 +221,7 @@ def test_run_decides_a_root_of_unity_at_a_huge_declared_order(tmp_path, capsys):
 def test_verify_accepts_matching_certificate(tmp_path, capsys):
     listing = tmp_path / "c.poly"
     run_cli(["build", "constants", "--n", "2", "--out", str(listing)])
-    _, cert = chow.chow_rank_non_overlapping(listings.listing_constant_functions(2))
+    cert = chow.trivial_decomposition(listings.listing_constant_functions(2))
     dec = tmp_path / "c.chow"
     dec.write_text(cert.to_text())
     capsys.readouterr()
@@ -224,7 +235,7 @@ def test_verify_accepts_matching_certificate(tmp_path, capsys):
 def test_verify_rejects_wrong_certificate(tmp_path, capsys):
     listing = tmp_path / "cyc.poly"
     run_cli(["build", "cyclic", "--n", "2", "--out", str(listing)])
-    _, cert = chow.chow_rank_non_overlapping(listings.listing_constant_functions(2))
+    cert = chow.trivial_decomposition(listings.listing_constant_functions(2))
     dec = tmp_path / "c.chow"
     dec.write_text(cert.to_text())
     capsys.readouterr()

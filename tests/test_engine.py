@@ -56,7 +56,7 @@ def _differentiate_along(p: MultiPoly, variables) -> MultiPoly:
         if p.is_zero():
             break
         # d/da_v is zero on a polynomial that does not mention a_v
-        p = p.partial_derivative(v) if v < p.nvars else MultiPoly.zero(p.nvars)
+        p = p.partial_derivative(v) if v < p.nvars else MultiPoly(p.nvars)
     return p
 
 
@@ -698,7 +698,7 @@ def run_scalars(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(run_scalars(), st.integers(1, 24))
 def test_decision_agrees_with_the_declared_power(s, m):
-    dc = DifferentialComputer(MultiPoly.zero(0), 0, m, "vector")
+    dc = DifferentialComputer(MultiPoly(0), 0, m, "vector")
     powered = s**m  # the decision as it was made before: the full power
     if powered.is_zero() or powered == 1:
         assert dc._decide(s, Monomial(())) == RunResult(0 if powered.is_zero() else 1, s)

@@ -192,7 +192,7 @@ def test_functional_listing_equals_row_sum_product():
     for n in (1, 2, 3, 4):
         rows = MultiPoly.constant(1, n * n)
         for i in range(n):
-            row = MultiPoly.zero(n * n)
+            row = MultiPoly(n * n)
             for j in range(n):
                 row = row + MultiPoly.variable(matrix_index(n, i, j), n * n)
             rows = rows * row
@@ -424,7 +424,7 @@ def _ref_isomorphism(g):
 
 
 def _ref_membership_listing(gs):
-    total = MultiPoly.zero(0)
+    total = MultiPoly(0)
     for g in gs:
         total = total + MultiPoly(g.n * g.n, {_product_monomial(g.n, g.edges()): 1})
     return total

@@ -44,7 +44,7 @@ def reference_poly_from_text(text: str) -> ParsedPoly:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff
     if table is None:
-        table = VarTable.vector(nvars)
+        table = VarTable(nvars)
     return ParsedPoly(MultiPoly(nvars, terms), table, order)
 
 
