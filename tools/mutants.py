@@ -5,14 +5,14 @@ Each entry of the catalogue (`tools/mutants.json`) names one fault:
     {"name": "memo-without-den", "why": "...", "file": "src/diffcomp/engine.py",
      "snippet": "...", "replacement": "...", "tests": ["tests/test_engine.py"]}
 
-`why` says what the fault breaks.  The snippet must occur exactly once in the file.  For each entry the runner copies
-`src/`, `tests/` and `pyproject.toml` into a temporary directory, replaces the snippet
-there, and runs `python -m pytest -x -q` on the entry's test files with `PYTHONPATH`
-set to the copy's `src/`.  A mutant is killed when pytest reports a failing test
-(exit status 1).  Before any mutant, the same test files must pass on an unmutated copy.
+`why` says what the fault breaks; it is printed when the mutant is not killed.  The
+snippet must occur exactly once in the file.  For each entry the runner copies `src/`,
+`tests/` and `pyproject.toml` into a temporary directory, replaces the snippet there, and
+runs `python -m pytest -x -q` on the entry's test files with `PYTHONPATH` set to the
+copy's `src/`.  A mutant is killed when pytest reports a failing test (exit status 1).
+Before any mutant, the same test files must pass on an unmutated copy.
 
-    python tools/mutants.py                      # every entry
-    python tools/mutants.py memo-without-den     # only the named entries
+    python tools/mutants.py
 
 Exit status 0 when every mutant is killed; 1 when a snippet does not occur exactly once,
 the unmutated copy fails, or a mutant is not killed.  Standard library only.
@@ -20,7 +20,6 @@ the unmutated copy fails, or a mutant is not killed.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -61,15 +60,8 @@ def run_tests(tests: list[str], mutant: dict | None = None) -> int | str:
             return f"timed out after {TIMEOUT_S} s"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these entries (default: all)")
-    args = parser.parse_args(argv)
+def main() -> int:
     entries = json.loads(CATALOGUE.read_text())
-    if unknown := set(args.names) - {e["name"] for e in entries}:
-        parser.error(f"no catalogue entry named {', '.join(sorted(unknown))}")
-    entries = [e for e in entries if not args.names or e["name"] in args.names]
-
     problems = []
     for e in entries:
         if (count := (ROOT / e["file"]).read_text().count(e["snippet"])) != 1:
@@ -92,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{verdict:<9}{e['name']}  ({' '.join(e['tests'])}, "
               f"{time.perf_counter() - start:.1f} s)", flush=True)
         if status != 1:
+            print(f"         {e['why']}")
             problems.append(e["name"])
     print(f"{len(entries) - len(problems)} of {len(entries)} mutants killed")
     return 1 if problems else 0
