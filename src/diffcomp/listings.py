@@ -87,9 +87,6 @@ class TruthTable:
     def value(self, b: Iterable[int]) -> int:
         return 1 if _as_bits(b, self.n) in self.yes else 0
 
-    def coefficient(self, b: Bits) -> CycloRational:
-        return root_of_unity(self.m, self.phases[b])
-
     def sorted_yes(self) -> list[Bits]:
         return sorted(self.yes, key=lex_index)
 
@@ -185,8 +182,10 @@ def listing_from_truth_table(t: TruthTable) -> MultiPoly:
     """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
     phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
     _check_cap(t.m, f"truth-table listing of order {t.m}", "coordinates")
-    return MultiPoly(t.n, {Monomial.of_vars(i for i, bit in enumerate(b) if bit): t.coefficient(b)
-                           for b in t.yes})
+    pairs = [(i, 1) for i in range(t.n)]
+    roots = {k: root_of_unity(t.m, k) for k in set(t.phases.values())}
+    return MultiPoly._trusted(t.n, {Monomial(itertools.compress(pairs, b)): roots[k]
+                                    for b, k in t.phases.items()})  # phases holds yes, in its order
 
 
 def truth_table_from_listing(p: MultiPoly, m: int | None = None,
@@ -264,8 +263,8 @@ def _matrix_listing(n: int, count: int, what: str,
     """
     _check_cap(count, what)
     _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
-    ones = itertools.repeat(1)  # every exponent
-    return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family})
+    pairs = [(w, 1) for w in range(n * n)]  # one (variable, 1) pair per variable, shared
+    return MultiPoly._trusted(n * n, {Monomial(map(pairs.__getitem__, e)): c for e, c in family})
 
 
 def _rows(n: int) -> range:
@@ -277,9 +276,8 @@ def _rows(n: int) -> range:
 
 def listing_functional_graphs(n: int) -> MultiPoly:
     """Sum over all n^n functions f of prod_i a_{i, f(i)}."""
-    rows = _rows(n)
-    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", (
-        (map(add, rows, f), ONE) for f in itertools.product(range(n), repeat=n)))
+    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", zip(
+        itertools.product(*(range(r, r + n) for r in _rows(n))), itertools.repeat(ONE)))
 
 
 def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:

@@ -348,7 +348,9 @@ def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:
         if not isinstance(mono, Monomial):
             raise DimensionError(f"term key {mono!r} is not a Monomial")
         top = -1
-        for v, e in mono:  # canonical: variables strictly ascending, exponents at least 1
+        for p in mono:  # canonical: plain int pairs, variables strictly ascending, exponent >= 1
+            if type(p) is not tuple or len(p) != 2 or not type(v := p[0]) is int is type(e := p[1]):
+                raise DimensionError(f"{mono!r} is not canonical: {p!r} is not a pair of ints")
             if v <= top or e < 1:
                 raise DimensionError("variable indices must be non-negative" if v < 0 else
                                      f"{mono!r} is not canonical")

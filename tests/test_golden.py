@@ -34,6 +34,8 @@ _MATRIX_KINDS = ("functional", "permanent", "determinant", "constants", "cyclic"
 # (name, argv with {d} for the input directory, files written under {d})
 CASES = [(f"build-{k}-{n}", ["build", k, "--n", str(n)], [])
          for k in _MATRIX_KINDS for n in range(1, 6)]
+CASES += [(f"build-{k}-6", ["build", k, "--n", "6"], [])  # the size the benchmark builds
+          for k in ("functional", "permanent", "determinant")]
 CASES += [
     ("build-tt-binary", ["build", "truth-table", "--table", "{d}/binary.tt"], []),
     ("build-tt-phased", ["build", "truth-table", "--table", "{d}/phased.tt"], []),
@@ -75,6 +77,9 @@ GOLDEN = {
     "build-determinant-3": "16854d83d394c80177650acd0d5ec7840962dccbc1bfc4a076796c8d7fbf1f22",
     "build-determinant-4": "ec3d7a402a625f0fd3968fbb05e3084219fed95476f63dff0bc2a7e3866ae579",
     "build-determinant-5": "ba050639d89306492133eabe31ffdd6332ea8a9aeeb1ea1bf35d80ccd4a50fa1",
+    "build-functional-6": "106c25cc73ea4d79fba166d6d92d05140520a633242a64e282ef315ab6b40a95",
+    "build-permanent-6": "57285425b1d33018db32c0cc7ba6f4ceebd086fb5f65b0492c69095d68cc963e",
+    "build-determinant-6": "cfff2e39b03a96947acd58f4549fd1ed67ea7379597571df2ec309b255a435ca",
     "build-constants-1": "82a38fdc835081f64c756daf397970d2faab2110647f9a67e93fa260bb952397",
     "build-constants-2": "0db38b5de2f41b4f575a226f2ed5b57d952148a5c9140977d6143277fa827cfc",
     "build-constants-3": "f2345db9d567ba9a6eac8e9e90bcf3ebfbbdc37921a03e113980dec734853d11",

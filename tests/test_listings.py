@@ -5,14 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import add
 
 import pytest
 
 from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
 from diffcomp.errors import DimensionError, FormatError, NotApplicableError, SizeCapError
-from diffcomp import graphs
+from diffcomp import graphs, listings
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
+    FACTORS_PER_TERM,
     FunctionTable,
     TruthTable,
     all_function_tables,
@@ -29,7 +31,7 @@ from diffcomp.listings import (
     monomial_support_equals,
     truth_table_from_listing,
 )
-from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
+from diffcomp.multipoly import Monomial, MultiPoly, _check_cap, matrix_index
 
 
 def cube(n):
@@ -520,3 +522,102 @@ def test_out_of_range_tables_are_dimension_errors():
     squared = MultiPoly(1, {Monomial.make({0: 2}): 1})
     with pytest.raises(DimensionError, match="^non-multilinear monomial .* in a listing$"):
         truth_table_from_listing(squared)
+
+
+# -- shared pieces: the builders as they were before pairs and scalars were shared, as oracles
+
+
+def _oracle_matrix_listing(n, count, what, family):
+    """The one constructor of matrix listings: sum of c * prod_{e in entries} a_e.
+
+    Each member of `family` is a 0/1 n x n matrix, given as its set entries
+    (ascending flat indices n*i + j) and a nonzero coefficient; a matrix listed
+    twice is kept once.  The family's size `count` is charged to the cap first,
+    then its projected factor count, count * n, to FACTORS_PER_TERM times it.
+    """
+    _check_cap(count, what)
+    _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
+    ones = itertools.repeat(1)  # every exponent
+    return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family})
+
+
+def _oracle_functional_graphs(n):
+    """Sum over all n^n functions f of prod_i a_{i, f(i)}."""
+    rows = listings._rows(n)
+    return _oracle_matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", (
+        (map(add, rows, f), ONE) for f in itertools.product(range(n), repeat=n)))
+
+
+def _oracle_from_truth_table(t):
+    """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
+    phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
+    # `t.coefficient(b)` was the method root_of_unity(t.m, t.phases[b]), inlined here
+    _check_cap(t.m, f"truth-table listing of order {t.m}", "coordinates")
+    return MultiPoly(t.n, {Monomial.of_vars(i for i, bit in enumerate(b) if bit):
+                           root_of_unity(t.m, t.phases[b]) for b in t.yes})
+
+
+def _oracle(builder, *args):
+    """What `builder` gave with the oracle constructor in place of the shared-pair one."""
+    if builder is listing_functional_graphs:
+        return _oracle_functional_graphs(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listings, "_matrix_listing", _oracle_matrix_listing)
+        mp.setattr(graphs, "_matrix_listing", _oracle_matrix_listing)
+        return builder(*args)
+
+
+def assert_oracle_listing(got, want):
+    """Equal terms in the same order, and keys the checked constructor takes."""
+    assert_same_listing(got, want)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert MultiPoly(got.nvars, got.terms) == got
+
+
+def _matrix_builds(n, rng):
+    """(builder, args) for each matrix-listing builder at side n."""
+    g = _random_graph(rng, n)
+    yield from ((b, (n,)) for b in (listing_functional_graphs, listing_permanent,
+                                   listing_determinant, listing_constant_functions,
+                                   listing_cyclic_group))
+    yield listing_graph_isomorphism, (g,)
+    yield graphs.monomial_edge_listing, (g,)
+    gs = [g, _random_graph(rng, n), Graph.empty(n)]
+    mode = ("T",) if n > 1 else ("Tf", FunctionTable.shift(2, 1))  # T needs two vertices
+    yield (lambda: graphs.transform_set(gs, *mode).listing_before), ()
+    yield (lambda: graphs.transform_set(gs, *mode).listing_after), ()
+
+
+def _random_table(rng, n, m):
+    yes = [b for b in cube(n) if rng.random() < 0.5]
+    return TruthTable.make(n, yes, m, {b: rng.randrange(2 * m) for b in yes})
+
+
+def test_matrix_listings_equal_the_oracle_term_for_term_in_order():
+    rng = random.Random(18)
+    for n in range(1, 6):
+        for builder, args in _matrix_builds(n, rng):
+            assert_oracle_listing(builder(*args), _oracle(builder, *args))
+
+
+def test_truth_table_listings_equal_the_oracle_term_for_term_in_order():
+    rng = random.Random(18)
+    for m in (1, 2, 3, 4, 6, 12):
+        for n in (0, 1, 3, 6):
+            t = _random_table(rng, n, m)
+            assert_oracle_listing(listing_from_truth_table(t), _oracle_from_truth_table(t))
+    t = _random_table(rng, 12, 6)  # the size the benchmark builds
+    assert_oracle_listing(listing_from_truth_table(t), _oracle_from_truth_table(t))
+
+
+def test_listings_share_one_pair_per_variable_and_one_scalar_per_phase():
+    rng = random.Random(18)
+    for n in range(1, 6):
+        for builder, args in _matrix_builds(n, rng):
+            p = builder(*args)
+            assert len({id(pair) for mono in p.terms for pair in mono}) <= p.nvars
+    for m in (1, 2, 3, 6, 12):
+        t = _random_table(rng, 8, m)
+        p = listing_from_truth_table(t)
+        assert len({id(pair) for mono in p.terms for pair in mono}) <= t.n
+        assert len({id(c) for c in p.terms.values()}) <= m

@@ -496,6 +496,13 @@ def test_a_cap_below_one_is_refused(monkeypatch):
                  re.escape("Monomial(((0, -1),)) is not canonical"), id="exponent-negative"),
     pytest.param(MultiPoly, (2, {((0, 1),): 1}),
                  re.escape("term key ((0, 1),) is not a Monomial"), id="plain-tuple"),
+    # each pair two plain ints: what the writer prints, the reader reads back
+    *(pytest.param(MultiPoly, (2, {Monomial([pair]): 1}), re.escape(
+        f"{Monomial([pair])!r} is not canonical: {pair!r} is not a pair of ints"), id=name)
+      for name, pair in [("float-exponent", (0, 1.5)), ("bool-variable", (True, 2)),
+                         ("bool-exponent", (0, True)), ("float-variable", (1.0, 1)),
+                         ("str-variable", ("a", 1)), ("short-pair", (0,)),
+                         ("long-pair", (0, 1, 1)), ("not-a-pair", 5), ("str-pair", "01")]),
 ])
 def test_out_of_range_construction_is_a_dimension_error(make, args, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):
@@ -513,3 +520,19 @@ def test_a_key_is_refused_or_written_and_read_back_unchanged(pairs, nvars):
     parsed = poly_from_text(poly_to_text(p))
     assert parsed.poly == p and list(parsed.poly.terms) == list(p.terms)
     assert parsed.poly.nvars == p.nvars
+
+
+_ATOMS = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(0, 3), st.sampled_from(["0", None]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.tuples(_ATOMS, _ATOMS), st.lists(_ATOMS, max_size=3).map(tuple),
+                          _ATOMS), max_size=3), st.integers(0, 5))
+def test_a_key_of_any_pairs_is_a_dimension_error_or_written_and_read_back(pairs, nvars):
+    try:
+        p = MultiPoly(nvars, {Monomial(pairs): 1})
+    except DimensionError:
+        return
+    assert all(type(v) is int is type(e) for v, e in pairs)
+    parsed = poly_from_text(poly_to_text(p))
+    assert parsed.poly == p and list(parsed.poly.terms) == list(p.terms)
