@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
@@ -33,9 +33,6 @@ from .multipoly import Monomial, MultiPoly, matrix_index, max_terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .listings import FunctionTable
-
-Matrix = list[list[CycloRational]]
-
 
 @dataclass(frozen=True)
 class ChowDecomposition:
@@ -199,47 +196,43 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
 # Degree-2 lower bound via the symmetric matrix.
 # ---------------------------------------------------------------------------
 
-def symmetric_matrix_of(p: MultiPoly) -> Matrix:
-    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p.
-
-    Rows and columns are the variables p's terms use, in increasing order:
-    the other variables only add zero rows and columns, which change no rank.
-    """
+def symmetric_matrix_of(p: MultiPoly) -> dict[int, dict[int, CycloRational]]:
+    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p, as sparse rows
+    {variable: {variable: nonzero entry}}, one per variable p's terms use, in increasing
+    order: the other variables only add zero rows and columns, which change no rank."""
     if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
         raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
-    slot = {v: k for k, v in enumerate(sorted({v for m in p.terms for v, _ in m}))}
+    A = {v: {} for v in sorted({v for mono in p.terms for v, _ in mono})}
     half = ONE / 2
-    A = [[ZERO] * len(slot) for _ in slot]
     for mono, c in p.terms.items():
-        (i, e), *rest = mono
-        if e == 2:
-            A[slot[i]][slot[i]] = c
-        else:
-            i, j = slot[i], slot[rest[0][0]]
-            A[i][j] = A[j][i] = c * half
+        (i, e), *rest = mono  # x_i^2, or x_i x_j with the entry split over A[i][j] and A[j][i]
+        j = rest[0][0] if rest else i
+        A[i][j] = A[j][i] = c if e == 2 else c * half
     return A
 
 
-def exact_rank(rows: Sequence[Sequence[CycloRational]]) -> int:
-    """Rank by Gaussian elimination over the field: each pivot is inverted once, its row's
-    nonzero tail scaled by that inverse, and each row below with a nonzero entry under the
-    pivot takes one multiply and one add per entry of that tail."""
-    m = [list(r) for r in rows]
-    r = 0  # the rank so far; rows r.. are still to reduce
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        tail = [(j, x * inv) for j, x in enumerate(m[r][c + 1:], c + 1) if x]
-        for row in m[r + 1:]:
-            if f := row[c]:  # column c is never read again, so it is left as it is
-                f = -f
-                for j, y in tail:
-                    row[j] = row[j] + f * y
-        r += 1
-    return r
+def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
+    """Rank over the field of sparse rows {column: entry}.  Each row in turn loses its
+    leading (smallest) column to the pivot row that leads there, until it leads where no
+    pivot does; it then becomes a pivot, scaled once by the inverse of its leading entry.
+    A pivot's other columns lie beyond its lead, so each reduction moves the lead right.
+    A zero is dropped when it leads, and when its row becomes a pivot.
+
+    >>> exact_rank([{0: ONE, 2: -ONE}, {0: ONE, 2: -ONE}, {1: ONE / 3}])
+    2
+    """
+    pivots: dict[int, dict[int, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
+    for row in map(dict, rows):  # a copy: the caller's rows are left as they are
+        while row:
+            if not (f := row.pop(lead := min(row))):
+                continue
+            if (pivot := pivots.get(lead)) is None:
+                inv = -f.inverse()
+                pivots[lead] = {j: x * inv for j, x in row.items() if x}
+                break
+            for j, y in pivot.items():
+                row[j] = row[j] + f * y if j in row else f * y
+    return len(pivots)
 
 
 def degree2_chow_lower_bound(p: MultiPoly) -> int:
@@ -250,7 +243,7 @@ def degree2_chow_lower_bound(p: MultiPoly) -> int:
     rank(A + S) <= rho; and 2A = (A + S) + (A + S)^T gives
     rank(A) <= 2 rank(A + S) <= 2 rho.
     """
-    return (exact_rank(symmetric_matrix_of(p)) + 1) // 2
+    return (exact_rank(symmetric_matrix_of(p).values()) + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +342,8 @@ def non_overlapping_rank(p: MultiPoly) -> int:
 # Compiling functional computers to depth-2 formulas.
 # ---------------------------------------------------------------------------
 
-def compile_functional(c: ChowDecomposition, g: FunctionTable) -> tuple[Matrix, CycloRational]:
+def compile_functional(c: ChowDecomposition,
+                       g: FunctionTable) -> tuple[list[list[CycloRational]], CycloRational]:
     """Evaluate a functional computer as sum_u prod_v X[u][v].
 
     Needs a homogeneous decomposition whose v-th form uses only the matrix
@@ -368,8 +362,8 @@ def compile_functional(c: ChowDecomposition, g: FunctionTable) -> tuple[Matrix, 
             if (stray := next((w for w in form if w // n != v), None)) is not None:
                 raise DimensionError(f"form {v} of summand {u} touches variable {stray}, "
                                  f"outside row {v}")
-    X: Matrix = [[form.get(matrix_index(n, v, g(v)), ZERO) for v, form in enumerate(summand)]
-                 for summand in c._sparse]
+    X = [[form.get(matrix_index(n, v, g(v)), ZERO) for v, form in enumerate(summand)]
+         for summand in c._sparse]
     return X, c.coefficient(Monomial.of_vars(matrix_index(n, v, g(v)) for v in range(n)))
 
 

@@ -342,26 +342,53 @@ def test_homogenize_rejects_non_verifying_decomposition():
 # -- the degree-2 bound ---------------------------------------------------------
 
 
+def _rows(M):
+    """Dense rows as the sparse {column: entry} rows `exact_rank` takes, zeros kept."""
+    return [dict(enumerate(row)) for row in M]
+
+
+def _dense_rank(rows):
+    """Rank by Gaussian elimination over the field: each pivot is inverted once, its row's
+    nonzero tail scaled by that inverse, and each row below with a nonzero entry under the
+    pivot takes one multiply and one add per entry of that tail."""
+    m = [list(r) for r in rows]
+    r = 0  # the rank so far; rows r.. are still to reduce
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        tail = [(j, x * inv) for j, x in enumerate(m[r][c + 1:], c + 1) if x]
+        for row in m[r + 1:]:
+            if f := row[c]:  # column c is never read again, so it is left as it is
+                f = -f
+                for j, y in tail:
+                    row[j] = row[j] + f * y
+        r += 1
+    return r
+
+
 def test_symmetric_matrix_examples():
     A = symmetric_matrix_of(x(0, 2) * x(1, 2))
     half = as_scalar(Fraction(1, 2))
-    assert A == [[ZERO, half], [half, ZERO]]
+    assert A == {0: {1: half}, 1: {0: half}}
     sq = MultiPoly(1, {Monomial.make({0: 2}): 1})
-    assert symmetric_matrix_of(sq) == [[ONE]]
+    assert symmetric_matrix_of(sq) == {0: {0: ONE}}
     p = 2 * x(0, 4) * x(1, 4) + 3 * x(2, 4) * x(3, 4)
     A = symmetric_matrix_of(p)
     th = as_scalar(Fraction(3, 2))
     assert A[0][1] == ONE and A[1][0] == ONE
     assert A[2][3] == th and A[3][2] == th
-    assert A[0][2] == ZERO
+    assert 2 not in A[0]
 
 
 def test_symmetric_matrix_covers_only_the_variables_in_use():
     # x_3 * x_7 over 10 variables: the zero rows and columns of x_0.. are left out
     p = MultiPoly(10, {Monomial.make({3: 1, 7: 1}): 4, Monomial.make({7: 2}): 1})
     two = as_scalar(2)
-    assert symmetric_matrix_of(p) == [[ZERO, two], [two, ONE]]
-    assert symmetric_matrix_of(MultiPoly(10)) == []
+    assert symmetric_matrix_of(p) == {3: {7: two}, 7: {3: two, 7: ONE}}
+    assert symmetric_matrix_of(MultiPoly(10)) == {}
     assert degree2_chow_lower_bound(p) == 1
 
 
@@ -377,11 +404,11 @@ def test_symmetric_matrix_rejects_wrong_degrees():
 def test_exact_rank_small_cases():
     one = ONE
     assert exact_rank([]) == 0
-    assert exact_rank([[ZERO, ZERO], [ZERO, ZERO]]) == 0
-    assert exact_rank([[one, one], [one, one]]) == 1
-    assert exact_rank([[one, ZERO], [ZERO, one]]) == 2
+    assert exact_rank(_rows([[ZERO, ZERO], [ZERO, ZERO]])) == 0
+    assert exact_rank(_rows([[one, one], [one, one]])) == 1
+    assert exact_rank(_rows([[one, ZERO], [ZERO, one]])) == 2
     # rank needs column pivoting past a zero column
-    assert exact_rank([[ZERO, one], [ZERO, ZERO]]) == 1
+    assert exact_rank(_rows([[ZERO, one], [ZERO, ZERO]])) == 1
 
 
 def test_exact_rank_matches_known_values_random():
@@ -403,13 +430,13 @@ def test_exact_rank_matches_known_values_random():
                 ]
                 for i in range(n)
             ]
-            got = exact_rank(M)
+            got = exact_rank(_rows(M))
             assert got <= r
             if got == r:
                 break
     # cyclotomic entries too: [[1, w], [w, w^2]] has rank 1
     w = root_of_unity(5)
-    assert exact_rank([[ONE, w], [w, w * w]]) == 1
+    assert exact_rank(_rows([[ONE, w], [w, w * w]])) == 1
 
 
 # zero-heavy, with entries of orders 1, 3, 4 and 12
@@ -445,12 +472,35 @@ def matrices_of_rank_at_most(draw):
 @given(matrices_of_rank_at_most())
 def test_exact_rank_of_a_sum_of_outer_products(case):
     M, r, generic = case
-    before = [list(row) for row in M]
-    rank = exact_rank(M)
-    assert rank == exact_rank([list(col) for col in zip(*M)]) <= r
+    rows = _rows(M)
+    before = [dict(row) for row in rows]
+    rank = exact_rank(rows)
+    assert rank == exact_rank(_rows(zip(*M))) <= r
     if generic:
         assert rank == r
-    assert M == before  # the elimination works on a copy
+    assert rows == before  # the elimination works on a copy
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices_of_rank_at_most())
+def test_sparse_rank_agrees_with_the_dense_elimination(case):
+    M, _, _ = case
+    for dense in (M, [list(col) for col in zip(*M)]):
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        assert exact_rank(sparse) == _dense_rank(dense)
+
+
+def test_sparse_rank_keeps_the_fill_in_a_pivot_creates():
+    # row 1 reduced by row 0 leaves -w in column 1, which it did not hold; row 2 then
+    # reduces to zero by it
+    w = root_of_unity(12)
+    assert exact_rank([{0: ONE, 1: w}, {0: ONE, 2: ONE}, {1: -w, 2: ONE}]) == 2
+    assert exact_rank([{0: ONE, 1: w}, {0: ONE}]) == 2
+
+
+def test_symmetric_matrix_of_p2_stores_two_entries_per_term():
+    A = symmetric_matrix_of(pm_polynomial(3000, 2))
+    assert len(A) == 6000 and sum(map(len, A.values())) == 6000
 
 
 def test_exact_rank_skips_a_zero_pivot_column_and_rows_with_zero_under_the_pivot():
@@ -459,9 +509,9 @@ def test_exact_rank_skips_a_zero_pivot_column_and_rows_with_zero_under_the_pivot
     # left alone, row 2 is reduced; row 3 repeats row 1
     M = [[ZERO, w, ONE, ZERO], [ZERO, ZERO, w, ONE], [ZERO, w * w, ONE, ZERO],
          [ZERO, ZERO, w, ONE]]
-    assert exact_rank(M) == 3
+    assert exact_rank(_rows(M)) == 3
     M[2][2] = w  # now w times row 0
-    assert exact_rank(M) == 2
+    assert exact_rank(_rows(M)) == 2
 
 
 def test_degree2_bound_examples():

@@ -280,6 +280,17 @@ def test_bound_pairwise_products_all_three_lines(tmp_path, capsys):
     assert "upper 3" in out and "lower 3" in out and "exact 3" in out
 
 
+def test_bound_on_the_3000_term_p2_costs_the_nonzeros(tmp_path, capsys):
+    # 6,000 variables: the rank must cost in the 6,000 nonzeros of the symmetric matrix,
+    # not in the 36 million slots of a dense one
+    listing = tmp_path / "p2.poly"
+    listing.write_text(poly_to_text(chow.pm_polynomial(3000, 2)))
+    start = time.perf_counter()
+    assert run_cli(["bound", str(listing)]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "upper 3000\nlower 3000\nexact 3000\n"
+
+
 def test_bound_with_certificate(tmp_path, capsys):
     listing = tmp_path / "f.poly"
     run_cli(["build", "functional", "--n", "2", "--out", str(listing)])
