@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import textfile
@@ -36,8 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class ChowDecomposition:
-    """rho summands, each a product of degree linear forms over nvars variables.  Built from
-    the dense H, it keeps each form's nonzero entries {w: H[u][v][w]}, the constant under None."""
+    """rho summands, each a product of degree linear forms over nvars variables.  Each form of H
+    is dense, its n + 1 entries, or sparse, {w: H[u][v][w]} with the constant under None; either
+    way it keeps each form's nonzero entries in that sparse shape, in slot order."""
 
     rho: int
     degree: int
@@ -56,10 +57,16 @@ class ChowDecomposition:
                 raise DimensionError(f"expected {self.degree} forms per summand")
             sparse.append([])
             owners.append({})
-            for v, form in enumerate([tuple(map(as_scalar, form)) for form in summand]):
-                if len(form) != n + 1:
+            for v, form in enumerate(summand):
+                if isinstance(form, dict):  # type(w) is int: a bool key would pass as 0 or 1
+                    if not all(w is None or type(w) is int and 0 <= w < n for w in form):
+                        raise DimensionError(f"sparse form keys are variables below {n} or None")
+                    form = sorted(form.items(), key=lambda wh: n if wh[0] is None else wh[0])
+                elif len(form := tuple(form)) != n + 1:
                     raise DimensionError(f"each form needs {n + 1} entries, got {len(form)}")
-                sparse[-1].append({w: h for w, h in zip([*range(n), None], form) if h})
+                else:
+                    form = zip(chain(range(n), [None]), form)
+                sparse[-1].append({w: h for w, x in form if (h := as_scalar(x))})
                 for w in sparse[-1][-1]:
                     holders.setdefault(w, set()).add(u)
                     owners[-1][w] = None if w in owners[-1] else v
@@ -112,21 +119,29 @@ class ChowDecomposition:
         return math.lcm(*(h.order for summand in self._sparse for f in summand for h in f.values()))
 
     def to_text(self, order: int | None = None) -> str:
-        m = math.lcm(self.coefficient_order(), 1 if order is None else order)
-        return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
-            " ".join(h.to_text() for h in form) for summand in self.entries for form in summand])
+        n, m = self.nvars, math.lcm(self.coefficient_order(), 1 if order is None else order)
+        zero, tokens, lines = f"{ZERO.to_text()} ", {}, [f"{self.rho} {self.degree} {n} {m}"]
+        for form in chain.from_iterable(self._sparse):  # its entries, 1:[0/1] in each slot between
+            line, at = [], 0  # at: the first slot not yet written
+            for w, h in form.items():  # each scalar object is formatted once
+                token = tokens.get(key := id(h)) or tokens.setdefault(key, f"{h.to_text()} ")
+                line += [zero * ((s := n if w is None else w) - at), token]
+                at = s + 1
+            lines.append("".join(line + [zero * (n + 1 - at)])[:-1])
+        return textfile.write("chow", lines)
 
     @classmethod
     def from_text(cls, text: str) -> tuple[ChowDecomposition, int]:
-        """Parse; returns the decomposition and the declared coefficient order."""
+        """Parse into sparse forms; returns the decomposition and the declared coefficient order."""
         (rho, d, n, m), body = textfile.read(text, "chow", 1, 1, 0, 1)
         if len(body) != rho * d:
             raise FormatError(f"expected {rho * d} form lines, found {len(body)}")
-        forms, read = [], ScalarReader().__getitem__
+        forms, read, slots, zeros = [], ScalarReader().__getitem__, [*range(n), None], set()
         for line in body:
             if len(toks := line.split()) != n + 1:
                 raise FormatError(f"expected {n + 1} entries on line {line!r}")
-            forms.append(tuple(map(read, toks)))
+            forms.append({w: h for w, t in zip(slots, toks)  # each zero token is tested once
+                          if t not in zeros and ((h := read(t)) or zeros.add(t))})
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
@@ -175,26 +190,22 @@ def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
 
 
 def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
-    """Zero every constant slot; for homogeneous targets this cannot break it.
-
-    Terms of the expansion picking at least one constant slot have degree
-    below d, and a homogeneous degree-d target forces them to cancel among
-    themselves — so dropping the slots leaves the degree-d part untouched.
-    """
+    """Zero every constant slot; for homogeneous targets this cannot break it.  Terms of the
+    expansion picking at least one constant slot have degree below d, and a homogeneous
+    degree-d target forces them to cancel among themselves — so dropping the slots leaves the
+    degree-d part untouched."""
     if not target.is_homogeneous(c.degree):
         raise NotHomogeneousError(f"target is not homogeneous of degree {c.degree}")
     if not verify(c, target):
         raise DimensionError("decomposition does not verify against the target")
-    zeroed = ChowDecomposition(c.rho, c.degree, c.nvars, tuple(
-        tuple(form[: c.nvars] + (ZERO,) for form in summand) for summand in c.entries))
+    zeroed = ChowDecomposition(c.rho, c.degree, c.nvars, [[
+        {w: h for w, h in f.items() if w is not None} for f in summand] for summand in c._sparse])
     if not verify(zeroed, target):
         raise InternalInconsistencyError("zeroing constant slots broke a homogeneous decomposition")
     return zeroed
 
 
-# ---------------------------------------------------------------------------
-# Degree-2 lower bound via the symmetric matrix.
-# ---------------------------------------------------------------------------
+# -- degree-2 lower bound via the symmetric matrix ----------------------------
 
 def symmetric_matrix_of(p: MultiPoly) -> dict[int, dict[int, CycloRational]]:
     """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p, as sparse rows
@@ -246,9 +257,7 @@ def degree2_chow_lower_bound(p: MultiPoly) -> int:
     return (exact_rank(symmetric_matrix_of(p).values()) + 1) // 2
 
 
-# ---------------------------------------------------------------------------
-# Totally non-overlapping polynomials: exact rank equals term count.
-# ---------------------------------------------------------------------------
+# -- totally non-overlapping polynomials: exact rank equals term count --------
 
 def is_totally_non_overlapping(p: MultiPoly) -> bool:
     """Does every variable appear in at most one term?"""
@@ -306,22 +315,15 @@ def pm_restriction_to_p2(n: int, m: int) -> tuple[dict[int, int], dict[int, int]
 
 
 def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
-    """The expanded form read as a decomposition: one summand per term.
-
-    Each variable occurrence becomes a single-variable form (the term's
-    coefficient rides on the first form); shorter terms are padded with
-    constant-1 forms.
-    """
-    d, n, summands = p.degree(), p.nvars, []
+    """The expanded form read as a decomposition: one summand per term, each variable occurrence
+    a one-entry form, the first carrying the term's coefficient; constant-1 forms pad the rest."""
+    d, terms = p.degree(), p.sorted_terms()
     if d < 1:
         raise NotApplicableError("need a polynomial of degree at least 1")
-    for mono, coeff in p.sorted_terms():
-        slots = [v for v, e in mono for _ in range(e)] + [n] * (d - mono.degree())
-        forms = [[ZERO] * (n + 1) for _ in range(d)]
-        for k, (form, slot) in enumerate(zip(forms, slots)):
-            form[slot] = coeff if k == 0 else ONE
-        summands.append(forms)
-    return ChowDecomposition(len(summands), d, n, summands)
+    return ChowDecomposition(len(terms), d, p.nvars, [
+        [{w: ONE if k else coeff} for k, w in enumerate(
+            [v for v, e in mono for _ in range(e)] + [None] * (d - mono.degree()))]
+        for mono, coeff in terms])
 
 
 def non_overlapping_rank(p: MultiPoly) -> int:
@@ -338,9 +340,7 @@ def non_overlapping_rank(p: MultiPoly) -> int:
     return len(p.terms)
 
 
-# ---------------------------------------------------------------------------
-# Compiling functional computers to depth-2 formulas.
-# ---------------------------------------------------------------------------
+# -- compiling functional computers to depth-2 formulas -----------------------
 
 def compile_functional(c: ChowDecomposition,
                        g: FunctionTable) -> tuple[list[list[CycloRational]], CycloRational]:
@@ -371,6 +371,5 @@ def functional_product_decomposition(n: int) -> ChowDecomposition:
     """rho = 1 certificate for the n^n-term functional listing: prod_i sum_j a_{i,j}."""
     if n < 1:
         raise DimensionError("n must be positive")
-    # row v's variables a_{v,0}..a_{v,n-1} are the flat indices w with w // n == v
-    forms = [tuple(ONE if w // n == v else ZERO for w in range(n * n + 1)) for v in range(n)]
-    return ChowDecomposition(1, n, n * n, (tuple(forms),))
+    return ChowDecomposition(1, n, n * n, [[dict.fromkeys(range(v * n, v * n + n), ONE)
+                                             for v in range(n)]])

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcomp import chow
+from diffcomp import chow, textfile
 from diffcomp.chow import (
     ChowDecomposition,
     compile_functional,
@@ -787,3 +788,66 @@ def _leaves(value):
             yield from _leaves(item)
         else:
             yield item
+
+
+# -- sparse forms in, sparse forms out ---------------------------------------------
+
+
+def _dense_text(self, order: int | None = None) -> str:
+    """The dense writer, every slot of `entries` formatted: the oracle for `to_text`."""
+    m = math.lcm(self.coefficient_order(), 1 if order is None else order)
+    return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
+        " ".join(h.to_text() for h in form) for summand in self.entries for form in summand])
+
+
+# order-1, 4 and 12 entries, zeros of orders 1, 4 and 12
+SPARSE_ENTRIES = (ZERO, CycloRational(4, [0]), CycloRational(12, [0]), ONE, -ONE, ONE / 3,
+                  root_of_unity(4), -root_of_unity(4), root_of_unity(12), root_of_unity(12, 5),
+                  root_of_unity(12, 3) + ONE / 2)
+
+
+@st.composite
+def dense_and_sparse(draw):
+    """(rho, degree, nvars, H, the same H as sparse dicts): each dict holds every nonzero entry
+    and some of the zeros, its keys in a drawn order; the constant slot is drawn as any other."""
+    rho, d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    slots = [*range(n), None]
+    dense = [[tuple(draw(st.lists(st.sampled_from(SPARSE_ENTRIES), min_size=n + 1,
+                                  max_size=n + 1))) for _ in range(d)] for _ in range(rho)]
+    sparse = [[{slots[k]: form[k] for k in draw(st.permutations(range(n + 1)))
+                if form[k] or draw(st.booleans())} for form in summand] for summand in dense]
+    return rho, d, n, dense, sparse
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dense_and_sparse(), st.sampled_from((None, 1, 3, 4)))
+def test_to_text_writes_the_dense_bytes_from_the_sparse_forms(case, order):
+    rho, d, n, dense, sparse = case
+    c = ChowDecomposition(rho, d, n, dense)
+    assert c.to_text(order) == _dense_text(c, order)
+    assert ChowDecomposition.from_text(c.to_text())[0] == c
+    from_sparse = ChowDecomposition(rho, d, n, sparse)
+    assert from_sparse == c and from_sparse.to_text(order) == _dense_text(c, order)
+
+
+@pytest.mark.parametrize("form, error", [
+    ({3: ONE}, DimensionError), ({-1: ONE}, DimensionError), ({True: ONE}, DimensionError),
+    ({"a": ONE}, DimensionError), ({1.0: ONE}, DimensionError), ({0: 1.5}, TypeError),
+], ids=["n", "-1", "True", "str", "float-key", "float-value"])
+def test_a_bad_sparse_form_is_a_typed_error(form, error):
+    with pytest.raises(error) as sparse:
+        ChowDecomposition(1, 2, 3, [[{0: ONE, None: ONE}, form]])
+    with pytest.raises(TypeError) as dense:  # a non-exact value fails as on the dense path
+        ChowDecomposition(1, 2, 3, [[(ONE, 0, 0, ONE), (1.5, 0, 0, 0)]])
+    assert error is DimensionError or str(sparse.value) == str(dense.value)
+
+
+def test_the_trivial_p2_certificate_costs_its_nonzero_entries():
+    p = pm_polynomial(3000, 2)
+    start = time.perf_counter()
+    c = trivial_decomposition(p)
+    # padding each of its 6,000 forms to 6,001 slots took about 10 s (2-CPU host)
+    assert time.perf_counter() - start < 1.0
+    assert sum(len(form) for summand in c._sparse for form in summand) == 6000
+    assert verify(c, p)
+    assert homogenize(c, p) == c
