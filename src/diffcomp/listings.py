@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, CycloRational, root_of_unity
@@ -45,8 +45,8 @@ Bits = tuple[int, ...]
 
 
 def _as_bits(b: Iterable[int], n: int) -> Bits:
-    t = tuple(int(x) for x in b)
-    if len(t) != n or any(x not in (0, 1) for x in t):
+    t = tuple(map(int, b))
+    if len(t) != n or not {*t} <= {0, 1}:
         raise DimensionError(f"expected a length-{n} bit vector, got {t}")
     return t
 
@@ -252,19 +252,17 @@ def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
 # Matrix-variable listings.  Variables are a_{i,j} at flat index n*i + j.
 # ---------------------------------------------------------------------------
 
-def _matrix_listing(n: int, count: int, what: str,
-                    family: Iterable[tuple[Iterable[int], CycloRational]]) -> MultiPoly:
+def _matrix_listing(n: int, count: int, what: str, family: Callable[[list], Iterable]) -> MultiPoly:
     """The one constructor of matrix listings: sum of c * prod_{e in entries} a_e.
 
-    Each member of `family` is a 0/1 n x n matrix, given as its set entries
-    (ascending flat indices n*i + j) and a nonzero coefficient; a matrix listed
-    twice is kept once.  The family's size `count` is charged to the cap first,
-    then its projected factor count, count * n, to FACTORS_PER_TERM times it.
+    `family(pairs)` yields each member, a 0/1 n x n matrix, as the shared pairs pairs[w] ==
+    (w, 1) of its set entries a_w, ascending, and a nonzero coefficient; a matrix listed twice
+    is kept once.  `count` terms, then count * n factors, are charged before `pairs` is built.
     """
     _check_cap(count, what)
     _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
     pairs = [(w, 1) for w in range(n * n)]  # one (variable, 1) pair per variable, shared
-    return MultiPoly._trusted(n * n, {Monomial(map(pairs.__getitem__, e)): c for e, c in family})
+    return MultiPoly._trusted(n * n, {Monomial(e): c for e, c in family(pairs)})
 
 
 def _rows(n: int) -> range:
@@ -275,9 +273,10 @@ def _rows(n: int) -> range:
 
 
 def listing_functional_graphs(n: int) -> MultiPoly:
-    """Sum over all n^n functions f of prod_i a_{i, f(i)}."""
-    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", zip(
-        itertools.product(*(range(r, r + n) for r in _rows(n))), itertools.repeat(ONE)))
+    """Sum over all n^n functions f of prod_i a_{i, f(i)}, over the rows' pair slices."""
+    rows = _rows(n)
+    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", lambda pairs: zip(
+        itertools.product(*(pairs[r:r + n] for r in rows)), itertools.repeat(ONE)))
 
 
 def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
@@ -291,15 +290,15 @@ def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
 
 def listing_permanent(n: int) -> MultiPoly:
     """Sum over permutations of prod_i a_{i, sigma(i)}, all coefficients 1."""
-    return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", (
-        (entries, ONE) for entries, _ in signed_permutations(n)))
+    return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", lambda pairs: (
+        (map(pairs.__getitem__, e), ONE) for e, _ in signed_permutations(n)))
 
 
 def listing_determinant(n: int) -> MultiPoly:
     """Permanent's signed twin: coefficient sgn(sigma) as an order-2 root of unity."""
     signs = (root_of_unity(2, 0), root_of_unity(2, 1))
-    return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", (
-        (entries, signs[parity]) for entries, parity in signed_permutations(n)))
+    return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", lambda pairs: (
+        (map(pairs.__getitem__, e), signs[parity]) for e, parity in signed_permutations(n)))
 
 
 def listing_graph_isomorphism(g: "Graph") -> MultiPoly:
@@ -310,20 +309,20 @@ def listing_graph_isomorphism(g: "Graph") -> MultiPoly:
     automorphism group without ever computing it.
     """
     n, edges = g.n, g.edges()
-    return _matrix_listing(n, math.factorial(n), f"isomorphism listing on {n} vertices", (
-        (sorted(n * sigma[i] + sigma[j] for i, j in edges), ONE)
-        for sigma in itertools.permutations(range(n))))
+    return _matrix_listing(n, math.factorial(n), f"isomorphism listing on {n} vertices",
+                           lambda pairs: ((sorted(pairs[n * s[i] + s[j]] for i, j in edges), ONE)
+                                          for s in itertools.permutations(range(n))))
 
 
 def listing_constant_functions(n: int) -> MultiPoly:
     """sum_j prod_i a_{i,j}: the n constant functions on Z_n.  Column products."""
     rows = _rows(n)
-    return _matrix_listing(n, n, f"constant-function listing on Z_{n}", (
-        (map(add, rows, (j,) * n), ONE) for j in range(n)))
+    return _matrix_listing(n, n, f"constant-function listing on Z_{n}", lambda pairs: (
+        ([pairs[r + j] for r in rows], ONE) for j in range(n)))
 
 
 def listing_cyclic_group(n: int) -> MultiPoly:
     """sum_j prod_i a_{i, i+j mod n}: the cyclic group generated by x -> x+1."""
     rows = _rows(n)
-    return _matrix_listing(n, n, f"cyclic-group listing on Z_{n}", (
-        (map(add, rows, [(i + j) % n for i in range(n)]), ONE) for j in range(n)))
+    return _matrix_listing(n, n, f"cyclic-group listing on Z_{n}", lambda pairs: (
+        ([pairs[r + (i + j) % n] for i, r in enumerate(rows)], ONE) for j in range(n)))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import tracemalloc
 from operator import add
 
 import pytest
@@ -67,6 +69,22 @@ def test_truth_table_rejects_bad_input():
         TruthTable.make(2, [(1, 1)], m=0)
     with pytest.raises(ValueError):
         TruthTable(2, 2, frozenset([(1, 1)]), {(0, 0): 1})  # phase for a no-instance
+
+
+@pytest.mark.parametrize("vector", [(1, 2), (0, -1), (1,), (0, 1, 1)])
+def test_a_bad_bit_vector_is_named_in_a_dimension_error(vector):
+    message = f"^{re.escape(f'expected a length-2 bit vector, got {vector}')}$"
+    with pytest.raises(DimensionError, match=message):
+        TruthTable.make(2, [vector])
+    with pytest.raises(DimensionError, match=message):
+        TruthTable.make(2, []).value(vector)
+
+
+def test_true_and_the_digit_1_are_the_bit_1():
+    t = TruthTable.make(3, [(True, "1", 0)])
+    assert t.yes == {(1, 1, 0)}
+    assert all(type(x) is int for b in t.yes for x in b)
+    assert t.value(("1", True, False)) == 1
 
 
 def test_truth_table_m1_forces_zero_phases():
@@ -511,6 +529,19 @@ def test_matrix_listings_charge_their_factor_count(monkeypatch):
         listing_constant_functions(3000)
 
 
+def test_matrix_listings_charge_before_they_build_the_pair_table(monkeypatch):
+    # a pair table built ahead of the charges would hold 90,000 pairs, about 7 MB
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "10")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="^constant-function listing on Z_300 needs 300 terms"):
+            listing_constant_functions(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_function_with_the_wrong_number_of_images_is_a_format_error():
     with pytest.raises(FormatError, match="^function '0,1' must list 3 images$"):
         FunctionTable.parse("0,1", 3)
@@ -538,13 +569,13 @@ def _oracle_matrix_listing(n, count, what, family):
     _check_cap(count, what)
     _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
     ones = itertools.repeat(1)  # every exponent
-    return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family})
+    return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family(range(n * n))})
 
 
 def _oracle_functional_graphs(n):
     """Sum over all n^n functions f of prod_i a_{i, f(i)}."""
     rows = listings._rows(n)
-    return _oracle_matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", (
+    return _oracle_matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", lambda _: (
         (map(add, rows, f), ONE) for f in itertools.product(range(n), repeat=n)))
 
 
