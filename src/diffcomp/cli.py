@@ -46,7 +46,7 @@ _BUILDERS = ("truth-table", "functional", "permanent", "determinant",
 
 def cmd_build(args) -> int:
     from . import listings
-    kind = args.kind
+    kind, order = args.kind, None  # the coefficients' lcm; a truth table's m even with no terms
     if kind in ("truth-table", "lagrange"):
         if not args.table:
             raise FormatError(f"build {kind} needs --table")
@@ -54,18 +54,16 @@ def cmd_build(args) -> int:
         if kind == "truth-table":
             poly, table, order = listings.listing_from_truth_table(t), VarTable(t.n), t.m
         else:
-            poly, table, order = listings.lagrange_interpolant(t), VarTable(t.n, "y"), 1
+            poly, table = listings.lagrange_interpolant(t), VarTable(t.n, "y")
     elif kind == "iso":
         if not args.graph:
             raise FormatError("build iso needs --graph")
         from .graphs import Graph
         g = Graph.from_text(_read(args.graph))
-        poly, table, order = listings.listing_graph_isomorphism(g), VarTable.matrix(g.n), 1
+        poly, table = listings.listing_graph_isomorphism(g), VarTable.matrix(g.n)
     else:
         if args.n is None:
             raise FormatError(f"build {kind} needs --n")
-        if args.n < 1:
-            raise FormatError("--n must be positive")
         builder = {
             "functional": listings.listing_functional_graphs,
             "permanent": listings.listing_permanent,
@@ -74,7 +72,6 @@ def cmd_build(args) -> int:
             "cyclic": listings.listing_cyclic_group,
         }[kind]
         poly, table = builder(args.n), VarTable.matrix(args.n)
-        order = 2 if kind == "determinant" else 1
     text = poly_to_text(poly, table=table, order=order)
     if args.out:
         _write(args.out, text)

@@ -42,6 +42,7 @@ class RunResult:
 
 
 _NO = RunResult(0, ZERO)  # every run whose coefficient is 0 decides this one result
+_SHOWN = 200  # the most characters of a coefficient that a ModelViolationError writes out
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,16 @@ class DifferentialComputer:
             return _NO
         if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
             return known
-        m, period = self.order, math.lcm(2, scalar.order)
-        if scalar ** math.gcd(m, period) == ONE:
+        if scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE:
             return self._units.setdefault(key, RunResult(1, scalar))
-        # a root of unity has s^m = s^(m mod L); for any other s, print s^m only if m <= L
-        rooted = m <= period or scalar**period == ONE
-        try:
-            powered = f"{scalar ** (m % period or period)}" if rooted else f"({scalar})^{m}"
-        except ValueError:  # s^m has integers too long for str(): name it as a power
-            powered = f"({scalar})^{m}"
-        raise ModelViolationError(f"post-power scalar {powered} is neither 0 nor 1 at input "
-                                  f"monomial {self._show(mono)}; the program is not an additive "
-                                  "listing")
+        # name s and m, not s^m: that is a second power, with integers m times as long as s's.
+        # s is written only if its integers hold at most 3 * _SHOWN bits and its text fits _SHOWN
+        fits = sum(map(int.bit_length, scalar.num), scalar.den.bit_length()) <= 3 * _SHOWN
+        shown = text if fits and len(text := str(scalar)) <= _SHOWN else (
+            f"<order-{scalar.order} coefficient>")
+        raise ModelViolationError(f"post-power scalar ({shown})^{self.order} is neither 0 nor 1 at "
+                                  f"input monomial {self._show(mono)}; the program is not an "
+                                  "additive listing")
 
 
 def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:

@@ -51,10 +51,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        adj = [[0] * n for _ in range(n)]
-        for i, j in edges:
-            adj[i][j] = 1
-        return cls(n, tuple(tuple(row) for row in adj))
+        edges = set(edges)
+        if stray := sorted((i, j) for i, j in edges if not (0 <= i < n and 0 <= j < n)):
+            raise DimensionError(f"edge {stray[0]} has an endpoint outside 0..{n - 1}")
+        return cls(n, tuple(tuple(int((i, j) in edges) for j in range(n)) for i in range(n)))
 
     @classmethod
     def cycle(cls, n: int) -> Graph:

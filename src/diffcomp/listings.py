@@ -290,6 +290,7 @@ def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
 
 def listing_permanent(n: int) -> MultiPoly:
     """Sum over permutations of prod_i a_{i, sigma(i)}, all coefficients 1."""
+    _rows(n)  # refuses n < 1 before n! is taken
     return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", lambda pairs: (
         (map(pairs.__getitem__, e), ONE) for e, _ in signed_permutations(n)))
 
@@ -297,6 +298,7 @@ def listing_permanent(n: int) -> MultiPoly:
 def listing_determinant(n: int) -> MultiPoly:
     """Permanent's signed twin: coefficient sgn(sigma) as an order-2 root of unity."""
     signs = (root_of_unity(2, 0), root_of_unity(2, 1))
+    _rows(n)  # refuses n < 1 before n! is taken
     return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", lambda pairs: (
         (map(pairs.__getitem__, e), signs[parity]) for e, parity in signed_permutations(n)))
 

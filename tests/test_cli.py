@@ -585,8 +585,24 @@ def test_run_names_a_power_too_long_to_print_as_a_power(tmp_path, capsys):
     assert run_cli(["run", str(poly), str(inp)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [
-        f"error: post-power scalar ({digits})^2 is neither 0 nor 1 at input monomial a_0; "
-        "the program is not an additive listing"]
+        "error: post-power scalar (<order-1 coefficient>)^2 is neither 0 nor 1 at input monomial "
+        "a_0; the program is not an additive listing"]
+
+
+def test_run_names_a_long_coefficient_by_its_order(tmp_path, capsys):
+    # one order-401 coefficient, 400 coordinates in -3..3: its 401st power, which the
+    # message once printed, has integers hundreds of digits long in each coordinate
+    coords = ",".join(f"{(-1) ** i * (1 + i % 3)}/1" for i in range(400))
+    poly, inp = tmp_path / "long.poly", tmp_path / "in.bits"
+    poly.write_text(f"1 401\n401:[{coords}] * a_0\n")
+    inp.write_text("1\n")
+    assert poly.stat().st_size == 1818
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: post-power scalar (<order-401 coefficient>)^401 is neither 0 nor 1 at input "
+        "monomial a_0; the program is not an additive listing"]
+    assert len(err.encode()) <= 400
 
 
 def test_transform_dimension_errors_keep_their_message(tmp_path, capsys):

@@ -342,17 +342,44 @@ def test_residue_error_names_an_offending_term():
 
 def test_model_violation_names_input_and_powered_scalar():
     dc = DifferentialComputer(2 * MultiPoly.variable(2, 3), 3, 1, "vector")
-    with pytest.raises(ModelViolationError, match=r"scalar 2 is neither 0 nor 1 at input "
+    with pytest.raises(ModelViolationError, match=r"scalar \(2\)\^1 is neither 0 nor 1 at input "
                        r"monomial a_2; the program is not an additive listing"):
         run_vector(dc, (0, 0, 1))
     w = root_of_unity(4)
     skew = MultiPoly(4, {Monomial.of_vars([1, 2]): 2 * w})
     dc = DifferentialComputer(skew, 2, 4, "matrix")
-    with pytest.raises(ModelViolationError, match=r"scalar 16 .* a_\{0,1\} \* a_\{1,0\};"):
+    with pytest.raises(ModelViolationError,
+                       match=r"scalar \(2\*w \(order 4\)\)\^4 .* a_\{0,1\} \* a_\{1,0\};"):
         run_matrix(dc, [[0, 1], [1, 0]])
     constant = DifferentialComputer(MultiPoly.constant(3, 1), 1, 1, "vector")
-    with pytest.raises(ModelViolationError, match=r"scalar 3 .* at input monomial 1;"):
+    with pytest.raises(ModelViolationError, match=r"scalar \(3\)\^1 .* at input monomial 1;"):
         run_vector(constant, (0,))
+
+
+@pytest.mark.parametrize("s, m", [(as_scalar(2), 1), (2 * root_of_unity(4), 4),  # m <= L
+                                  (as_scalar(Fraction(3, 2)), 6), (2 * root_of_unity(3), 12)])
+def test_a_failing_decision_takes_one_power(monkeypatch, s, m):
+    # the deciding power s^gcd(m, L) is the only one: the message names s and m, not s^m
+    period, power, calls = math.lcm(2, s.order), CycloRational.__pow__, []
+    monkeypatch.setattr(CycloRational, "__pow__", lambda x, k: calls.append(k) or power(x, k))
+    with pytest.raises(ModelViolationError, match=rf"^post-power scalar \(.*\)\^{m} is neither"):
+        DifferentialComputer(MultiPoly(0), 0, m, "vector")._decide(s, Monomial(()))
+    assert calls == [math.gcd(m, period)]
+
+
+@pytest.mark.parametrize("s, shown", [
+    (as_scalar(2**598), str(2**598)),  # 599 + 1 bits with its denominator: written out
+    (as_scalar(2**599), "<order-1 coefficient>"),  # 601 bits: named by its order
+    (as_scalar(2**20000), "<order-1 coefficient>"),  # 6,021 digits, past what str() allows
+    (sum(root_of_unity(41, k) for k in range(1, 40)), "<order-41 coefficient>"),  # 40 bits
+], ids=["600-bits", "601-bits", "20001-bits", "270-characters"])
+def test_a_long_coefficient_is_named_by_its_order(s, shown):
+    dc = DifferentialComputer(MultiPoly(1, {Monomial.of_vars([0]): s}), 1, s.order, "vector")
+    with pytest.raises(ModelViolationError) as info:
+        run_vector(dc, (1,))
+    assert str(info.value) == (f"post-power scalar ({shown})^{s.order} is neither 0 nor 1 at input "
+                               "monomial a_0; the program is not an additive listing")
+    assert len(str(info.value)) <= 300
 
 
 def test_set_bits_outside_the_program_give_zero():
@@ -475,12 +502,13 @@ def test_memo_holds_only_decided_units_and_violations_repeat_identically():
         # w and -1 decide 1 (w stored once for its two terms); no term at 000 or 111
         assert len(dc._units) == 2
     assert messages == {
-        (0, 1, 0): {"post-power scalar 16 is neither 0 nor 1 at input monomial a_1; the program "
-                    "is not an additive listing"},
+        (0, 1, 0): {"post-power scalar (2*w (order 4))^4 is neither 0 nor 1 at input monomial a_1; "
+                    "the program is not an additive listing"},
         (1, 0, 1): {"post-power scalar (1/2)^4 is neither 0 nor 1 at input monomial a_0 * a_2; "
                     "the program is not an additive listing"}}
     fresh = DifferentialComputer(p, 3, 4, "vector")  # the first run on a fresh computer
-    with pytest.raises(ModelViolationError, match="^post-power scalar 16 .* monomial a_1;"):
+    with pytest.raises(ModelViolationError,
+                       match=r"^post-power scalar \(2\*w \(order 4\)\)\^4 .* monomial a_1;"):
         run_vector(fresh, (0, 1, 0))
     assert not fresh._units
 
@@ -705,8 +733,7 @@ def test_decision_agrees_with_the_declared_power(s, m):
         return
     with pytest.raises(ModelViolationError) as info:
         dc._decide(s, Monomial(()))
-    period = math.lcm(2, s.order)
-    named = powered if m <= period or s**period == 1 else f"({s})^{m}"
+    named = f"({s})^{m}"
     assert f"post-power scalar {named} is neither 0 nor 1 at input monomial 1;" in str(info.value)
 
 

@@ -43,6 +43,14 @@ def test_graph_validation():
     assert g.has_edge(2, 2) and not g.has_edge(1, 0)
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (2, 0), (0, 2), (5, 0)])
+def test_from_edges_refuses_an_endpoint_outside_the_vertices(edge):
+    # -1 once wrapped around to vertex 1, and 5 raised a bare IndexError
+    with pytest.raises(DimensionError) as info:
+        Graph.from_edges(2, [(0, 1), edge])
+    assert str(info.value) == f"edge {edge} has an endpoint outside 0..1"
+
+
 def test_constructors():
     assert Graph.empty(2).edges() == []
     assert len(Graph.totally_complete(3).edges()) == 9

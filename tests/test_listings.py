@@ -547,6 +547,16 @@ def test_a_function_with_the_wrong_number_of_images_is_a_format_error():
         FunctionTable.parse("0,1", 3)
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("builder", [listing_functional_graphs, listing_permanent,
+                                     listing_determinant, listing_constant_functions,
+                                     listing_cyclic_group])
+def test_matrix_builders_refuse_n_below_one(builder, n):
+    # n! is not taken before n is checked: -1 is a DimensionError, not factorial's ValueError
+    with pytest.raises(DimensionError, match="^n must be positive$"):
+        builder(n)
+
+
 def test_out_of_range_tables_are_dimension_errors():
     with pytest.raises(DimensionError, match="^arity must be non-negative$"):
         TruthTable(-1, 1, frozenset(), {})
