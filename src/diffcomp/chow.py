@@ -28,8 +28,9 @@ from .errors import (
     InternalInconsistencyError,
     NotApplicableError,
     NotHomogeneousError,
+    max_terms,
 )
-from .multipoly import Monomial, MultiPoly, matrix_index, max_terms
+from .multipoly import Monomial, MultiPoly, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from .listings import FunctionTable
@@ -79,11 +80,6 @@ class ChowDecomposition:
     def entries(self) -> tuple:  # H, read back from the sparse forms with each zero as ZERO
         return tuple(tuple(tuple(f.get(w, ZERO) for w in [*range(self.nvars), None])
                            for f in summand) for summand in self._sparse)
-
-    def form(self, u: int, v: int) -> MultiPoly:
-        """The linear form H[u][v][n] + sum_w H[u][v][w] x_w."""
-        return MultiPoly._trusted(self.nvars, {Monomial(() if w is None else ((w, 1),)): h
-                                               for w, h in self._sparse[u][v].items()})
 
     def is_homogeneous(self) -> bool:
         return all(None not in form for summand in self._sparse for form in summand)
@@ -148,22 +144,17 @@ class ChowDecomposition:
 def expand(c: ChowDecomposition) -> MultiPoly:
     """Multiply out every summand and add; the canonical polynomial.  The cap is read once:
     if a summand has two nonzero forms and the cap admits every product, none charges it."""
-    total, fits = None, c._peak > 0 and _fits_cap(c)
-    for u in range(c.rho):
-        prod = c.form(u, 0)
-        for v in range(1, c.degree):
+    total, fits = None, c._peak > 0 and c._peak <= max_terms()
+    for summand in c._sparse:
+        forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
+                                              for w, h in form.items()}) for form in summand)
+        prod = next(forms)  # built lazily: the forms after a zero product never are
+        for form in forms:
             if prod.is_zero():
                 break
-            prod = prod.__mul__(c.form(u, v), fits)
+            prod = prod.__mul__(form, fits)
         total = prod if total is None else total + prod
     return total
-
-
-def _fits_cap(c: ChowDecomposition) -> bool:
-    """Does the cap admit each product `expand(c)` makes, in its order?  A partial
-    product has at most the product of its forms' nonzero entry counts as terms,
-    exactly that many when a summand's forms use disjoint variables."""
-    return not c._peak or c._peak <= max_terms()
 
 
 def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
@@ -184,7 +175,8 @@ def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
 
     If the cap admits the whole expansion, a probe whose coefficient differs is a
     certain REJECT; otherwise, or when every probe agrees, the expansion is compared."""
-    if _fits_cap(c) and any(c.coefficient(m) != target.coefficient(m) for m in _probes(c, target)):
+    if (not c._peak or c._peak <= max_terms()) and any(
+            c.coefficient(m) != target.coefficient(m) for m in _probes(c, target)):
         return False
     return expand(c) == target
 

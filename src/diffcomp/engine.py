@@ -26,9 +26,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .cyclotomic import ONE, ZERO, CycloRational
-from .errors import DimensionError, ModelViolationError, SingularMatrixError
+from .errors import DimensionError, ModelViolationError, SingularMatrixError, charge
 from .listings import FunctionTable, signed_permutations
-from .multipoly import Monomial, MultiPoly, VarTable, _check_cap, matrix_index
+from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
 
 _KINDS = ("vector", "matrix", "functional")
 
@@ -175,7 +175,7 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
         raise DimensionError("matrix must be square")
     scale = math.lcm(*(x.denominator for r in rows for x in r))
     point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
-    _check_cap(math.factorial(n), f"determinant listing on {n}x{n}")
+    charge(range(2, n + 1), f"determinant listing on {n}x{n}")
     grad, det = [0] * (n * n), 0
     for entries, parity in signed_permutations(n):
         factors = [point[v] for v in entries]

@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one size cap.
 
 The CLI maps these onto exit codes: format/size/dimension problems exit 2,
 model violations and failed recovery checks exit 3.
 """
+
+import os
+from typing import Iterable
+
+DEFAULT_MAX_TERMS = 100_000
 
 
 class DiffcompError(Exception):
@@ -15,6 +20,29 @@ class FormatError(DiffcompError):
 
 class SizeCapError(DiffcompError):
     """A builder would exceed the configured term cap (DIFFCOMP_MAX_TERMS)."""
+
+
+def max_terms() -> int:
+    """Size cap on expanded listings and products; override with DIFFCOMP_MAX_TERMS."""
+    raw = os.environ.get("DIFFCOMP_MAX_TERMS", DEFAULT_MAX_TERMS)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise FormatError("DIFFCOMP_MAX_TERMS must be positive")
+    return value
+
+
+def charge(factors: Iterable[int], what: str, unit: str = "terms", per_term: int = 1) -> int:
+    """Charge prod(factors) to per_term * max_terms() and return it.  The factors are multiplied
+    only until the product passes the cap; a refusal writes it out only if every factor was used."""
+    cap, count, factors = per_term * max_terms(), 1, iter(factors)
+    for f in factors:
+        if (count := count * f) > cap:
+            shown = count if next(factors, None) is None else f"more than {cap}"
+            raise SizeCapError(f"{what} needs {shown} {unit}, over the cap of {cap}")
+    return count
 
 
 class InvalidRelabellingError(DiffcompError):

@@ -96,7 +96,7 @@ def graph_of_function(f: FunctionTable) -> Graph:
 
 def monomial_edge_listing(g: Graph) -> MultiPoly:
     """prod over edges (i,j) of a_{i,j}; the empty graph gives the constant 1."""
-    return _matrix_listing(g.n, 1, "edge listing", lambda pairs: [
+    return _matrix_listing(g.n, [1], "edge listing", lambda pairs: [
         ([pairs[g.n * i + j] for i, j in g.edges()], ONE)])
 
 
@@ -174,9 +174,9 @@ def transform_set(graphs: Iterable[Graph], mode: str = "T",
     seed = _seed(mode, f)
     images = [_transform(g, seed) for g in gs]
     (n,), npoints = sizes, images[0].n
-    before = _matrix_listing(n, len(gs), "membership listing", lambda pairs: [
+    before = _matrix_listing(n, [len(gs)], "membership listing", lambda pairs: [
         ([pairs[n * i + j] for i, j in g.edges()], ONE) for g in gs])
-    after = _matrix_listing(npoints, len(gs), "membership listing", lambda pairs: [
+    after = _matrix_listing(npoints, [len(gs)], "membership listing", lambda pairs: [
         ([pairs[npoints * i + x] for i, x in enumerate(ft.images)], ONE) for ft in images])
     return TransformSetResult(tuple(images), before, after)
 

@@ -17,15 +17,14 @@ to the term cap before it builds a term.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, CycloRational, root_of_unity
-from .errors import DimensionError, FormatError, NotApplicableError
-from .multipoly import Monomial, MultiPoly, _check_cap
+from .errors import DimensionError, FormatError, NotApplicableError, charge
+from .multipoly import Monomial, MultiPoly
 
 FACTORS_PER_TERM = 4  # admits the densest listings under the default cap: 8! terms, 8 factors each
 
@@ -181,7 +180,7 @@ def all_function_tables(n: int) -> Iterator[FunctionTable]:
 def listing_from_truth_table(t: TruthTable) -> MultiPoly:
     """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
     phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
-    _check_cap(t.m, f"truth-table listing of order {t.m}", "coordinates")
+    charge([t.m], f"truth-table listing of order {t.m}", "coordinates")
     pairs = [(i, 1) for i in range(t.n)]
     roots = {k: root_of_unity(t.m, k) for k in set(t.phases.values())}
     return MultiPoly._trusted(t.n, {Monomial(itertools.compress(pairs, b)): roots[k]
@@ -252,15 +251,14 @@ def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
 # Matrix-variable listings.  Variables are a_{i,j} at flat index n*i + j.
 # ---------------------------------------------------------------------------
 
-def _matrix_listing(n: int, count: int, what: str, family: Callable[[list], Iterable]) -> MultiPoly:
+def _matrix_listing(n: int, factors: Iterable[int], what: str,
+                    family: Callable[[list], Iterable]) -> MultiPoly:
     """The one constructor of matrix listings: sum of c * prod_{e in entries} a_e.
 
     `family(pairs)` yields each member, a 0/1 n x n matrix, as the shared pairs pairs[w] ==
     (w, 1) of its set entries a_w, ascending, and a nonzero coefficient; a matrix listed twice
-    is kept once.  `count` terms, then count * n factors, are charged before `pairs` is built.
-    """
-    _check_cap(count, what)
-    _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
+    is kept once.  prod(factors) terms, then n factors per term, are charged before `pairs`."""
+    charge((charge(factors, what), n), what, "factors", FACTORS_PER_TERM)
     pairs = [(w, 1) for w in range(n * n)]  # one (variable, 1) pair per variable, shared
     return MultiPoly._trusted(n * n, {Monomial(e): c for e, c in family(pairs)})
 
@@ -275,8 +273,9 @@ def _rows(n: int) -> range:
 def listing_functional_graphs(n: int) -> MultiPoly:
     """Sum over all n^n functions f of prod_i a_{i, f(i)}, over the rows' pair slices."""
     rows = _rows(n)
-    return _matrix_listing(n, n**n, f"functional-graph listing on Z_{n}", lambda pairs: zip(
-        itertools.product(*(pairs[r:r + n] for r in rows)), itertools.repeat(ONE)))
+    return _matrix_listing(n, itertools.repeat(n, n), f"functional-graph listing on Z_{n}",
+                           lambda pairs: zip(itertools.product(*(pairs[r:r + n] for r in rows)),
+                                             itertools.repeat(ONE)))
 
 
 def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
@@ -290,16 +289,16 @@ def signed_permutations(n: int) -> Iterator[tuple[list[int], int]]:
 
 def listing_permanent(n: int) -> MultiPoly:
     """Sum over permutations of prod_i a_{i, sigma(i)}, all coefficients 1."""
-    _rows(n)  # refuses n < 1 before n! is taken
-    return _matrix_listing(n, math.factorial(n), f"permanent listing on {n}x{n}", lambda pairs: (
+    _rows(n)  # refuses n < 1 before the pair table is built
+    return _matrix_listing(n, range(2, n + 1), f"permanent listing on {n}x{n}", lambda pairs: (
         (map(pairs.__getitem__, e), ONE) for e, _ in signed_permutations(n)))
 
 
 def listing_determinant(n: int) -> MultiPoly:
     """Permanent's signed twin: coefficient sgn(sigma) as an order-2 root of unity."""
     signs = (root_of_unity(2, 0), root_of_unity(2, 1))
-    _rows(n)  # refuses n < 1 before n! is taken
-    return _matrix_listing(n, math.factorial(n), f"determinant listing on {n}x{n}", lambda pairs: (
+    _rows(n)  # refuses n < 1 before the pair table is built
+    return _matrix_listing(n, range(2, n + 1), f"determinant listing on {n}x{n}", lambda pairs: (
         (map(pairs.__getitem__, e), signs[parity]) for e, parity in signed_permutations(n)))
 
 
@@ -311,7 +310,7 @@ def listing_graph_isomorphism(g: "Graph") -> MultiPoly:
     automorphism group without ever computing it.
     """
     n, edges = g.n, g.edges()
-    return _matrix_listing(n, math.factorial(n), f"isomorphism listing on {n} vertices",
+    return _matrix_listing(n, range(2, n + 1), f"isomorphism listing on {n} vertices",
                            lambda pairs: ((sorted(pairs[n * s[i] + s[j]] for i, j in edges), ONE)
                                           for s in itertools.permutations(range(n))))
 
@@ -319,12 +318,12 @@ def listing_graph_isomorphism(g: "Graph") -> MultiPoly:
 def listing_constant_functions(n: int) -> MultiPoly:
     """sum_j prod_i a_{i,j}: the n constant functions on Z_n.  Column products."""
     rows = _rows(n)
-    return _matrix_listing(n, n, f"constant-function listing on Z_{n}", lambda pairs: (
+    return _matrix_listing(n, [n], f"constant-function listing on Z_{n}", lambda pairs: (
         ([pairs[r + j] for r in rows], ONE) for j in range(n)))
 
 
 def listing_cyclic_group(n: int) -> MultiPoly:
     """sum_j prod_i a_{i, i+j mod n}: the cyclic group generated by x -> x+1."""
     rows = _rows(n)
-    return _matrix_listing(n, n, f"cyclic-group listing on Z_{n}", lambda pairs: (
+    return _matrix_listing(n, [n], f"cyclic-group listing on Z_{n}", lambda pairs: (
         ([pairs[r + (i + j) % n] for i, r in enumerate(rows)], ONE) for j in range(n)))

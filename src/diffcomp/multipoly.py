@@ -23,33 +23,13 @@ side).  Round-trips are bit-exact.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
-from .errors import DimensionError, FormatError, InvalidRelabellingError, SizeCapError
-
-DEFAULT_MAX_TERMS = 100_000
-
-
-def max_terms() -> int:
-    """Size cap on expanded listings and products; override with DIFFCOMP_MAX_TERMS."""
-    raw = os.environ.get("DIFFCOMP_MAX_TERMS", DEFAULT_MAX_TERMS)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise FormatError("DIFFCOMP_MAX_TERMS must be positive")
-    return value
-
-
-def _check_cap(projected: int, what: str, unit: str = "terms", per_term: int = 1) -> None:
-    if projected > (cap := per_term * max_terms()):
-        raise SizeCapError(f"{what} needs {projected} {unit}, over the cap of {cap}")
+from .errors import DimensionError, FormatError, InvalidRelabellingError, charge
 
 
 class Monomial(tuple):
@@ -220,7 +200,7 @@ class MultiPoly:
         other = self._coerce_poly(other)
         a, b = len(self.terms), len(other.terms)
         if not charged:  # `chow.expand` charges all its products to the cap at once
-            _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
+            charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
         pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
         # every variable of self below every one of other's: each product is the two monomials
         # joined, none meets another and none is 0 (a single pair skips the test)

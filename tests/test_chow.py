@@ -117,7 +117,8 @@ def _expand_from_zero(c: ChowDecomposition) -> MultiPoly:
     for u in range(c.rho):
         prod = MultiPoly.constant(1, c.nvars)
         for v in range(c.degree):
-            prod = prod * c.form(u, v)
+            prod = prod * MultiPoly(c.nvars, {Monomial.of_vars([w] if w < c.nvars else []): h
+                                              for w, h in enumerate(c.entries[u][v])})
             if prod.is_zero():
                 break
         total = total + prod
@@ -201,9 +202,9 @@ def test_expand_reads_the_cap_once_and_charges_no_product_it_admits(monkeypatch)
     from diffcomp.errors import SizeCapError
 
     reads, charges = [], []
-    read, charge = chow.max_terms, multipoly._check_cap
+    read, charge = chow.max_terms, multipoly.charge
     monkeypatch.setattr(chow, "max_terms", lambda: reads.append(1) or read())
-    monkeypatch.setattr(multipoly, "_check_cap", lambda *a: charges.append(a) or charge(*a))
+    monkeypatch.setattr(multipoly, "charge", lambda *a: charges.append(a) or charge(*a))
     c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])  # charged 5 x 5, then 25 x 5 = 125
     got = expand(c)
     assert len(got.terms) == 35 and len(reads) == 1 and not charges

@@ -483,6 +483,32 @@ def test_build_charges_the_factor_count_before_it_builds(kind, capsys):
     assert "needs 9000000 factors, over the cap of 400000" in err
 
 
+@pytest.mark.parametrize("kind, n", [("functional", 2000), ("determinant", 2000),
+                                     ("permanent", 100000), ("permanent", 1000000),
+                                     ("functional", 1000000)])
+def test_build_refuses_a_count_past_the_cap_without_writing_it(kind, n, capsys, monkeypatch):
+    # n^n and n! here have thousands to millions of digits, more than str() of an int allows:
+    # the charge stops multiplying once the product passes the cap, so it never writes them
+    monkeypatch.delenv("DIFFCOMP_MAX_TERMS", raising=False)
+    start = time.perf_counter()
+    assert run_cli(["build", kind, "--n", str(n)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: ")
+    assert "needs more than 100000 terms, over the cap of 100000" in err
+
+
+def test_build_refuses_a_negative_n_before_the_pair_table(capsys, monkeypatch):
+    # the pair table of n = -100000 would hold n^2 = 10^10 pairs
+    def constructor(*args):
+        pytest.fail("the matrix-listing constructor, which builds the pair table, was reached")
+
+    monkeypatch.setattr(listings, "_matrix_listing", constructor)
+    assert run_cli(["build", "permanent", "--n", "-100000"]) == 2
+    assert capsys.readouterr() == ("", "error: n must be positive\n")
+
+
 def test_the_default_factor_budget_admits_the_functional_listing_n6(tmp_path, capsys):
     # 6^6 = 46,656 terms of 6 factors: 279,936 factors, under 400,000
     assert run_cli(["build", "functional", "--n", "6", "--out", str(tmp_path / "f6.poly")]) == 0

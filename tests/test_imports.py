@@ -46,6 +46,10 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import diffcomp") == set()
 
 
+def test_the_errors_module_and_its_cap_load_no_other_module():
+    assert loaded_after("import diffcomp.errors") == {"diffcomp.errors"}
+
+
 def test_the_cli_imports_only_its_core():
     assert loaded_after("from diffcomp.cli import main") == CORE
 

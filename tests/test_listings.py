@@ -12,7 +12,7 @@ from operator import add
 import pytest
 
 from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
-from diffcomp.errors import DimensionError, FormatError, NotApplicableError, SizeCapError
+from diffcomp.errors import DimensionError, FormatError, NotApplicableError, SizeCapError, charge
 from diffcomp import graphs, listings
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
@@ -33,7 +33,7 @@ from diffcomp.listings import (
     monomial_support_equals,
     truth_table_from_listing,
 )
-from diffcomp.multipoly import Monomial, MultiPoly, _check_cap, matrix_index
+from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
 
 
 def cube(n):
@@ -576,8 +576,8 @@ def _oracle_matrix_listing(n, count, what, family):
     twice is kept once.  The family's size `count` is charged to the cap first,
     then its projected factor count, count * n, to FACTORS_PER_TERM times it.
     """
-    _check_cap(count, what)
-    _check_cap(count * n, what, "factors", FACTORS_PER_TERM)
+    charge([count], what)
+    charge([count * n], what, "factors", FACTORS_PER_TERM)
     ones = itertools.repeat(1)  # every exponent
     return MultiPoly._trusted(n * n, {Monomial(zip(entries, ones)): c for entries, c in family(range(n * n))})
 
@@ -593,9 +593,14 @@ def _oracle_from_truth_table(t):
     """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
     phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
     # `t.coefficient(b)` was the method root_of_unity(t.m, t.phases[b]), inlined here
-    _check_cap(t.m, f"truth-table listing of order {t.m}", "coordinates")
+    charge([t.m], f"truth-table listing of order {t.m}", "coordinates")
     return MultiPoly(t.n, {Monomial.of_vars(i for i, bit in enumerate(b) if bit):
                            root_of_unity(t.m, t.phases[b]) for b in t.yes})
+
+
+def _oracle_from_factors(n, factors, what, family):
+    """The oracle constructor called as the builders call theirs: the count as its factors."""
+    return _oracle_matrix_listing(n, math.prod(factors), what, family)
 
 
 def _oracle(builder, *args):
@@ -603,8 +608,8 @@ def _oracle(builder, *args):
     if builder is listing_functional_graphs:
         return _oracle_functional_graphs(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(listings, "_matrix_listing", _oracle_matrix_listing)
-        mp.setattr(graphs, "_matrix_listing", _oracle_matrix_listing)
+        mp.setattr(listings, "_matrix_listing", _oracle_from_factors)
+        mp.setattr(graphs, "_matrix_listing", _oracle_from_factors)
         return builder(*args)
 
 

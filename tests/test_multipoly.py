@@ -11,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
-from diffcomp.errors import DimensionError, FormatError, InvalidRelabellingError
+from diffcomp.errors import DimensionError, FormatError, InvalidRelabellingError, charge, max_terms
 from diffcomp.multipoly import (
     Monomial,
     MultiPoly,
     VarTable,
-    _check_cap,
     _is_one,
     matrix_index,
-    max_terms,
     poly_from_text,
     poly_to_text,
 )
@@ -390,7 +388,7 @@ def reference_mul(self, other):
     """MultiPoly.__mul__ before the order-disjoint path, kept verbatim."""
     other = self._coerce_poly(other)
     a, b = len(self.terms), len(other.terms)
-    _check_cap(a * b, f"multiplying {a}-term by {b}-term polynomials")
+    charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
     out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
     pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
     for m1, c1 in self.terms.items():
