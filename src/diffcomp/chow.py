@@ -22,14 +22,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
-from .errors import (
-    DimensionError,
-    FormatError,
-    InternalInconsistencyError,
-    NotApplicableError,
-    NotHomogeneousError,
-    max_terms,
-)
+from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
+                     NotHomogeneousError, max_terms)
 from .multipoly import Monomial, MultiPoly, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, FormatError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 _COORD = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # an exact coordinate: n or n/d
 _gcd = math.gcd
@@ -102,10 +106,8 @@ def _reduce(p: list[int], m: int) -> tuple[int, ...]:
     return tuple(p[:phi]) + (0,) * (phi - len(p))
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact rational")
+def _is_fraction(x) -> bool:  # a Fraction exists only once `fractions` is loaded: look, don't load
+    return (f := sys.modules.get("fractions")) is not None and isinstance(x, f.Fraction)
 
 
 def _make(order: int, num: tuple[int, ...], den: int) -> CycloRational:
@@ -135,7 +137,10 @@ class CycloRational:
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:  # an int or a Fraction: each has .numerator and .denominator
+            if not (isinstance(c, int) or _is_fraction(c)):
+                raise TypeError(f"cannot use {type(c).__name__} as an exact rational")
         if len(cs) > phi:
             raise DimensionError(f"{len(cs)} coordinates for order {order}, expected {phi}")
         den = math.lcm(*(c.denominator for c in cs))  # each c is in lowest terms, so is num/den
@@ -150,6 +155,7 @@ class CycloRational:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coordinates as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- structure ----------------------------------------------------------
@@ -185,6 +191,7 @@ class CycloRational:
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise DimensionError(f"{self} is not rational")
+        from fractions import Fraction
         return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -320,16 +327,17 @@ class CycloRational:
     def from_text(cls, text: str) -> CycloRational:
         head, _, body = text.partition(":")
         parts = [_COORD.fullmatch(p) for p in body[1:-1].split(",")]
-        try:
+        try:  # each coordinate n/d, or n over 1
             order = int(head)
-            coeffs = [Fraction(int(p[1]), int(p[2] or 1)) for p in parts if p]
-        except (ValueError, ZeroDivisionError) as exc:
+            nums, dens = [int(p[1]) for p in parts if p], [int(p[2] or 1) for p in parts if p]
+        except ValueError as exc:
             raise FormatError(f"bad cyclotomic value {text!r}") from exc
         # phi(m) >= sqrt(m/2), so a larger order cannot have this many coordinates
-        if (body[:1] + body[-1:] != "[]" or len(coeffs) != len(parts)
-                or not 1 <= order <= 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(order)):
+        if (body[:1] + body[-1:] != "[]" or len(nums) != len(parts) or 0 in dens
+                or not 1 <= order <= 2 * len(nums) ** 2 or len(nums) != euler_phi(order)):
             raise FormatError(f"bad cyclotomic value {text!r}")
-        return cls(order, coeffs)
+        den = math.lcm(*dens)
+        return _make(order, tuple(n * (den // d) for n, d in zip(nums, dens)), den)
 
     def __str__(self) -> str:
         if self.is_rational():
@@ -351,10 +359,8 @@ def _lift(x) -> CycloRational | None:
     # ints and Fractions are lifted to order 1 (0 and 1 to ZERO and ONE); None for other types
     if isinstance(x, CycloRational):
         return x
-    if isinstance(x, int):
-        return (ZERO, ONE)[x] if x in (0, 1) else _make(1, (int(x),), 1)
-    if isinstance(x, Fraction):
-        return _make(1, (x.numerator,), x.denominator)
+    if isinstance(x, int) or _is_fraction(x):
+        return (ZERO, ONE)[x.numerator] if x in (0, 1) else _make(1, (x.numerator,), x.denominator)
     return None
 
 

@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cyclotomic import ONE, ZERO, CycloRational
 from .errors import DimensionError, ModelViolationError, SingularMatrixError, charge
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
+
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
 
 _KINDS = ("vector", "matrix", "functional")
 
@@ -169,6 +171,7 @@ def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fra
     its other factors.  The pass runs in integers: with D the lcm of M's
     denominators, M^-1 = D grad Det(DM) / Det(DM).
     """
+    from fractions import Fraction
     n = len(M)
     rows = [[Fraction(x) for x in row] for row in M]
     if any(len(r) != n for r in rows):

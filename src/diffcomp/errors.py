@@ -36,11 +36,12 @@ def max_terms() -> int:
 
 def charge(factors: Iterable[int], what: str, unit: str = "terms", per_term: int = 1) -> int:
     """Charge prod(factors) to per_term * max_terms() and return it.  The factors are multiplied
-    only until the product passes the cap; a refusal writes it out only if every factor was used."""
+    only until the product passes the cap; a refusal writes out only a whole product < 2**600."""
     cap, count, factors = per_term * max_terms(), 1, iter(factors)
     for f in factors:
         if (count := count * f) > cap:
-            shown = count if next(factors, None) is None else f"more than {cap}"
+            whole = next(factors, None) is None and count.bit_length() <= 600
+            shown = count if whole else f"more than {cap}"
             raise SizeCapError(f"{what} needs {shown} {unit}, over the cap of {cap}")
     return count
 

@@ -22,7 +22,7 @@ from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import textfile
-from .cyclotomic import ONE, CycloRational, root_of_unity
+from .cyclotomic import ONE, root_of_unity
 from .errors import DimensionError, FormatError, NotApplicableError, charge
 from .multipoly import Monomial, MultiPoly
 
@@ -169,8 +169,7 @@ class FunctionTable:
 
 
 def all_function_tables(n: int) -> Iterator[FunctionTable]:
-    for images in itertools.product(range(n), repeat=n):
-        yield FunctionTable(n, images)
+    return (FunctionTable(n, images) for images in itertools.product(range(n), repeat=n))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def all_function_tables(n: int) -> Iterator[FunctionTable]:
 def listing_from_truth_table(t: TruthTable) -> MultiPoly:
     """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
     phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
-    charge([t.m], f"truth-table listing of order {t.m}", "coordinates")
+    charge([t.m], "truth-table listing", "coordinates")
     pairs = [(i, 1) for i in range(t.n)]
     roots = {k: root_of_unity(t.m, k) for k in set(t.phases.values())}
     return MultiPoly._trusted(t.n, {Monomial(itertools.compress(pairs, b)): roots[k]

@@ -56,12 +56,10 @@ class Monomial(tuple):
     @classmethod
     def of_vars(cls, variables: Iterable[int]) -> Monomial:
         """Multilinear monomial on the given (distinct) variables."""
-        vs = sorted(variables)
-        if vs and vs[0] < 0:
-            raise DimensionError("variable indices must be non-negative")
+        vs = list(variables)
         if len(set(vs)) != len(vs):
             raise DimensionError("duplicate variable in multilinear monomial")
-        return cls([(v, 1) for v in vs])
+        return cls.make(dict.fromkeys(vs, 1))
 
     def degree(self) -> int:
         return sum([e for _, e in self])
@@ -243,19 +241,9 @@ class MultiPoly:
         return MultiPoly._trusted(self.nvars, out, list(out))
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
-        """Exact evaluation; variables missing from `point` default to 0."""
-        vals = {v: x for v, c in point.items() if (x := as_scalar(c))}
-        total = ZERO
-        for mono, c in self.terms.items():
-            acc = c
-            for v, e in mono:
-                x = vals.get(v)
-                if x is None:
-                    break
-                acc = acc * (x if e == 1 else x**e)
-            else:  # no factor of the term is zero at the point
-                total = total + acc
-        return total
+        """Exact evaluation: the restriction fixing every variable, those not in `point` to 0."""
+        fixings = {**dict.fromkeys({v for mono in self.terms for v, _ in mono}, 0), **point}
+        return self.restrict_and_relabel(fixings, nvars=0).coefficient(Monomial())
 
     def restrict_and_relabel(
         self,
@@ -439,23 +427,32 @@ def poly_from_text(text: str) -> ParsedPoly:
     coeffs = ScalarReader()
     factors: dict[str, tuple[int, int]] = {}  # token -> (variable, exponent)
     terms: dict[Monomial, CycloRational] = {}
+    # a line's head is its coefficient and all factors but the last; one that repeats the head of
+    # the last line read in full, if that line's pairs ascended, needs only its last factor parsed
+    head_s, top = None, -1
     for line in lines:
-        coeff_s, *tokens = line.split(" * ")
-        coeff = coeffs[coeff_s]
-        pairs = list(map(factors.get, tokens))
-        if None in pairs:  # a token this file has not used before
-            for k, token in enumerate(tokens):
-                if (factor := factors.get(token)) is None:
-                    name, _, exp_s = token.strip().partition("^")
-                    (e,) = textfile.ints(exp_s or "1", "exponent", 1)
-                    if table is None:
-                        table = VarTable.naming(name, nvars)
-                    factor = factors[token] = (table.index(name), e)
-                pairs[k] = factor
-        if len(dict(pairs)) == len(pairs) and pairs == sorted(pairs):  # already a Monomial
+        line_head, _, last = line.rpartition(" * ")  # no valid token holds a `*`
+        if line_head == head_s and (pair := factors.get(last)) and pair[0] > top:
+            pairs[-1] = pair  # coeff and the other pairs are still the head's
             mono = Monomial(pairs)
-        else:  # repeated or unsorted variables: the product of the one-factor monomials
-            mono = math.prod([Monomial([pair]) for pair in pairs], start=Monomial())
+        else:
+            coeff_s, *tokens = line.split(" * ")
+            coeff, head_s = coeffs[coeff_s], None
+            pairs = list(map(factors.get, tokens))
+            if None in pairs:  # a token this file has not used before
+                for k, token in enumerate(tokens):
+                    if (factor := factors.get(token)) is None:
+                        name, _, exp_s = token.strip().partition("^")
+                        (e,) = textfile.ints(exp_s or "1", "exponent", 1)
+                        if table is None:
+                            table = VarTable.naming(name, nvars)
+                        factor = factors[token] = (table.index(name), e)
+                    pairs[k] = factor
+            if len(dict(pairs)) == len(pairs) and pairs == sorted(pairs):  # already a Monomial
+                mono, head_s = Monomial(pairs), line_head or None  # "": no factor, no head
+                top = pairs[-2][0] if len(pairs) > 1 else -1
+            else:  # repeated or unsorted variables: the product of the one-factor monomials
+                mono = math.prod([Monomial([pair]) for pair in pairs], start=Monomial())
         if mono in terms:
             raise FormatError(f"duplicate monomial on line {line!r}")
         terms[mono] = coeff

@@ -33,13 +33,13 @@ def records(text: str, kind: str | None = None) -> list[str]:
 
 
 def ints(record: str, what: str, *minima: int) -> tuple[int, ...]:
-    """A record of len(minima) integers, each at least its minimum."""
+    """A record of len(minima) integers, each at least its minimum; a refusal echoes 200 chars."""
     try:
         values = tuple(map(int, record.split()))
     except ValueError:
         values = ()
     if len(values) != len(minima) or any(v < lo for v, lo in zip(values, minima)):
-        raise FormatError(f"bad {what} {record!r}")
+        raise FormatError(f"bad {what} {record[:200]!r}" + "..." * (len(record) > 200))
     return values
 
 

@@ -370,8 +370,18 @@ def test_build_truth_table_charges_its_declared_order_before_a_coefficient(tmp_p
     assert time.perf_counter() - start < 0.5
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: truth-table listing of order 100000000 needs 100000000 coordinates, "
+    assert err == ("error: truth-table listing needs 100000000 coordinates, "
                    "over the cap of 100000\n")
+
+
+def test_a_long_truth_table_header_gives_one_short_error_line(tmp_path, capsys):
+    # a 5,002-character header: its order has more than 4,300 digits, so int() refuses it
+    tt = tmp_path / "long.tt"
+    tt.write_text("1 " + "9" * 5000 + "\n1 0\n")
+    assert run_cli(["build", "truth-table", "--table", str(tt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 300
+    assert err.startswith("error: bad tt header '1 999") and err.endswith("999'...\n")
 
 
 def test_the_default_cap_admits_every_truth_table_order_up_to_itself(tmp_path, capsys,

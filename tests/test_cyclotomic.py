@@ -130,6 +130,19 @@ def test_as_scalar_lifts_rationals_and_refuses_other_types():
         CycloRational(1, [0.5])
 
 
+def test_the_constructor_takes_ints_and_fractions_as_they_are():
+    x = CycloRational(4, [True, Fraction(-2, 6)])
+    assert (x.num, x.den) == ((3, -1), 3)
+    for foreign in (root_of_unity(4), 0.5, "1", None):
+        with pytest.raises(TypeError,
+                           match=f"^cannot use {type(foreign).__name__} as an exact rational$"):
+            CycloRational(4, [1, foreign])
+    with pytest.raises(TypeError, match="^cannot use float as an exact scalar$"):
+        as_scalar(0.5)
+    assert as_scalar(Fraction(1)) is ONE and as_scalar(Fraction(0)) is ZERO
+    assert as_scalar(Fraction(-6, 4)).to_text() == "1:[-3/2]"
+
+
 def test_product_of_cyclotomics_is_x_pow_m_minus_1():
     # prod_{d | m} Phi_d(x) = x^m - 1, which fixes every Phi_m given the smaller ones
     for m in list(range(1, 61)) + [64, 90, 105, 210, 720]:
@@ -298,6 +311,41 @@ def test_text_format_examples():
 )
 def test_text_format_rejects_garbage(bad):
     with pytest.raises(FormatError):
+        CycloRational.from_text(bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 15]).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12), st.booleans()),
+                         min_size=euler_phi(m), max_size=euler_phi(m)))))
+def test_from_text_reads_integers_to_the_value_built_from_fractions(case):
+    # each coordinate n/d, or n alone when d is 1 and the flag says so; a d of 0 is refused
+    m, coords = case
+    text = f"{m}:[" + ",".join(f"{n}" if d == 1 and bare else f"{n}/{d}"
+                              for n, d, bare in coords) + "]"
+    if any(d == 0 for _, d, _ in coords):
+        with pytest.raises(FormatError, match="bad cyclotomic value"):
+            CycloRational.from_text(text)
+        return
+    got = CycloRational.from_text(text)
+    want = CycloRational(m, [Fraction(n, d) for n, d, _ in coords])
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
+@pytest.mark.parametrize("text, order, coords", [
+    ("1:[2/4]", 1, [Fraction(1, 2)]),
+    ("4:[-6/4,3/9]", 4, [Fraction(-3, 2), Fraction(1, 3)]),
+    ("3:[0/5,-0/7]", 3, [0, 0]),
+    ("12:[1/6,0,-5/4,2/3]", 12, [Fraction(1, 6), 0, Fraction(-5, 4), Fraction(2, 3)]),
+])
+def test_from_text_examples_against_fractions(text, order, coords):
+    got, want = CycloRational.from_text(text), CycloRational(order, coords)
+    assert (got.num, got.den) == (want.num, want.den) and got.coeffs == tuple(coords)
+
+
+@pytest.mark.parametrize("bad", ["1:[3/0]", "4:[1/1,-2/0]", "1:[-12/-1]", "1:[0/0]"])
+def test_from_text_refuses_a_zero_or_signed_denominator(bad):
+    with pytest.raises(FormatError, match="bad cyclotomic value"):
         CycloRational.from_text(bad)
 
 

@@ -598,6 +598,20 @@ def _oracle_from_truth_table(t):
                            root_of_unity(t.m, t.phases[b]) for b in t.yes})
 
 
+def test_a_truth_table_of_a_huge_order_is_refused_by_the_charge(monkeypatch):
+    # 10^5000 has more than 4,300 digits: no message may turn it into text
+    t = TruthTable.make(1, [(1,)], 10**5000)
+    with pytest.raises(SizeCapError, match="^truth-table listing needs more than 100000 "
+                                           "coordinates, over the cap of 100000$"):
+        listings.listing_from_truth_table(t)
+    # a whole count is written out up to 600 bits
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "10")
+    with pytest.raises(SizeCapError, match=f"^x needs {2**600 - 1} terms, over the cap of 10$"):
+        charge([2**600 - 1], "x")
+    with pytest.raises(SizeCapError, match="^x needs more than 10 terms, over the cap of 10$"):
+        charge([2**600], "x")
+
+
 def _oracle_from_factors(n, factors, what, family):
     """The oracle constructor called as the builders call theirs: the count as its factors."""
     return _oracle_matrix_listing(n, math.prod(factors), what, family)

@@ -161,3 +161,11 @@ def round_trips(draw):
 def test_generated_values_round_trip(case):
     value, back = case
     assert back == value
+
+
+def test_a_refused_record_is_echoed_to_200_characters():
+    from diffcomp import textfile
+    with pytest.raises(FormatError, match=r"^bad header '1 x{198}'\.\.\.$"):
+        textfile.ints("1 " + "x" * 500, "header", 0, 0)
+    with pytest.raises(FormatError, match=r"^bad header 'x{200}'$"):
+        textfile.ints("x" * 200, "header", 0)
