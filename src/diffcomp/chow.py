@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
-                     NotHomogeneousError, max_terms)
+                     NotHomogeneousError, max_terms, quoted)
 from .multipoly import Monomial, MultiPoly, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,7 +129,7 @@ class ChowDecomposition:
         forms, read, slots, zeros = [], ScalarReader().__getitem__, [*range(n), None], set()
         for line in body:
             if len(toks := line.split()) != n + 1:
-                raise FormatError(f"expected {n + 1} entries on line {line!r}")
+                raise FormatError(f"expected {n + 1} entries on line {quoted(line)}")
             forms.append({w: h for w, t in zip(slots, toks)  # each zero token is tested once
                           if t not in zeros and ((h := read(t)) or zeros.add(t))})
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m

@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from . import textfile
-from .errors import DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError
+from .errors import (DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError,
+                     quoted)
 from .multipoly import MultiPoly, VarTable, poly_from_text, poly_to_text
 
 EXIT_OK, EXIT_BAD_INPUT, EXIT_MODEL = 0, 2, 3
@@ -88,7 +89,7 @@ def _parse_bits(text: str) -> list[int]:
     lines = textfile.records(text)
     if len(lines) == 1 and all(c in "01" for c in lines[0]):
         return [int(c) for c in lines[0]]
-    raise FormatError(f"bad bit-vector file content {text!r}")
+    raise FormatError(f"bad bit-vector file content {quoted(text)}")
 
 
 def _parse_bit_matrix(text: str) -> list[list[int]]:
@@ -98,7 +99,7 @@ def _parse_bit_matrix(text: str) -> list[list[int]]:
         if len(toks) == 1 and len(toks[0]) > 1:
             toks = list(toks[0])
         if any(t not in ("0", "1") for t in toks):
-            raise FormatError(f"bad matrix row {line!r}")
+            raise FormatError(f"bad matrix row {quoted(line)}")
         rows.append([int(t) for t in toks])
     if not rows or any(len(r) != len(rows) for r in rows):
         raise FormatError("input is not a square 0/1 matrix")

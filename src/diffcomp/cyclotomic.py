@@ -20,7 +20,7 @@ import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, quoted
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -331,11 +331,11 @@ class CycloRational:
             order = int(head)
             nums, dens = [int(p[1]) for p in parts if p], [int(p[2] or 1) for p in parts if p]
         except ValueError as exc:
-            raise FormatError(f"bad cyclotomic value {text!r}") from exc
+            raise FormatError(f"bad cyclotomic value {quoted(text)}") from exc
         # phi(m) >= sqrt(m/2), so a larger order cannot have this many coordinates
         if (body[:1] + body[-1:] != "[]" or len(nums) != len(parts) or 0 in dens
                 or not 1 <= order <= 2 * len(nums) ** 2 or len(nums) != euler_phi(order)):
-            raise FormatError(f"bad cyclotomic value {text!r}")
+            raise FormatError(f"bad cyclotomic value {quoted(text)}")
         den = math.lcm(*dens)
         return _make(order, tuple(n * (den // d) for n, d in zip(nums, dens)), den)
 

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cyclotomic import ONE, ZERO, CycloRational
-from .errors import DimensionError, ModelViolationError, SingularMatrixError, charge
+from .errors import BOUND, DimensionError, ModelViolationError, SingularMatrixError, charge
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
 
@@ -44,7 +44,6 @@ class RunResult:
 
 
 _NO = RunResult(0, ZERO)  # every run whose coefficient is 0 decides this one result
-_SHOWN = 200  # the most characters of a coefficient that a ModelViolationError writes out
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,14 @@ class DifferentialComputer:
         return tuple(m for m in self.program.terms if sum(map(exponent, m)) > arity)
 
     def _show(self, mono: Monomial) -> str:
+        # past BOUND characters: the whole factors in the first BOUND // 2, then the degree
         table = (VarTable if self.input_kind == "vector" else VarTable.matrix)(self.arity)
-        return " * ".join(table.factor(v, e) for v, e in mono) or "1"
+        if len(text := " * ".join(table.factor(v, e) for v, e in mono) or "1") <= BOUND:
+            return text
+        head = text[:BOUND // 2].rpartition(" * ")[0]
+        degree = mono.degree()
+        shown = degree if degree.bit_length() <= 3 * BOUND else f"over 2^{3 * BOUND}"
+        return f"{head}{' * ' * bool(head)}... (degree {shown})"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
         # s^m without the power: every root of unity in the field of s (order k)
@@ -91,9 +96,9 @@ class DifferentialComputer:
         if scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE:
             return self._units.setdefault(key, RunResult(1, scalar))
         # name s and m, not s^m: that is a second power, with integers m times as long as s's.
-        # s is written only if its integers hold at most 3 * _SHOWN bits and its text fits _SHOWN
-        fits = sum(map(int.bit_length, scalar.num), scalar.den.bit_length()) <= 3 * _SHOWN
-        shown = text if fits and len(text := str(scalar)) <= _SHOWN else (
+        # s is written only if its integers hold at most 3 * BOUND bits and its text fits BOUND
+        fits = sum(map(int.bit_length, scalar.num), scalar.den.bit_length()) <= 3 * BOUND
+        shown = text if fits and len(text := str(scalar)) <= BOUND else (
             f"<order-{scalar.order} coefficient>")
         raise ModelViolationError(f"post-power scalar ({shown})^{self.order} is neither 0 nor 1 at "
                                   f"input monomial {self._show(mono)}; the program is not an "

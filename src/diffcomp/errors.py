@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one size cap.
+"""Exception types shared across the package, the one size cap and the one quoting bound.
 
 The CLI maps these onto exit codes: format/size/dimension problems exit 2,
 model violations and failed recovery checks exit 3.
@@ -8,6 +8,7 @@ import os
 from typing import Iterable
 
 DEFAULT_MAX_TERMS = 100_000
+BOUND = 200  # the most characters of input, or of a witness, that one message writes out
 
 
 class DiffcompError(Exception):
@@ -28,7 +29,7 @@ def max_terms() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {raw!r}") from None
+        raise FormatError(f"DIFFCOMP_MAX_TERMS must be an integer, got {quoted(raw)}") from None
     if value < 1:
         raise FormatError("DIFFCOMP_MAX_TERMS must be positive")
     return value
@@ -36,14 +37,20 @@ def max_terms() -> int:
 
 def charge(factors: Iterable[int], what: str, unit: str = "terms", per_term: int = 1) -> int:
     """Charge prod(factors) to per_term * max_terms() and return it.  The factors are multiplied
-    only until the product passes the cap; a refusal writes out only a whole product < 2**600."""
+    only until the product passes the cap; a refusal names a whole product below 2**(3 * BOUND)."""
     cap, count, factors = per_term * max_terms(), 1, iter(factors)
     for f in factors:
         if (count := count * f) > cap:
-            whole = next(factors, None) is None and count.bit_length() <= 600
+            whole = next(factors, None) is None and count.bit_length() <= 3 * BOUND
             shown = count if whole else f"more than {cap}"
             raise SizeCapError(f"{what} needs {shown} {unit}, over the cap of {cap}")
     return count
+
+
+def quoted(value: object) -> str:
+    """repr(value) for a refusal: cut to BOUND characters (a str's before repr) and then '...'."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    return show(text[:BOUND]) + "..." * (len(text) > BOUND)
 
 
 class InvalidRelabellingError(DiffcompError):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import textfile
 from .cyclotomic import ONE
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, quoted
 from .listings import FunctionTable, _matrix_listing
 from .multipoly import MultiPoly, matrix_index
 
@@ -45,11 +45,6 @@ class Graph:
         return cls(n, tuple((0,) * n for _ in range(n)))
 
     @classmethod
-    def totally_complete(cls, n: int) -> Graph:
-        """All n^2 ordered-pair edges, loops included."""
-        return cls(n, tuple((1,) * n for _ in range(n)))
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         edges = set(edges)
         if stray := sorted((i, j) for i, j in edges if not (0 <= i < n and 0 <= j < n)):
@@ -63,9 +58,6 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(self.n) if self.adj[i][j]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i][j])
 
     def _records(self) -> list[str]:
         return [str(self.n)] + [" ".join(map(str, row)) for row in self.adj]
@@ -85,7 +77,7 @@ class Graph:
         adj = []
         for line in rows:
             if len(row := line.split()) != n or any(x not in ("0", "1") for x in row):
-                raise FormatError(f"bad adjacency row {line!r}")
+                raise FormatError(f"bad adjacency row {quoted(line)}")
             adj.append(tuple(int(x) for x in row))
         return cls(n, tuple(adj))
 
@@ -100,17 +92,6 @@ def monomial_edge_listing(g: Graph) -> MultiPoly:
         ([pairs[g.n * i + j] for i, j in g.edges()], ONE)])
 
 
-def is_functional(g: Graph) -> bool:
-    """Does every vertex have out-degree exactly one?"""
-    return all(sum(row) == 1 for row in g.adj)
-
-
-def function_of_graph(g: Graph) -> FunctionTable:
-    if not is_functional(g):
-        raise DimensionError("graph is not functional")
-    return FunctionTable(g.n, tuple(row.index(1) for row in g.adj))
-
-
 # ---------------------------------------------------------------------------
 # The transforms.  Outputs are FunctionTables: out-degree one is intrinsic.
 # ---------------------------------------------------------------------------
@@ -120,7 +101,7 @@ def _seed(mode: str, f: FunctionTable | None) -> tuple[int, ...]:
     if mode == "T":
         return ()
     if mode != "Tf":
-        raise DimensionError(f"unknown transform mode {mode!r}")
+        raise DimensionError(f"unknown transform mode {quoted(mode)}")
     if f is None:
         raise DimensionError("mode Tf needs the seed function f")
     if f.n != 2:

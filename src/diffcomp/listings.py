@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from . import textfile
 from .cyclotomic import ONE, root_of_unity
-from .errors import DimensionError, FormatError, NotApplicableError, charge
+from .errors import DimensionError, FormatError, NotApplicableError, charge, quoted
 from .multipoly import Monomial, MultiPoly
 
 FACTORS_PER_TERM = 4  # admits the densest listings under the default cap: 8! terms, 8 factors each
@@ -79,10 +79,6 @@ class TruthTable:
              phases: Mapping[Bits, int] | None = None) -> TruthTable:
         return cls(n, m, yes, phases or {})
 
-    def with_lex_phases(self) -> TruthTable:
-        """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
-        return TruthTable(self.n, self.m, self.yes, {b: lex_index(b) for b in self.yes})
-
     def value(self, b: Iterable[int]) -> int:
         return 1 if _as_bits(b, self.n) in self.yes else 0
 
@@ -102,19 +98,19 @@ class TruthTable:
         phases: dict[Bits, int] = {}
         for line in lines:
             if len(parts := line.split()) != 2:
-                raise FormatError(f"bad truth-table line {line!r}")
+                raise FormatError(f"bad truth-table line {quoted(line)}")
             bits_s, phase_s = parts
             if bits_s == "-" and n == 0:
                 bits_s = ""
             if len(bits_s) != n or any(c not in "01" for c in bits_s):
-                raise FormatError(f"bad bit vector {bits_s!r} for arity {n}")
+                raise FormatError(f"bad bit vector {quoted(bits_s)} for arity {n}")
             b = tuple(int(c) for c in bits_s)
             if b in phases:
-                raise FormatError(f"duplicate yes-instance {bits_s!r}")
+                raise FormatError(f"duplicate yes-instance {quoted(bits_s)}")
             try:
                 phases[b] = int(phase_s)
             except ValueError as exc:
-                raise FormatError(f"bad phase {phase_s!r}") from exc
+                raise FormatError(f"bad phase {quoted(phase_s)}") from exc
         return cls.make(n, phases.keys(), m, phases)
 
 
@@ -147,11 +143,11 @@ class FunctionTable:
         try:
             images = (int(spec[6:]),) if shorthand else tuple(int(x) for x in spec.split(","))
         except ValueError as exc:
-            raise FormatError(f"bad function {spec!r}") from exc
+            raise FormatError(f"bad function {quoted(spec)}") from exc
         if shorthand:
             return (cls.constant if spec[0] == "c" else cls.shift)(n, images[0])
         if len(images) != n:
-            raise FormatError(f"function {spec!r} must list {n} images")
+            raise FormatError(f"function {quoted(spec)} must list {n} images")
         return cls(n, images)
 
     @classmethod
@@ -186,26 +182,6 @@ def listing_from_truth_table(t: TruthTable) -> MultiPoly:
                                     for b, k in t.phases.items()})  # phases holds yes, in its order
 
 
-def truth_table_from_listing(p: MultiPoly, m: int | None = None,
-                             n: int | None = None) -> TruthTable:
-    """Invert listing_from_truth_table: recover yes-instances and phases.
-
-    Every coefficient must be a power of w_m; anything else means p is not
-    an additive listing of order m.
-    """
-    m = p.coefficient_order() if m is None else m
-    n = p.nvars if n is None else n
-    phases: dict[Bits, int] = {}
-    for mono, c in p.terms.items():
-        if not mono.is_multilinear():
-            raise DimensionError(f"non-multilinear monomial {mono} in a listing")
-        b = tuple(1 if mono.exponent(i) else 0 for i in range(n))
-        if (k := next((k for k in range(m) if c == root_of_unity(m, k)), None)) is None:
-            raise DimensionError(f"coefficient {c} is not an order-{m} root of unity")
-        phases[b] = k
-    return TruthTable.make(n, phases, m, phases)
-
-
 def _yes_sum(t: TruthTable, what: str, factor) -> MultiPoly:
     """Expand sum over yes b (sorted) of prod_i factor(y_i, b_i); m=1 listings only."""
     if t.m != 1:
@@ -236,14 +212,6 @@ def lagrange_reduction(t: TruthTable) -> MultiPoly:
     coefficients.
     """
     return _yes_sum(t, "binomial reduction", lambda a, bit: a if bit else 1)
-
-
-def monomial_support_equals(p: MultiPoly, t: TruthTable) -> bool:
-    """Does p's monomial support enumerate exactly t's yes-instances?"""
-    if not p.is_multilinear():
-        raise DimensionError("support comparison needs a multilinear polynomial")
-    instance_supports = {frozenset(i for i, bit in enumerate(b) if bit) for b in t.yes}
-    return {m.support() for m in p.terms} == instance_supports
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
-from .errors import DimensionError, FormatError, InvalidRelabellingError, charge
+from .errors import DimensionError, FormatError, InvalidRelabellingError, charge, quoted
 
 
 class Monomial(tuple):
@@ -314,14 +314,15 @@ def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passe
 def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:
     for mono in terms:  # each key a canonical Monomial over the variables 0..nvars-1
         if not isinstance(mono, Monomial):
-            raise DimensionError(f"term key {mono!r} is not a Monomial")
+            raise DimensionError(f"term key {quoted(mono)} is not a Monomial")
         top = -1
         for p in mono:  # canonical: plain int pairs, variables strictly ascending, exponent >= 1
             if type(p) is not tuple or len(p) != 2 or not type(v := p[0]) is int is type(e := p[1]):
-                raise DimensionError(f"{mono!r} is not canonical: {p!r} is not a pair of ints")
+                raise DimensionError(f"{quoted(mono)} is not canonical: {quoted(p)} is not a pair "
+                                     "of ints")
             if v <= top or e < 1:
                 raise DimensionError("variable indices must be non-negative" if v < 0 else
-                                     f"{mono!r} is not canonical")
+                                     f"{quoted(mono)} is not canonical")
             top = v
         if nvars <= top:
             raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
@@ -359,10 +360,10 @@ class VarTable:
         """The table over `size` variables that names its variables the way `name` is."""
         match = _NAME_RE.fullmatch(name)
         if match is None:
-            raise FormatError(f"bad variable token {name!r}")
+            raise FormatError(f"bad variable token {quoted(name)}")
         side = None if match[2] else math.isqrt(size)
         if side is not None and side * side != size:
-            raise FormatError(f"matrix variable {name!r} in a non-square universe")
+            raise FormatError(f"matrix variable {quoted(name)} in a non-square universe")
         return cls(size, match[1], side)
 
     def name(self, index: int) -> str:
@@ -377,16 +378,17 @@ class VarTable:
         """The index of the variable `name`; FormatError if this table does not name it."""
         match = _NAME_RE.fullmatch(name)
         if match is None or match[1] != self.prefix or (match[2] is None) == (self.side is None):
-            raise FormatError(f"bad or inconsistently named variable {name!r}")
+            raise FormatError(f"bad or inconsistently named variable {quoted(name)}")
         if self.side is None:
             (index,) = textfile.ints(match[2], "variable index", 0)
         else:
             i, j = textfile.ints(f"{match[3]} {match[4]}", "variable index", 0, 0)
             if i >= self.side or j >= self.side:
-                raise FormatError(f"variable {name!r} outside the {self.side}x{self.side} matrix")
+                raise FormatError(f"variable {quoted(name)} outside the {self.side}x{self.side} "
+                                  "matrix")
             index = self.side * i + j
         if index >= self.size:
-            raise FormatError(f"variable {name!r} outside universe of size {self.size}")
+            raise FormatError(f"variable {quoted(name)} outside universe of size {self.size}")
         return index
 
     def factor(self, v: int, e: int) -> str:
@@ -454,7 +456,7 @@ def poly_from_text(text: str) -> ParsedPoly:
             else:  # repeated or unsorted variables: the product of the one-factor monomials
                 mono = math.prod([Monomial([pair]) for pair in pairs], start=Monomial())
         if mono in terms:
-            raise FormatError(f"duplicate monomial on line {line!r}")
+            raise FormatError(f"duplicate monomial on line {quoted(line)}")
         terms[mono] = coeff
     # VarTable.index bounds every variable below nvars; zeros drop after the duplicate test
     poly = MultiPoly._trusted(nvars, terms, () if all(coeffs.values()) else list(terms))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import FormatError, quoted
 
 _HEADER = "# diffcomp-"
 
@@ -25,7 +25,7 @@ def records(text: str, kind: str | None = None) -> list[str]:
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if kind is not None and lines and lines[0].startswith(_HEADER):
         if lines[0] != f"{_HEADER}{kind} 1":
-            raise FormatError(f"header {lines[0]!r} found where '{_HEADER}{kind} 1' belongs")
+            raise FormatError(f"header {quoted(lines[0])} found where '{_HEADER}{kind} 1' belongs")
     out = [ln for ln in lines if not ln.startswith("#")]
     if kind is not None and not out:
         raise FormatError(f"empty {kind} file")
@@ -33,13 +33,13 @@ def records(text: str, kind: str | None = None) -> list[str]:
 
 
 def ints(record: str, what: str, *minima: int) -> tuple[int, ...]:
-    """A record of len(minima) integers, each at least its minimum; a refusal echoes 200 chars."""
+    """A record of len(minima) integers, each at least its minimum."""
     try:
         values = tuple(map(int, record.split()))
     except ValueError:
         values = ()
     if len(values) != len(minima) or any(v < lo for v, lo in zip(values, minima)):
-        raise FormatError(f"bad {what} {record[:200]!r}" + "..." * (len(record) > 200))
+        raise FormatError(f"bad {what} {quoted(record)}")
     return values
 
 

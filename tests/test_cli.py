@@ -10,6 +10,8 @@ from diffcomp import chow, cli, graphs, listings
 from diffcomp.listings import TruthTable
 from diffcomp.multipoly import poly_to_text
 
+from test_graphs import is_functional
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -415,7 +417,7 @@ def test_transform_writes_files_and_recovers(tmp_path, capsys):
         assert (tmp_path / ("outT" + suffix)).exists()
     # the written graph set parses back into functional graphs
     back = graphs.graph_set_from_text((tmp_path / "outT.graphset").read_text())
-    assert all(graphs.is_functional(g) for g in back)
+    assert all(is_functional(g) for g in back)
 
 
 def test_transform_tf_needs_seed_function(tmp_path, capsys):
@@ -731,3 +733,71 @@ def test_the_non_overlapping_count_builds_no_certificate(tmp_path, capsys, monke
     assert "exact 3\n" in capsys.readouterr().out
     assert run_cli(["verify", str(dec), str(listing)]) == 0
     assert "matches non-overlapping lower bound 3\n" in capsys.readouterr().out
+
+
+# -- bounded refusals ----------------------------------------------------------------
+
+TERM = " * ".join(f"a_{i}" for i in range(3000))  # a_0 * ... * a_2999
+ON_2X2 = "4 1\n1:[1/1] * a_{0,0}\n"  # a listing over the 2x2 matrix variables
+ALL_55X55 = " * ".join(f"a_{{{i},{j}}}" for i in range(55) for j in range(55))
+
+
+def overlong(name, files, argv, phrase, limit=300):
+    return pytest.param(files, argv, phrase, limit, id=name)
+
+
+# files, argv with {file} placeholders, a phrase the one error line keeps, and its byte limit
+OVERLONG_INPUTS = [
+    overlong("vector-file", {"p.poly": "1 1\n1:[1/1] * a_0\n", "in": "0" * 4999 + "2\n"},
+             ["run", "{p.poly}", "{in}"], "bad bit-vector file content '000"),
+    overlong("function-file", {"p.poly": ON_2X2, "in": "0," * 3000 + "0\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"], "'... must list 2 images"),
+    overlong("function-option", {"s.graphset": "2\n0 1\n1 0\n"},
+             ["transform", "{s.graphset}", "--mode", "Tf", "--f", "0," * 3000 + "0",
+              "--out-prefix", "{out}"], "'... must list 2 images"),
+    overlong("coefficient", {"p.poly": "1 1\n1:[" + ",".join(["1/1"] * 3000) + "] * a_0\n",
+                             "in": "1\n"},
+             ["run", "{p.poly}", "{in}"], "bad cyclotomic value '1:[1/1,"),
+    overlong("duplicate-line", {"p.poly": f"3000 1\n1:[1/1] * {TERM}\n1:[1/1] * {TERM}\n",
+                                "in": "1\n"},
+             ["run", "{p.poly}", "{in}"], "duplicate monomial on line '1:[1/1] * a_0"),
+    overlong("matrix-row", {"p.poly": ON_2X2, "in": " ".join(["0"] * 3000) + " 2\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "matrix"], "bad matrix row '0 0"),
+    overlong("adjacency-row", {"g.graph": "1\n" + " ".join(["0"] * 2999) + " 2\n"},
+             ["build", "iso", "--graph", "{g.graph}"], "bad adjacency row '0 0"),
+    overlong("tt-bits", {"t.tt": "2 1\n" + "1" * 3000 + " 0\n"},
+             ["build", "truth-table", "--table", "{t.tt}"], "'... for arity 2"),
+    overlong("tt-phase", {"t.tt": "2 1\n11 " + "x" * 3000 + "\n"},
+             ["build", "truth-table", "--table", "{t.tt}"], "bad phase 'xxx"),
+    overlong("chow-line", {"p.poly": "2 1\n1:[1/1] * a_0\n",
+                           "c.chow": "1 1 2 1\n" + "1:[1] " * 3000},
+             ["verify", "{c.chow}", "{p.poly}"], "expected 3 entries on line '1:[1]"),
+    overlong("header-kind", {"p.poly": "# diffcomp-" + "x" * 3000 + " 1\n1 1\n", "in": "1\n"},
+             ["run", "{p.poly}", "{in}"], "found where '# diffcomp-poly 1' belongs"),
+    overlong("run-witness", {"p.poly": f"3000 1\n1:[2/1] * {TERM}\n", "in": "1" * 3000 + "\n"},
+             ["run", "{p.poly}", "{in}"], "... (degree 3000); the program is not"),
+    # the one message that quotes two monomials, the term and the function's graph
+    overlong("functional-term", {"p.poly": f"3025 1\n1:[1/1] * {ALL_55X55}\n",
+                                 "in": ",".join(map(str, range(55))) + "\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"],
+             "... (degree 3025) contains input monomial a_{0,0} * a_{1,1}", limit=600),
+    # two exponents of 4,300 digits: a degree too long for str(), and no whole factor to show
+    overlong("huge-exponents", {"p.poly": "4 1\n1:[1/1] * a_{0,0}^%s * a_{1,1}^%s\n" % (
+        "9" * 4300, "9" * 4300), "in": "0,1\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"],
+             "term ... (degree over 2^600) contains input monomial a_{0,0} * a_{1,1}"),
+]
+
+
+@pytest.mark.parametrize("files, argv, phrase, limit", OVERLONG_INPUTS)
+def test_an_overlong_input_gives_one_short_error_line(tmp_path, capsys, files, argv, phrase,
+                                                      limit):
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    code = run_cli([paths[arg[1:-1]] if arg.startswith("{") else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert code in (2, 3) and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and phrase in err
+    assert len(err.encode()) <= limit, err

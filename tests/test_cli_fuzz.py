@@ -1,8 +1,9 @@
 """A fuzz of the command line: mutated valid files through every file-reading subcommand.
 
 Whatever the mutation, `diffcomp` must end with exit 0, 2 or 3, print one
-`error:` line when it fails, never a traceback, and stay quick, because the
-term cap is lowered and every input is bounded by it.
+`error:` line of at most LINE_BYTES bytes when it fails, never a traceback, and
+stay quick, because the term cap is lowered and every input is bounded by it.
+A second fuzz grows one token, or one line's content, to GROWN characters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from diffcomp.multipoly import VarTable, poly_to_text
 
 CASE_BUDGET_S = 2.0
 CAP = "400"
+LINE_BYTES = 300  # the most one error line may take, however long the input it quotes
+GROWN = 5000
 
 
 def _seed_files() -> dict[str, str]:
@@ -97,6 +100,19 @@ def _mutate(text: str, edits) -> str:
     return "\n".join(lines)
 
 
+def _grow(text: str, line_at: int, col: int, whole_line: bool) -> str:
+    """Repeat one space-separated token of a non-empty line, or the line's whole content, to
+    GROWN characters."""
+    lines = text.split("\n")
+    full = [i for i, line in enumerate(lines) if line]
+    k = full[line_at % len(full)]
+    words = [lines[k]] if whole_line else lines[k].split(" ")
+    at = col % len(words)
+    words[at] = (words[at] * GROWN)[:GROWN]
+    lines[k] = " ".join(words)
+    return "\n".join(lines)
+
+
 class _Overtime(BaseException):
     """Raised by the alarm; cli.main cannot catch it."""
 
@@ -110,15 +126,13 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(range(len(COMMANDS))), st.data())
-def test_mutated_files_end_in_a_typed_exit(workdir, command, data):
+def _check(workdir, command: int, which: str, mutated: str) -> None:
+    """Run COMMANDS[command] with the file `which` replaced by `mutated`; assert a typed,
+    quick exit and at most one short error line."""
     template, reads = COMMANDS[command]
-    which = data.draw(st.sampled_from(reads), label="mutated file")
-    edits = data.draw(mutations(), label="edits")
     paths = {"out": str(workdir / "out")}
     for name in reads:
-        text = _mutate(SEEDS[name], edits) if name == which else SEEDS[name]
+        text = mutated if name == which else SEEDS[name]
         (workdir / name).write_text(text)
         paths[name] = str(workdir / name)
     argv = [paths[arg[1:-1]] if arg.startswith("{") else arg for arg in template]
@@ -154,3 +168,21 @@ def test_mutated_files_end_in_a_typed_exit(workdir, command, data):
         assert len(errors) == 1, (argv, code, stderr)
     else:
         assert not errors, stderr
+    assert all(len(line.encode()) <= LINE_BYTES for line in errors), (argv, stderr)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(len(COMMANDS))), st.data())
+def test_mutated_files_end_in_a_typed_exit(workdir, command, data):
+    which = data.draw(st.sampled_from(COMMANDS[command][1]), label="mutated file")
+    edits = data.draw(mutations(), label="edits")
+    _check(workdir, command, which, _mutate(SEEDS[which], edits))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(len(COMMANDS))), st.data())
+def test_a_token_or_line_grown_long_ends_in_one_short_error_line(workdir, command, data):
+    which = data.draw(st.sampled_from(COMMANDS[command][1]), label="grown file")
+    growth = data.draw(st.tuples(st.integers(0, 40), st.integers(0, 40), st.booleans()),
+                       label="line, token, whole line")
+    _check(workdir, command, which, _grow(SEEDS[which], *growth))

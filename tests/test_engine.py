@@ -37,6 +37,8 @@ from diffcomp.listings import (
 )
 from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
 
+from test_listings import with_lex_phases
+
 
 def cube(n):
     return list(itertools.product((0, 1), repeat=n))
@@ -144,7 +146,7 @@ def test_soundness_exhaustive_small():
         for yes_mask in range(2 ** len(points)):
             yes = [points[i] for i in range(len(points)) if yes_mask >> i & 1]
             for m in (1, 2, 4):
-                t = TruthTable.make(n, yes, m).with_lex_phases()
+                t = with_lex_phases(TruthTable.make(n, yes, m))
                 dc = vector_computer(t)
                 for b in points:
                     assert run_checked(dc, b).bit == t.value(b)
@@ -178,7 +180,7 @@ def test_phase_independence():
 
 def test_derivative_order_irrelevance():
     rng = random.Random(91)
-    t = TruthTable.make(3, [(1, 1, 1), (1, 0, 1), (0, 1, 1)], 2).with_lex_phases()
+    t = with_lex_phases(TruthTable.make(3, [(1, 1, 1), (1, 0, 1), (0, 1, 1)], 2))
     p = listing_from_truth_table(t)
     for _ in range(10):
         order = [0, 1, 2]
@@ -514,7 +516,7 @@ def test_memo_holds_only_decided_units_and_violations_repeat_identically():
 
 
 def test_a_decided_coefficient_is_not_powered_again(monkeypatch):
-    dc = vector_computer(TruthTable.make(3, cube(3), 6).with_lex_phases())
+    dc = vector_computer(with_lex_phases(TruthTable.make(3, cube(3), 6)))
     first = [run_vector(dc, b) for b in cube(3)]
     assert len(dc._units) == 6  # lex phases 0..7 mod 6: six distinct coefficients
     monkeypatch.setattr(CycloRational, "__pow__", lambda *a: pytest.fail("powered again"))
@@ -535,7 +537,7 @@ def brute_force_hamiltonian_cycles(g: Graph) -> int:
     count = 0
     for perm in itertools.permutations(range(n)):
         if all(
-            g.has_edge(perm[i], perm[(i + 1) % n]) for i in range(n)
+            g.adj[perm[i]][perm[(i + 1) % n]] for i in range(n)
         ):
             count += 1
     return count // n  # each cycle counted once per starting point

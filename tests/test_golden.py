@@ -16,6 +16,8 @@ from diffcomp import chow, cli, graphs
 from diffcomp.listings import TruthTable
 from diffcomp.multipoly import poly_to_text
 
+from test_graphs import totally_complete
+
 _BINARY = TruthTable.make(3, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)])
 _PHASED = TruthTable.make(3, [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)], 6,
                           {(0, 0, 1): 1, (0, 1, 1): 5, (1, 0, 0): 2, (1, 1, 1): 3})
@@ -27,7 +29,7 @@ _GRAPHS = {
     "empty2": graphs.Graph.empty(2),
 }
 _GRAPH_SET = [graphs.Graph.from_edges(3, [(0, 1), (1, 2)]), graphs.Graph.cycle(3),
-              graphs.Graph.empty(3), graphs.Graph.totally_complete(3)]
+              graphs.Graph.empty(3), totally_complete(3)]
 
 _MATRIX_KINDS = ("functional", "permanent", "determinant", "constants", "cyclic")
 

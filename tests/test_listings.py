@@ -30,8 +30,6 @@ from diffcomp.listings import (
     listing_functional_graphs,
     listing_graph_isomorphism,
     listing_permanent,
-    monomial_support_equals,
-    truth_table_from_listing,
 )
 from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
 
@@ -42,6 +40,38 @@ def cube(n):
 
 def mono_of_pairs(n, pairs):
     return Monomial.of_vars(matrix_index(n, i, j) for i, j in pairs)
+
+
+def with_lex_phases(t):
+    """The canonical phase choice: instance b gets exponent lex_index(b) mod m."""
+    return TruthTable(t.n, t.m, t.yes, {b: lex_index(b) for b in t.yes})
+
+
+def truth_table_from_listing(p, m=None, n=None):
+    """Invert listing_from_truth_table: recover yes-instances and phases.
+
+    Every coefficient must be a power of w_m; anything else means p is not
+    an additive listing of order m.
+    """
+    m = p.coefficient_order() if m is None else m
+    n = p.nvars if n is None else n
+    phases = {}
+    for mono, c in p.terms.items():
+        if not mono.is_multilinear():
+            raise DimensionError(f"non-multilinear monomial {mono} in a listing")
+        b = tuple(1 if mono.exponent(i) else 0 for i in range(n))
+        if (k := next((k for k in range(m) if c == root_of_unity(m, k)), None)) is None:
+            raise DimensionError(f"coefficient {c} is not an order-{m} root of unity")
+        phases[b] = k
+    return TruthTable.make(n, phases, m, phases)
+
+
+def monomial_support_equals(p, t):
+    """Does p's monomial support enumerate exactly t's yes-instances?"""
+    if not p.is_multilinear():
+        raise DimensionError("support comparison needs a multilinear polynomial")
+    instance_supports = {frozenset(i for i, bit in enumerate(b) if bit) for b in t.yes}
+    return {m.support() for m in p.terms} == instance_supports
 
 
 def test_lex_index_is_big_endian():
@@ -93,7 +123,7 @@ def test_truth_table_m1_forces_zero_phases():
 
 
 def test_with_lex_phases():
-    t = TruthTable.make(2, cube(2), m=4).with_lex_phases()
+    t = with_lex_phases(TruthTable.make(2, cube(2), m=4))
     assert t.phases == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
 
 
@@ -451,7 +481,7 @@ def _ref_membership_listing(gs):
 
 
 def _ref_transform(g, f):
-    bits = tuple(1 if g.has_edge(i, j) else 0 for i in range(g.n) for j in range(g.n))
+    bits = tuple(1 if g.adj[i][j] else 0 for i in range(g.n) for j in range(g.n))
     seed = () if f is None else (f(0), f(1))
     return FunctionTable(len(seed) + g.n * g.n, seed + bits)
 

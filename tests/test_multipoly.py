@@ -471,6 +471,9 @@ def test_a_cap_below_one_is_refused(monkeypatch):
         max_terms()
 
 
+LONG_KEY = Monomial([(v, 1) for v in range(3000, 0, -1)])  # variables descending
+
+
 @pytest.mark.parametrize("make, args, message", [
     (MultiPoly, (1, {Monomial.of_vars([3]): 1}), "nvars=1 but a term uses variable 3"),
     (Monomial.make, ({-1: 1},), "variable indices must be non-negative"),
@@ -494,6 +497,9 @@ def test_a_cap_below_one_is_refused(monkeypatch):
                  re.escape("Monomial(((0, -1),)) is not canonical"), id="exponent-negative"),
     pytest.param(MultiPoly, (2, {((0, 1),): 1}),
                  re.escape("term key ((0, 1),) is not a Monomial"), id="plain-tuple"),
+    # a long key is quoted by the first 200 characters of its repr
+    pytest.param(MultiPoly, (3001, {LONG_KEY: 1}),
+                 re.escape(repr(LONG_KEY)[:200] + "... is not canonical"), id="long-unsorted"),
     # each pair two plain ints: what the writer prints, the reader reads back
     *(pytest.param(MultiPoly, (2, {Monomial([pair]): 1}), re.escape(
         f"{Monomial([pair])!r} is not canonical: {pair!r} is not a pair of ints"), id=name)

@@ -17,6 +17,8 @@ from diffcomp.graphs import Graph, graph_set_from_text, graph_set_to_text
 from diffcomp.listings import TruthTable
 from diffcomp.multipoly import Monomial, MultiPoly, poly_from_text, poly_to_text
 
+from test_graphs import totally_complete
+
 # kind -> (reader, a body it accepts with no header)
 READERS = {
     "poly": (poly_from_text, "4 2\n2:[-1/1] * a_{0,1} * a_{1,0}^2\n"),
@@ -50,7 +52,7 @@ def test_poly_reader_rejects_a_decomposition_header():
 
 
 def test_graph_set_blank_lines_are_optional():
-    gs = [Graph.cycle(3), Graph.empty(3), Graph.totally_complete(3)]
+    gs = [Graph.cycle(3), Graph.empty(3), totally_complete(3)]
     packed = "\n".join("\n".join([str(g.n)] + [" ".join(map(str, r)) for r in g.adj])
                        for g in gs)
     assert graph_set_from_text(packed) == graph_set_from_text(graph_set_to_text(gs)) == gs
