@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
-                     NotHomogeneousError, max_terms, quoted)
+                     NotHomogeneousError, max_terms, number, quoted)
 from .multipoly import Monomial, MultiPoly, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,20 +125,19 @@ class ChowDecomposition:
         """Parse into sparse forms; returns the decomposition and the declared coefficient order."""
         (rho, d, n, m), body = textfile.read(text, "chow", 1, 1, 0, 1)
         if len(body) != rho * d:
-            raise FormatError(f"expected {rho * d} form lines, found {len(body)}")
-        forms, read, slots, zeros = [], ScalarReader().__getitem__, [*range(n), None], set()
-        for line in body:
+            raise FormatError(f"expected {number(rho * d)} form lines, found {len(body)}")
+        forms, read, zeros = [], ScalarReader().__getitem__, set()
+        for line in body:  # the slots stay a lazy range, as n may be huge; a zero is tested once
             if len(toks := line.split()) != n + 1:
-                raise FormatError(f"expected {n + 1} entries on line {quoted(line)}")
-            forms.append({w: h for w, t in zip(slots, toks)  # each zero token is tested once
+                raise FormatError(f"expected {number(n + 1)} entries on line {quoted(line)}")
+            forms.append({w: h for w, t in zip(chain(range(n), [None]), toks)
                           if t not in zeros and ((h := read(t)) or zeros.add(t))})
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
-    """Multiply out every summand and add; the canonical polynomial.  The cap is read once:
-    if a summand has two nonzero forms and the cap admits every product, none charges it."""
-    total, fits = None, c._peak > 0 and c._peak <= max_terms()
+    """Multiply out every summand and add; the canonical polynomial."""
+    total = None
     for summand in c._sparse:
         forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
                                               for w, h in form.items()}) for form in summand)
@@ -146,7 +145,7 @@ def expand(c: ChowDecomposition) -> MultiPoly:
         for form in forms:
             if prod.is_zero():
                 break
-            prod = prod.__mul__(form, fits)
+            prod = prod * form
         total = prod if total is None else total + prod
     return total
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import textfile
 from .errors import (DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError,
-                     quoted)
+                     number, quoted)
 from .multipoly import MultiPoly, VarTable, poly_from_text, poly_to_text
 
 EXIT_OK, EXIT_BAD_INPUT, EXIT_MODEL = 0, 2, 3
@@ -41,38 +41,32 @@ def _write(path: str, text: str) -> None:
 
 # -- build ------------------------------------------------------------------
 
-_BUILDERS = ("truth-table", "functional", "permanent", "determinant",
-             "iso", "constants", "cyclic", "lagrange")
+_BUILDERS = {  # each kind, in the choices' order: the option it needs, its builder in `listings`
+    "truth-table": ("table", "listing_from_truth_table"),
+    "functional": ("n", "listing_functional_graphs"),
+    "permanent": ("n", "listing_permanent"),
+    "determinant": ("n", "listing_determinant"),
+    "iso": ("graph", "listing_graph_isomorphism"),
+    "constants": ("n", "listing_constant_functions"),
+    "cyclic": ("n", "listing_cyclic_group"),
+    "lagrange": ("table", "lagrange_interpolant"),
+}
 
 
 def cmd_build(args) -> int:
     from . import listings
-    kind, order = args.kind, None  # the coefficients' lcm; a truth table's m even with no terms
-    if kind in ("truth-table", "lagrange"):
-        if not args.table:
-            raise FormatError(f"build {kind} needs --table")
-        t = listings.TruthTable.from_text(_read(args.table))
-        if kind == "truth-table":
-            poly, table, order = listings.listing_from_truth_table(t), VarTable(t.n), t.m
-        else:
-            poly, table = listings.lagrange_interpolant(t), VarTable(t.n, "y")
-    elif kind == "iso":
-        if not args.graph:
-            raise FormatError("build iso needs --graph")
-        from .graphs import Graph
-        g = Graph.from_text(_read(args.graph))
-        poly, table = listings.listing_graph_isomorphism(g), VarTable.matrix(g.n)
-    else:
-        if args.n is None:
-            raise FormatError(f"build {kind} needs --n")
-        builder = {
-            "functional": listings.listing_functional_graphs,
-            "permanent": listings.listing_permanent,
-            "determinant": listings.listing_determinant,
-            "constants": listings.listing_constant_functions,
-            "cyclic": listings.listing_cyclic_group,
-        }[kind]
-        poly, table = builder(args.n), VarTable.matrix(args.n)
+    kind, (option, builder) = args.kind, _BUILDERS[args.kind]
+    if (value := getattr(args, option)) in (None, ""):
+        raise FormatError(f"build {kind} needs --{option}")
+    if option == "table":  # the table's m is the order, even with no terms
+        value = listings.TruthTable.from_text(_read(value))
+        table, order = VarTable(value.n, "y" if kind == "lagrange" else "a"), value.m
+    else:  # the coefficients' lcm
+        if option == "graph":
+            from .graphs import Graph
+            value = Graph.from_text(_read(value))
+        table, order = VarTable.matrix(value if option == "n" else value.n), None
+    poly = getattr(listings, builder)(value)
     text = poly_to_text(poly, table=table, order=order)
     if args.out:
         _write(args.out, text)
@@ -140,8 +134,8 @@ def _verified(path: str, target: MultiPoly) -> tuple:
     decomposition, _ = chow.ChowDecomposition.from_text(_read(path))
     if decomposition.nvars < target.nvars and not target.is_zero():
         # a wider decomposition universe is allowed; a narrower one cannot match
-        raise FormatError(f"decomposition over {decomposition.nvars} variables cannot "
-                          f"express a {target.nvars}-variable listing")
+        raise FormatError(f"decomposition over {number(decomposition.nvars)} variables cannot "
+                          f"express a {number(target.nvars)}-variable listing")
     return decomposition, chow.verify(decomposition, target)
 
 
@@ -180,7 +174,7 @@ def cmd_bound(args) -> int:
         print(f"certificate {decomposition.rho}")
     if target.is_homogeneous() and target.degree() == 2:
         print(f"lower {chow.degree2_chow_lower_bound(target)}")
-    if target.is_multilinear() and (count := _non_overlapping_rank(target)) is not None:
+    if (count := _non_overlapping_rank(target)) is not None:
         print(f"exact {count}")
     return EXIT_OK
 
@@ -274,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="write a listing in the polynomial format")
-    b.add_argument("kind", choices=_BUILDERS)
+    b.add_argument("kind", choices=tuple(_BUILDERS))
     b.add_argument("--n", type=int, help="size parameter for matrix listings")
     b.add_argument("--table", help="truth-table file (truth-table / lagrange)")
     b.add_argument("--graph", help="graph file (iso)")

@@ -25,7 +25,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cyclotomic import ONE, ZERO, CycloRational
-from .errors import BOUND, DimensionError, ModelViolationError, SingularMatrixError, charge
+from .errors import (BOUND, DimensionError, ModelViolationError, SingularMatrixError, charge, fits,
+                     number)
 from .listings import FunctionTable, signed_permutations
 from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
 
@@ -64,11 +65,11 @@ class DifferentialComputer:
             raise DimensionError("order must be positive")
         universe = self.arity if self.input_kind == "vector" else self.arity**2
         if self.program.nvars > universe:
-            raise DimensionError(f"program uses {self.program.nvars} variables; {self.input_kind} "
-                                 f"inputs of arity {self.arity} allow {universe}")
+            raise DimensionError(f"program uses {number(self.program.nvars)} variables; "
+                                 f"{self.input_kind} inputs of arity {self.arity} allow {universe}")
         if self.order % (cform := self.program.coefficient_order()):
             raise DimensionError(f"program coefficients live in order {cform}, which does not "
-                                 f"divide the declared order {self.order}")
+                                 f"divide the declared order {number(self.order)}")
 
     @cached_property
     def _tall_terms(self) -> tuple[Monomial, ...]:
@@ -76,15 +77,13 @@ class DifferentialComputer:
         exponent, arity = itemgetter(1), self.arity
         return tuple(m for m in self.program.terms if sum(map(exponent, m)) > arity)
 
-    def _show(self, mono: Monomial) -> str:
-        # past BOUND characters: the whole factors in the first BOUND // 2, then the degree
+    def _show(self, mono: Monomial, room: int = BOUND) -> str:
+        # past `room` characters: the whole factors in the first half of it, then the degree
         table = (VarTable if self.input_kind == "vector" else VarTable.matrix)(self.arity)
-        if len(text := " * ".join(table.factor(v, e) for v, e in mono) or "1") <= BOUND:
+        if len(text := " * ".join(table.factor(v, e) for v, e in mono) or "1") <= room:
             return text
-        head = text[:BOUND // 2].rpartition(" * ")[0]
-        degree = mono.degree()
-        shown = degree if degree.bit_length() <= 3 * BOUND else f"over 2^{3 * BOUND}"
-        return f"{head}{' * ' * bool(head)}... (degree {shown})"
+        head = text[:room // 2].rpartition(" * ")[0]
+        return f"{head}{' * ' * bool(head)}... (degree {number(mono.degree())})"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
         # s^m without the power: every root of unity in the field of s (order k)
@@ -96,13 +95,15 @@ class DifferentialComputer:
         if scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE:
             return self._units.setdefault(key, RunResult(1, scalar))
         # name s and m, not s^m: that is a second power, with integers m times as long as s's.
-        # s is written only if its integers hold at most 3 * BOUND bits and its text fits BOUND
-        fits = sum(map(int.bit_length, scalar.num), scalar.den.bit_length()) <= 3 * BOUND
-        shown = text if fits and len(text := str(scalar)) <= BOUND else (
-            f"<order-{scalar.order} coefficient>")
-        raise ModelViolationError(f"post-power scalar ({shown})^{self.order} is neither 0 nor 1 at "
-                                  f"input monomial {self._show(mono)}; the program is not an "
-                                  "additive listing")
+        # s, m and the witness share BOUND - 7 characters: an `error:` line of at most 300 bytes
+        named, order = f"<order-{scalar.order} coefficient>", number(self.order)
+        whole = fits(*scalar.num, scalar.den) and len(text := str(scalar)) <= BOUND
+        shown, witness = text if whole else named, self._show(mono)
+        if len(shown) + len(order) + len(witness) > BOUND - 7:
+            shown, witness = named, self._show(mono, max(0, BOUND - 7 - len(named) - len(order)))
+        raise ModelViolationError(f"post-power scalar ({shown})^{order} is neither 0 nor 1 at "
+                                  f"input monomial {witness}; the program is not an additive "
+                                  "listing")
 
 
 def _run(dc: DifferentialComputer, support: Sequence[int]) -> RunResult:

@@ -41,10 +41,20 @@ def charge(factors: Iterable[int], what: str, unit: str = "terms", per_term: int
     cap, count, factors = per_term * max_terms(), 1, iter(factors)
     for f in factors:
         if (count := count * f) > cap:
-            whole = next(factors, None) is None and count.bit_length() <= 3 * BOUND
-            shown = count if whole else f"more than {cap}"
+            over = f"more than {cap}"
+            shown = over if next(factors, None) is not None else number(count, over)
             raise SizeCapError(f"{what} needs {shown} {unit}, over the cap of {cap}")
     return count
+
+
+def fits(*values: int) -> bool:
+    """Whether a refusal may write these integers out: at most 3 * BOUND bits in all."""
+    return sum(map(int.bit_length, values)) <= 3 * BOUND
+
+
+def number(value: int, large: str = f"over 2^{3 * BOUND}") -> str:
+    """An integer for a refusal: written whole if it fits, otherwise named by its size."""
+    return str(value) if fits(value) else large
 
 
 def quoted(value: object) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import textfile
 from .cyclotomic import ONE
-from .errors import DimensionError, FormatError, quoted
+from .errors import DimensionError, FormatError, number, quoted
 from .listings import FunctionTable, _matrix_listing
 from .multipoly import MultiPoly, matrix_index
 
@@ -73,7 +73,7 @@ class Graph:
     @classmethod
     def _from_rows(cls, n: int, rows: list[str]) -> Graph:
         if len(rows) != n:
-            raise FormatError(f"expected {n} adjacency rows, found {len(rows)}")
+            raise FormatError(f"expected {number(n)} adjacency rows, found {len(rows)}")
         adj = []
         for line in rows:
             if len(row := line.split()) != n or any(x not in ("0", "1") for x in row):

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from . import textfile
 from .cyclotomic import ONE, root_of_unity
-from .errors import DimensionError, FormatError, NotApplicableError, charge, quoted
+from .errors import DimensionError, FormatError, NotApplicableError, charge, number, quoted
 from .multipoly import Monomial, MultiPoly
 
 FACTORS_PER_TERM = 4  # admits the densest listings under the default cap: 8! terms, 8 factors each
@@ -103,7 +103,7 @@ class TruthTable:
             if bits_s == "-" and n == 0:
                 bits_s = ""
             if len(bits_s) != n or any(c not in "01" for c in bits_s):
-                raise FormatError(f"bad bit vector {quoted(bits_s)} for arity {n}")
+                raise FormatError(f"bad bit vector {quoted(bits_s)} for arity {number(n)}")
             b = tuple(int(c) for c in bits_s)
             if b in phases:
                 raise FormatError(f"duplicate yes-instance {quoted(bits_s)}")
@@ -147,7 +147,7 @@ class FunctionTable:
         if shorthand:
             return (cls.constant if spec[0] == "c" else cls.shift)(n, images[0])
         if len(images) != n:
-            raise FormatError(f"function {quoted(spec)} must list {n} images")
+            raise FormatError(f"function {quoted(spec)} must list {number(n)} images")
         return cls(n, images)
 
     @classmethod
@@ -176,7 +176,7 @@ def listing_from_truth_table(t: TruthTable) -> MultiPoly:
     """One multilinear term per yes-instance, coefficient w_m^phase.  Each coefficient has
     phi(m) coordinates, at most m, so m is charged to the cap before the first is built."""
     charge([t.m], "truth-table listing", "coordinates")
-    pairs = [(i, 1) for i in range(t.n)]
+    pairs = [(i, 1) for i in range(t.n)] if t.phases else []  # each yes-instance holds n bits
     roots = {k: root_of_unity(t.m, k) for k in set(t.phases.values())}
     return MultiPoly._trusted(t.n, {Monomial(itertools.compress(pairs, b)): roots[k]
                                     for b, k in t.phases.items()})  # phases holds yes, in its order

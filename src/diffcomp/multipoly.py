@@ -2,8 +2,8 @@
 
 A monomial is a sparse map from variable index to a positive exponent; a
 polynomial maps monomials to nonzero coefficients (canonical sparse form:
-zero coefficients are never stored).  All operations are pure and exact, and
-a product charges its |A|*|B| term pairs to the DIFFCOMP_MAX_TERMS cap first.
+zero coefficients are never stored).  All operations are pure and exact, and a
+product of more than one pair of terms charges its |A|*|B| pairs to the cap first.
 
 Polynomial equality compares term maps only, i.e. it is mathematical
 equality; the declared variable-universe size `nvars` is carried for
@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
-from .errors import DimensionError, FormatError, InvalidRelabellingError, charge, quoted
+from .errors import DimensionError, FormatError, InvalidRelabellingError, charge, number, quoted
 
 
 class Monomial(tuple):
@@ -43,15 +43,12 @@ class Monomial(tuple):
 
     @classmethod
     def make(cls, mapping: Mapping[int, int]) -> Monomial:
-        items = []
-        for v, e in sorted(mapping.items()):
-            if v < 0:
-                raise DimensionError("variable indices must be non-negative")
-            if e < 0:
-                raise DimensionError("exponents must be non-negative")
-            if e > 0:
-                items.append((v, e))
-        return cls(items)
+        items = sorted(mapping.items())
+        if items and items[0][0] < 0:
+            raise DimensionError("variable indices must be non-negative")
+        if any(e < 0 for _, e in items):
+            raise DimensionError("exponents must be non-negative")
+        return cls([(v, e) for v, e in items if e])
 
     @classmethod
     def of_vars(cls, variables: Iterable[int]) -> Monomial:
@@ -80,13 +77,10 @@ class Monomial(tuple):
             return other or self
         if self[-1][0] < other[0][0]:  # disjoint and in order, as in expanding a product
             return Monomial(tuple.__add__(self, other))
-        out, i, j = [], 0, 0  # merge the two sorted pair sequences
-        while i < len(self) and j < len(other):
-            (va, ea), (vb, eb) = self[i], other[j]
-            out.append((va, ea + eb) if va == vb else min(self[i], other[j]))
-            i += va <= vb
-            j += vb <= va
-        return Monomial((*out, *self[i:], *other[j:]))
+        merged = dict(self)
+        for v, e in other:
+            merged[v] = merged.get(v, 0) + e
+        return Monomial(sorted(merged.items()))
 
     def _refuse(self, other):
         raise TypeError("a Monomial supports only Monomial * Monomial, not tuple + or repetition")
@@ -194,10 +188,10 @@ class MultiPoly:
     def __rsub__(self, other) -> MultiPoly:
         return (-self) + other
 
-    def __mul__(self, other, charged: bool = False) -> MultiPoly:
+    def __mul__(self, other) -> MultiPoly:
         other = self._coerce_poly(other)
         a, b = len(self.terms), len(other.terms)
-        if not charged:  # `chow.expand` charges all its products to the cap at once
+        if a * b != 1:  # every cap of at least 1 admits one pair, so one term by one is free
             charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
         pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
         # every variable of self below every one of other's: each product is the two monomials
@@ -352,8 +346,8 @@ class VarTable:
     side: int | None = None
 
     @classmethod
-    def matrix(cls, n: int, prefix: str = "a") -> VarTable:
-        return cls(n * n, prefix, n)
+    def matrix(cls, n: int) -> VarTable:
+        return cls(n * n, "a", n)
 
     @classmethod
     def naming(cls, name: str, size: int) -> VarTable:
@@ -384,11 +378,12 @@ class VarTable:
         else:
             i, j = textfile.ints(f"{match[3]} {match[4]}", "variable index", 0, 0)
             if i >= self.side or j >= self.side:
-                raise FormatError(f"variable {quoted(name)} outside the {self.side}x{self.side} "
-                                  "matrix")
+                side = number(self.side)
+                raise FormatError(f"variable {quoted(name)} outside the {side}x{side} matrix")
             index = self.side * i + j
         if index >= self.size:
-            raise FormatError(f"variable {quoted(name)} outside universe of size {self.size}")
+            raise FormatError(f"variable {quoted(name)} outside universe of size "
+                              f"{number(self.size)}")
         return index
 
     def factor(self, v: int, e: int) -> str:

@@ -197,17 +197,19 @@ def test_order12_units_in_a_certificate_keep_each_product_as_it_was():
     assert len(got.terms) == len(firsts)
 
 
-def test_expand_reads_the_cap_once_and_charges_no_product_it_admits(monkeypatch):
-    from diffcomp import chow, multipoly
+def test_expand_charges_every_product_but_one_term_by_one_term(monkeypatch):
+    from diffcomp import multipoly
     from diffcomp.errors import SizeCapError
 
-    reads, charges = [], []
-    read, charge = chow.max_terms, multipoly.charge
-    monkeypatch.setattr(chow, "max_terms", lambda: reads.append(1) or read())
+    charges = []
+    charge = multipoly.charge
     monkeypatch.setattr(multipoly, "charge", lambda *a: charges.append(a) or charge(*a))
-    c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])  # charged 5 x 5, then 25 x 5 = 125
-    got = expand(c)
-    assert len(got.terms) == 35 and len(reads) == 1 and not charges
+    c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])  # its peak bound is 25 x 5 = 125
+    got = expand(c)  # charged 5 x 5, then 15 x 5: the first product's terms met in 15 keys
+    assert len(got.terms) == 35 and [pairs for pairs, _ in charges] == [[25], [75]]
+    p = pm_polynomial(3, 4)  # its trivial certificate multiplies one-entry forms only
+    assert expand(trivial_decomposition(p)) == p and len(charges) == 2
+    charges.clear()
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "124")  # the bound fails: every product charges
     assert expand(c) == got and len(charges) == 2
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
@@ -852,3 +854,17 @@ def test_the_trivial_p2_certificate_costs_its_nonzero_entries():
     assert sum(len(form) for summand in c._sparse for form in summand) == 6000
     assert verify(c, p)
     assert homogenize(c, p) == c
+
+
+def test_from_text_checks_each_line_before_it_builds_anything_sized_by_n():
+    # a slot list over n = 10^7 variables would take about 400 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^expected 10000001 entries on line '1:\[1\] 1:\[0\]'$"):
+            ChowDecomposition.from_text("# diffcomp-chow 1\n1 1 10000000 1\n1:[1] 1:[0]\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -801,3 +801,106 @@ def test_an_overlong_input_gives_one_short_error_line(tmp_path, capsys, files, a
     assert code in (2, 3) and out == "" and "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ") and phrase in err
     assert len(err.encode()) <= limit, err
+
+
+BIG = "1" + "0" * 3999  # a header number of 4,000 digits, past the 600 bits a refusal writes
+HALF = "1" + "0" * 2499  # two of these multiply to 5,000 digits, past what str() of an int allows
+ONE_VAR = "1 1\n1:[1/1] * a_0\n"
+COEFF_123 = "13:[" + "113/1," * 11 + "13/1]"  # str() writes it in 123 characters
+FORTY = " * ".join(f"a_{i}" for i in range(40))
+NARROW = "1 1 1 1\n1:[1] 1:[0]\n"  # a certificate over one variable
+
+# as OVERLONG_INPUTS: a number read from a header is written whole only up to 600 bits, and
+# nothing sized by a header is built before the lines that should fill it are checked
+HEADER_NUMBERS = [
+    overlong("chow-n-10^7", {"p.poly": ONE_VAR,
+                             "c.chow": "# diffcomp-chow 1\n1 1 10000000 1\n1:[1] 1:[0]\n"},
+             ["verify", "{c.chow}", "{p.poly}"], "expected 10000001 entries on line '1:[1] 1:[0]'"),
+    overlong("chow-rho-d", {"p.poly": ONE_VAR, "c.chow": f"{HALF} {HALF} 1 1\n1:[1] 1:[0]\n"},
+             ["verify", "{c.chow}", "{p.poly}"], "expected over 2^600 form lines, found 1"),
+    overlong("chow-n", {"p.poly": ONE_VAR, "c.chow": f"1 1 {BIG} 1\n1:[1] 1:[0]\n"},
+             ["verify", "{c.chow}", "{p.poly}"], "expected over 2^600 entries on line"),
+    overlong("run-order", {"p.poly": f"1 {BIG}\n3:[0/1,1/1] * a_0\n", "in": "1\n"},
+             ["run", "{p.poly}", "{in}"], "does not divide the declared order over 2^600"),
+    overlong("run-power", {"p.poly": f"2 {BIG}\n1:[2/1] * a_0 * a_1\n", "in": "11\n"},
+             ["run", "{p.poly}", "{in}"], "post-power scalar (2)^over 2^600 is neither"),
+    overlong("run-nvars", {"p.poly": f"{BIG} 1\n", "in": "11\n"},
+             ["run", "{p.poly}", "{in}"], "program uses over 2^600 variables"),
+    overlong("run-functional-n", {"p.poly": f"{BIG} 1\n", "in": "0,0\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"], "must list over 2^600 images"),
+    overlong("verify-nvars", {"p.poly": f"{BIG} 1\n1:[1/1] * a_0\n", "c.chow": NARROW},
+             ["verify", "{c.chow}", "{p.poly}"], "cannot express a over 2^600-variable listing"),
+    overlong("graph-n", {"g.graph": f"{BIG}\n0\n"},
+             ["build", "iso", "--graph", "{g.graph}"], "expected over 2^600 adjacency rows"),
+    overlong("graphset-n", {"s.graphset": f"{BIG}\n0\n"},
+             ["transform", "{s.graphset}", "--out-prefix", "{out}"], "expected over 2^600 adj"),
+    overlong("tt-n", {"t.tt": f"{BIG} 1\n1 0\n"},
+             ["build", "truth-table", "--table", "{t.tt}"], "'1' for arity over 2^600"),
+    overlong("matrix-side", {"p.poly": f"1{'0' * 4000} 1\n1:[1/1] * a_{{1{'0' * 2001},0}}\n",
+                             "in": "1\n"},
+             ["run", "{p.poly}", "{in}"], "outside the over 2^600xover 2^600 matrix"),
+    # a coefficient, the order and a cut witness share one budget: 342 bytes before it
+    overlong("run-shared-budget", {"p.poly": f"40 13\n{COEFF_123} * {FORTY}\n", "in": "1" * 40},
+             ["run", "{p.poly}", "{in}"], "scalar (<order-13 coefficient>)^13 is neither 0"),
+]
+
+
+@pytest.mark.parametrize("files, argv, phrase, limit", HEADER_NUMBERS)
+def test_a_header_number_past_600_bits_is_named_by_its_size(tmp_path, capsys, files, argv,
+                                                            phrase, limit):
+    test_an_overlong_input_gives_one_short_error_line(tmp_path, capsys, files, argv, phrase, limit)
+
+
+def test_bound_names_a_listing_width_past_600_bits_by_its_size(tmp_path, capsys):
+    poly, cert = tmp_path / "p.poly", tmp_path / "c.chow"
+    poly.write_text(f"{BIG} 1\n1:[1/1] * a_0\n")
+    cert.write_text(NARROW)
+    assert run_cli(["bound", str(poly), "--certificate", str(cert)]) == 2
+    assert capsys.readouterr() == ("upper 1\n", "error: decomposition over 1 variables cannot "
+                                   "express a over 2^600-variable listing\n")
+
+
+@pytest.mark.parametrize("width, shown", [
+    (11, "(113 + 113*w + 113*w^2 + 113*w^3 + 113*w^4 + 113*w^5 + 113*w^6 + 113*w^7 + 113*w^8 "
+         "+ 113*w^9 + 113*w^10 + 13*w^11 (order 13))"),
+    (12, "(<order-13 coefficient>)")])  # written whole, the line would hold 303 bytes
+def test_a_run_refusal_that_fits_its_line_writes_every_value_whole(tmp_path, capsys, width,
+                                                                   shown):
+    poly, inp = tmp_path / "p.poly", tmp_path / "in"
+    witness = " * ".join(f"a_{i}" for i in range(width))
+    poly.write_text(f"{width} 13\n{COEFF_123} * {witness}\n")
+    inp.write_text("1" * width + "\n")
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    assert capsys.readouterr().err == (f"error: post-power scalar {shown}^13 is neither 0 nor 1 "
+                                       f"at input monomial {witness}; the program is not an "
+                                       "additive listing\n")
+
+
+def test_a_run_refusal_that_fits_keeps_its_named_coefficient_and_cut_witness(tmp_path, capsys):
+    # a coefficient too long to write and a witness cut at BOUND: 245 bytes, as before the budget
+    coords = ",".join(f"{(-1) ** i * (1 + i % 3)}/1" for i in range(400))
+    poly, inp = tmp_path / "p.poly", tmp_path / "in"
+    poly.write_text(f"3000 401\n401:[{coords}] * {TERM}\n")
+    inp.write_text("1" * 3000 + "\n")
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    assert capsys.readouterr().err == (
+        "error: post-power scalar (<order-401 coefficient>)^401 is neither 0 nor 1 at input "
+        "monomial a_0 * a_1 * a_2 * a_3 * a_4 * a_5 * a_6 * a_7 * a_8 * a_9 * a_10 * a_11 * "
+        "a_12 * a_13 * a_14 * ... (degree 3000); the program is not an additive listing\n")
+
+
+def test_a_truth_table_of_arity_10_7_and_no_instance_builds_its_empty_listing(tmp_path, capsys):
+    table = tmp_path / "t.tt"
+    table.write_text("10000000 1\n")
+    assert table.stat().st_size == 11
+    assert run_cli(["build", "truth-table", "--table", str(table)]) == 0
+    assert capsys.readouterr() == (
+        "# diffcomp-poly 1\n10000000 1\n",
+        "built truth-table listing: 0 terms over 10000000 variables (n=10000000)\n")
+
+
+@pytest.mark.parametrize("kind, option", [(kind, option)
+                                          for kind, (option, _) in cli._BUILDERS.items()])
+def test_build_names_the_option_its_kind_needs(capsys, kind, option):
+    assert run_cli(["build", kind]) == 2
+    assert capsys.readouterr() == ("", f"error: build {kind} needs --{option}\n")

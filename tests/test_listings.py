@@ -711,3 +711,16 @@ def test_listings_share_one_pair_per_variable_and_one_scalar_per_phase():
         p = listing_from_truth_table(t)
         assert len({id(pair) for mono in p.terms for pair in mono}) <= t.n
         assert len({id(c) for c in p.terms.values()}) <= m
+
+
+def test_a_truth_table_with_no_instance_builds_no_pair_table():
+    # the n = 10^7 pair table alone would take about 1 GB
+    t = TruthTable.from_text("10000000 1\n")
+    tracemalloc.start()
+    try:
+        p = listing_from_truth_table(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.is_zero() and p.nvars == 10**7
+    assert peak < 1 << 20

@@ -540,3 +540,12 @@ def test_a_key_of_any_pairs_is_a_dimension_error_or_written_and_read_back(pairs,
     assert all(type(v) is int is type(e) for v, e in pairs)
     parsed = poly_from_text(poly_to_text(p))
     assert parsed.poly == p and list(parsed.poly.terms) == list(p.terms)
+
+
+def test_a_product_charges_its_pairs_unless_one_term_by_one(monkeypatch):
+    # every cap of at least 1 admits one pair, so that product reads no cap at all
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "many")
+    assert x(0, 2) * x(1, 2) == MultiPoly(2, {Monomial.of_vars([0, 1]): 1})
+    for p, q in ((x(0, 2), MultiPoly(2)), (MultiPoly(2), x(0, 2)), (x(0, 2) + x(1, 2), x(1, 2))):
+        with pytest.raises(FormatError, match="^DIFFCOMP_MAX_TERMS must be an integer"):
+            p * q
