@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import textfile
 from .errors import (DiffcompError, FormatError, InternalInconsistencyError, ModelViolationError,
-                     number, quoted)
+                     max_terms, number, quoted)
 from .multipoly import MultiPoly, VarTable, poly_from_text, poly_to_text
 
 EXIT_OK, EXIT_BAD_INPUT, EXIT_MODEL = 0, 2, 3
@@ -184,7 +184,6 @@ def cmd_bound(args) -> int:
 def cmd_transform(args) -> int:
     from . import graphs, listings
     graph_set = graphs.graph_set_from_text(_read(args.graphset))
-    n = graph_set[0].n
     f = None
     if args.mode == "Tf":
         if not args.f:
@@ -192,13 +191,13 @@ def cmd_transform(args) -> int:
         f = listings.FunctionTable.parse(args.f, 2)
     elif args.f is not None:
         raise FormatError("--f applies only to --mode Tf")
-    result = graphs.transform_set(graph_set, args.mode, f)
+    result = graphs.transform_set(graph_set, f)
     transformed = [graphs.graph_of_function(ft) for ft in result.functions]
-    out_prefix, npoints = args.out_prefix, result.functions[0].n
+    out_prefix, n, npoints = args.out_prefix, result.n, result.functions[0].n
     _write(f"{out_prefix}.graphset", graphs.graph_set_to_text(transformed))
     _write(f"{out_prefix}.before.poly", poly_to_text(result.listing_before, VarTable.matrix(n)))
     _write(f"{out_prefix}.after.poly", poly_to_text(result.listing_after, VarTable.matrix(npoints)))
-    ok = graphs.recovers_original(result, n, args.mode, f)
+    ok = graphs.recovers_original(result)
     print(f"transformed {len(transformed)} graphs on {n} vertices to "
           f"functional graphs on {npoints} points")
     print(f"restriction recovery {'PASS' if ok else 'FAIL'}")
@@ -312,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_terms()  # a malformed cap is refused by every command, not only by one that charges
         return args.func(args)
     except DiffcompError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,6 +101,9 @@ class DifferentialComputer:
         shown, witness = text if whole else named, self._show(mono)
         if len(shown) + len(order) + len(witness) > BOUND - 7:
             shown, witness = named, self._show(mono, max(0, BOUND - 7 - len(named) - len(order)))
+            if len(named) + len(order) + len(witness) > BOUND - 7:  # no room left by the order
+                order = f"over 2^{(self.order - 1).bit_length() - 1}"  # the largest 2^k below it
+                witness = self._show(mono, max(0, BOUND - 7 - len(named) - len(order)))
         raise ModelViolationError(f"post-power scalar ({shown})^{order} is neither 0 nor 1 at "
                                   f"input monomial {witness}; the program is not an additive "
                                   "listing")

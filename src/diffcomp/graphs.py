@@ -96,16 +96,12 @@ def monomial_edge_listing(g: Graph) -> MultiPoly:
 # The transforms.  Outputs are FunctionTables: out-degree one is intrinsic.
 # ---------------------------------------------------------------------------
 
-def _seed(mode: str, f: FunctionTable | None) -> tuple[int, ...]:
+def _seed(f: FunctionTable | None) -> tuple[int, ...]:
     """The images of the points ahead of the edge points: () for T, (f(0), f(1)) for T_f."""
-    if mode == "T":
-        return ()
-    if mode != "Tf":
-        raise DimensionError(f"unknown transform mode {quoted(mode)}")
     if f is None:
-        raise DimensionError("mode Tf needs the seed function f")
-    if f.n != 2:
-        raise DimensionError("the seed function must act on Z_2")
+        return ()
+    if not isinstance(f, FunctionTable) or f.n != 2:
+        raise DimensionError(f"the seed function must be a FunctionTable on Z_2, not {quoted(f)}")
     return (f(0), f(1))
 
 
@@ -129,7 +125,7 @@ def transform_T(g: Graph) -> FunctionTable:
 
 def transform_Tf(g: Graph, f: FunctionTable) -> FunctionTable:
     """Functional graph on n^2 + 2 points; points 0 and 1 carry f: Z_2 -> Z_2."""
-    return _transform(g, _seed("Tf", f))
+    return _transform(g, _seed(f))
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,12 @@ class TransformSetResult:
     functions: tuple[FunctionTable, ...]
     listing_before: MultiPoly
     listing_after: MultiPoly
+    f: FunctionTable | None  # the seed and the vertex count: what pulls listing_after back
+    n: int
 
 
-def transform_set(graphs: Iterable[Graph], mode: str = "T",
-                  f: FunctionTable | None = None) -> TransformSetResult:
-    """Apply T (or T_f) elementwise and return both membership listings.
+def transform_set(graphs: Iterable[Graph], f: FunctionTable | None = None) -> TransformSetResult:
+    """Apply T (f None) or T_f (f on Z_2) elementwise and return both membership listings.
 
     The after-listing lives over N^2 matrix variables, N being the
     transformed point count; restricting it per recovery_restriction gives
@@ -152,17 +149,17 @@ def transform_set(graphs: Iterable[Graph], mode: str = "T",
         raise DimensionError("empty graph set")
     if len(sizes := {g.n for g in gs}) != 1:
         raise DimensionError(f"graphs of mixed vertex counts {sorted(sizes)} in one set")
-    seed = _seed(mode, f)
+    seed = _seed(f)
     images = [_transform(g, seed) for g in gs]
     (n,), npoints = sizes, images[0].n
     before = _matrix_listing(n, [len(gs)], "membership listing", lambda pairs: [
         ([pairs[n * i + j] for i, j in g.edges()], ONE) for g in gs])
     after = _matrix_listing(npoints, [len(gs)], "membership listing", lambda pairs: [
         ([pairs[npoints * i + x] for i, x in enumerate(ft.images)], ONE) for ft in images])
-    return TransformSetResult(tuple(images), before, after)
+    return TransformSetResult(tuple(images), before, after, f, n)
 
 
-def recovery_restriction(n: int, mode: str = "T", f: FunctionTable | None = None
+def recovery_restriction(n: int, f: FunctionTable | None = None
                          ) -> tuple[dict[int, int], dict[int, int], int]:
     """(fixings, relabelling, nvars) that pull the transformed listing back.
 
@@ -170,7 +167,7 @@ def recovery_restriction(n: int, mode: str = "T", f: FunctionTable | None = None
     variables realizing f), then rename each "edge present" variable
     a_{offset+k,1} to the original flat edge index k.
     """
-    seed = _seed(mode, f)
+    seed = _seed(f)
     offset, npoints = len(seed), len(seed) + n * n
     fixings = {matrix_index(npoints, k, image): 1 for k, image in enumerate(seed)}
     fixings.update((matrix_index(npoints, offset + k, 0), 1) for k in range(n * n))
@@ -178,9 +175,8 @@ def recovery_restriction(n: int, mode: str = "T", f: FunctionTable | None = None
     return fixings, relabel, n * n
 
 
-def recovers_original(result: TransformSetResult, n: int, mode: str = "T",
-                      f: FunctionTable | None = None) -> bool:
-    fixings, relabel, nvars = recovery_restriction(n, mode, f)
+def recovers_original(result: TransformSetResult) -> bool:
+    fixings, relabel, nvars = recovery_restriction(result.n, result.f)
     restricted = result.listing_after.restrict_and_relabel(fixings, relabel, nvars)
     return restricted == result.listing_before
 

@@ -320,8 +320,8 @@ def test_criterion_09_transform_mechanics():
         mode = rng.choice(["T", "Tf"]) if n >= 2 else "Tf"
         f = FunctionTable(2, (rng.randrange(2), rng.randrange(2))) \
             if mode == "Tf" else None
-        result = transform_set(graph_set, mode, f)
-        if not recovers_original(result, n, mode, f):
+        result = transform_set(graph_set, f)
+        if not recovers_original(result):
             failures.append(f"trial {trial}: recovery failed (n={n}, {mode})")
     report(9, "T and T_f reproduce the worked images and always restrict back", failures)
 

@@ -401,6 +401,27 @@ def test_the_default_cap_admits_every_truth_table_order_up_to_itself(tmp_path, c
     assert capsys.readouterr().out.startswith("# diffcomp-poly 1\n1 100001\n100001:[0/1,1/1,")
 
 
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"p.poly": "2 1\n1:[1/1] * a_0\n", "in": "11\n"}, ["run", "p.poly", "in"],
+                 id="run-vector"),
+    pytest.param({"p.poly": "4 1\n1:[1/1] * a_{0,0} * a_{1,1}\n", "in": "0,1\n"},
+                 ["run", "p.poly", "in", "--kind", "functional"], id="run-functional"),
+    pytest.param({"t.tt": "2 1\n11 0\n"},  # every Lagrange factor a single variable: no charge
+                 ["build", "lagrange", "--table", "t.tt", "--out", "out.poly"], id="lagrange"),
+    pytest.param({"s.graphset": "2\n0 1\n0 0\n"},
+                 ["transform", "s.graphset", "--out-prefix", "out"], id="transform"),
+    pytest.param({"c.chow": "1 1 1 1\n1:[1] 1:[0]\n", "p.poly": "1 1\n1:[1/1] * a_0\n"},
+                 ["verify", "c.chow", "p.poly"], id="verify")])
+def test_every_command_refuses_a_malformed_cap_before_it_works(tmp_path, capsys, monkeypatch,
+                                                                files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "many")
+    assert run_cli([str(tmp_path / a) if a in files or a.startswith("out") else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: DIFFCOMP_MAX_TERMS must be an integer, got 'many'\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
 # -- transform -------------------------------------------------------------------
 
 
@@ -839,6 +860,10 @@ HEADER_NUMBERS = [
     overlong("matrix-side", {"p.poly": f"1{'0' * 4000} 1\n1:[1/1] * a_{{1{'0' * 2001},0}}\n",
                              "in": "1\n"},
              ["run", "{p.poly}", "{in}"], "outside the over 2^600xover 2^600 matrix"),
+    # an order of 181 digits, written whole, left the cut witness no room: 326 bytes before
+    overlong("run-order-599-bits", {"p.poly": f"3000 {2 ** 599 + 1}\n1:[2/1] * {TERM}\n",
+                                    "in": "1" * 3000 + "\n"},
+             ["run", "{p.poly}", "{in}"], "^over 2^599 is neither 0 nor 1 at input monomial a_0"),
     # a coefficient, the order and a cut witness share one budget: 342 bytes before it
     overlong("run-shared-budget", {"p.poly": f"40 13\n{COEFF_123} * {FORTY}\n", "in": "1" * 40},
              ["run", "{p.poly}", "{in}"], "scalar (<order-13 coefficient>)^13 is neither 0"),

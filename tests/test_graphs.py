@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomp.errors import DimensionError, FormatError
 from diffcomp.graphs import (
@@ -183,9 +185,9 @@ def test_transform_T_rejects_single_vertex():
 def test_transform_set_recovers_functional_family():
     # all four functional graphs on Z_2; restriction gives back their listing
     gs = [graph_of_function(f) for f in all_function_tables(2)]
-    result = transform_set(gs, "T")
+    result = transform_set(gs)
     assert len(result.functions) == 4
-    assert recovers_original(result, 2, "T")
+    assert recovers_original(result)
     # the before-listing is the 4-term functional listing
     from diffcomp.listings import listing_functional_graphs
 
@@ -194,9 +196,9 @@ def test_transform_set_recovers_functional_family():
 
 def test_transform_set_single_graph():
     g = Graph.from_edges(2, [(0, 1)])
-    result = transform_set([g], "T")
+    result = transform_set([g])
     assert result.listing_before == monomial_edge_listing(g)
-    assert recovers_original(result, 2, "T")
+    assert recovers_original(result)
 
 
 def test_transform_set_constants_under_Tf():
@@ -204,17 +206,17 @@ def test_transform_set_constants_under_Tf():
 
     f = FunctionTable.constant(2, 0)
     gs = [graph_of_function(FunctionTable.constant(2, c)) for c in range(2)]
-    result = transform_set(gs, "Tf", f)
-    assert recovers_original(result, 2, "Tf", f)
+    result = transform_set(gs, f)
+    assert recovers_original(result)
     assert result.listing_before == listing_constant_functions(2)
 
 
 def test_transform_set_degree_check():
     gs = list(all_graphs(2))
-    result = transform_set(gs, "T")
+    result = transform_set(gs)
     assert all(m.degree() == 4 for m in result.listing_after.terms)
     f = FunctionTable(2, (0, 1))
-    result_f = transform_set(gs, "Tf", f)
+    result_f = transform_set(gs, f)
     assert all(m.degree() == 6 for m in result_f.listing_after.terms)
 
 
@@ -226,35 +228,73 @@ def test_transform_set_random_recovery():
         gs = rng.sample(pool, rng.randint(1, min(5, len(pool))))
         mode = rng.choice(["T", "Tf"]) if n >= 2 else "Tf"
         f = FunctionTable(2, (rng.randint(0, 1), rng.randint(0, 1)))
-        result = transform_set(gs, mode, f)
-        assert recovers_original(result, n, mode, f)
+        result = transform_set(gs, f if mode == "Tf" else None)
+        assert recovers_original(result)
 
 
 def test_transform_set_rejects_mixed_sizes_and_bad_mode():
     with pytest.raises(ValueError):
-        transform_set([Graph.empty(2), Graph.empty(3)], "T")
+        transform_set([Graph.empty(2), Graph.empty(3)])
     with pytest.raises(ValueError):
         transform_set([Graph.empty(2)], "Q")
     with pytest.raises(ValueError):
-        transform_set([Graph.empty(2)], "Tf")  # missing f
+        transform_set([Graph.empty(2)], "Tf")  # a mode name, not a seed
     with pytest.raises(ValueError):
-        transform_set([], "T")
+        transform_set([])
 
 
 def test_transform_set_dedupes():
     g = Graph.empty(2)
-    result = transform_set([g, g], "T")
+    result = transform_set([g, g])
     assert len(result.functions) == 1
 
 
 def test_recovery_restriction_shape():
-    fixings, relabel, nvars = recovery_restriction(2, "T")
+    fixings, relabel, nvars = recovery_restriction(2)
     assert nvars == 4
     assert len(fixings) == 4 and len(relabel) == 4
     f = FunctionTable.constant(2, 1)
-    fixings_f, relabel_f, nvars_f = recovery_restriction(2, "Tf", f)
+    fixings_f, relabel_f, nvars_f = recovery_restriction(2, f)
     assert nvars_f == 4
     assert len(fixings_f) == 6  # 4 absent-edge pins + the two f variables
+
+
+@st.composite
+def graph_sets_and_seeds(draw):
+    """A graph set on n = 0..3 vertices and a seed: None (T) when n >= 2, or a function on Z_2."""
+    n = draw(st.integers(0, 3))
+    seeds = ([None] if n >= 2 else []) + list(all_function_tables(2))
+    adjacency = st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
+    flats = draw(st.lists(adjacency, min_size=1, max_size=5))
+    gs = [Graph(n, tuple(tuple(flat[n * i:n * i + n]) for i in range(n))) for flat in flats]
+    return n, gs, draw(st.sampled_from(seeds))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph_sets_and_seeds())
+def test_a_transformed_set_restricts_itself_back(drawn):
+    n, gs, f = drawn
+    result = transform_set(gs, f)
+    assert recovers_original(result)
+    seed = () if f is None else (f(0), f(1))
+    assert all(m.degree() == len(seed) + n * n for m in result.listing_after.terms)
+    assert len(result.functions) == len(set(gs))
+
+
+def test_a_given_seed_yields_T_f():
+    g, f = Graph.from_edges(2, [(0, 1)]), FunctionTable.constant(2, 1)
+    result = transform_set([g], f)
+    assert result.functions == (transform_Tf(g, f),) and result.functions[0].n == 6
+    assert (result.f, result.n) == (f, 2)
+    assert transform_set([g]).functions == (transform_T(g),)
+
+
+@pytest.mark.parametrize("seed", ["T", "Tf", (0, 1), FunctionTable.identity(3)])
+def test_a_seed_that_is_not_a_function_on_z2_is_a_dimension_error(seed):
+    with pytest.raises(DimensionError, match="^the seed function must be a FunctionTable on Z_2"):
+        transform_set([Graph.empty(2)], seed)
+    with pytest.raises(DimensionError, match="^the seed function must be a FunctionTable on Z_2"):
+        recovery_restriction(2, seed)
 
 
 def test_graph_set_text_round_trip():

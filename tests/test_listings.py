@@ -523,7 +523,7 @@ def test_transform_listings_match_the_reference_builder():
         f = rng.choice(seeds)
         n = rng.randint(2 if f is None else 0, 3)
         gs = [_random_graph(rng, n) for _ in range(rng.randint(1, 6))]
-        result = graphs.transform_set(gs, "T" if f is None else "Tf", f)
+        result = graphs.transform_set(gs, f)
         images = [_ref_transform(g, f) for g in dict.fromkeys(gs)]
         assert result.functions == tuple(images)
         assert_same_listing(result.listing_before, _ref_membership_listing(dict.fromkeys(gs)))
@@ -673,9 +673,9 @@ def _matrix_builds(n, rng):
     yield listing_graph_isomorphism, (g,)
     yield graphs.monomial_edge_listing, (g,)
     gs = [g, _random_graph(rng, n), Graph.empty(n)]
-    mode = ("T",) if n > 1 else ("Tf", FunctionTable.shift(2, 1))  # T needs two vertices
-    yield (lambda: graphs.transform_set(gs, *mode).listing_before), ()
-    yield (lambda: graphs.transform_set(gs, *mode).listing_after), ()
+    f = None if n > 1 else FunctionTable.shift(2, 1)  # T needs two vertices
+    yield (lambda: graphs.transform_set(gs, f).listing_before), ()
+    yield (lambda: graphs.transform_set(gs, f).listing_after), ()
 
 
 def _random_table(rng, n, m):
