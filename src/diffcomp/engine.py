@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 from .cyclotomic import ONE, ZERO, CycloRational
 from .errors import (BOUND, DimensionError, ModelViolationError, SingularMatrixError, charge, fits,
                      number)
-from .listings import FunctionTable, signed_permutations
-from .multipoly import Monomial, MultiPoly, VarTable, matrix_index
+from .listings import FunctionTable
+from .multipoly import Monomial, MultiPoly, VarTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -171,35 +171,35 @@ def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:
 
 
 def inverse_via_gradient(M: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Invert an exact rational matrix through the determinant listing.
+    """Invert an exact rational matrix through the determinant listing's gradient.
 
-    Entry (i, j) of the inverse is (d/da_{j,i} Det)(M) / Det(M) — the
-    gradient-of-log-determinant identity.  One pass over the listing's terms, its
-    signed permutations (the listing is never built), gives the whole gradient:
-    each term adds, to every variable it holds, its sign times the product of
-    its other factors.  The pass runs in integers: with D the lcm of M's
-    denominators, M^-1 = D grad Det(DM) / Det(DM).
+    Entry (i, j) of the inverse is (d/da_{j,i} Det)(M) / Det(M).  Without building the
+    listing (its n! terms are still charged), a forward pass over column subsets S as
+    bitmasks finds each minor on rows 0..|S|-1 by Laplace along its last row, n 2^(n-1)
+    products; a reverse pass as long gives the whole gradient (Baur and Strassen).  Both
+    run in integers: with D the lcm of M's denominators, M^-1 = D grad Det(DM) / Det(DM).
     """
     from fractions import Fraction
     n = len(M)
     rows = [[Fraction(x) for x in row] for row in M]
-    if any(len(r) != n for r in rows):
-        raise DimensionError("matrix must be square")
+    if n < 1 or any(len(r) != n for r in rows):
+        raise DimensionError("matrix must be square" if n else "n must be positive")
     scale = math.lcm(*(x.denominator for r in rows for x in r))
-    point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
+    point = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
     charge(range(2, n + 1), f"determinant listing on {n}x{n}")
-    grad, det = [0] * (n * n), 0
-    for entries, parity in signed_permutations(n):
-        factors = [point[v] for v in entries]
-        suffix = [1] * (n + 1)  # suffix[k]: product of factors k, k+1, ...
-        for k in range(n - 1, -1, -1):
-            suffix[k] = suffix[k + 1] * factors[k]
-        prefix = -1 if parity else 1
-        for k, v in enumerate(entries):
-            grad[v] += prefix * suffix[k + 1]
-            prefix *= factors[k]
-        det += prefix
-    if det == 0:
+    full, grad, steps = (1 << n) - 1, [[0] * n for _ in rows], []
+    minor, adj = [1] * (full + 1), [0] * full + [1]
+    for S in range(1, full + 1):  # S - {j} < S, so every smaller minor is already found
+        r, sign, total = S.bit_count() - 1, 1, 0
+        for j in range(n - 1, -1, -1):  # along row r the sign flips at each column of S
+            if S >> j & 1:
+                steps.append((r, j, S, S ^ 1 << j, sign))
+                total += sign * point[r][j] * minor[S ^ 1 << j]
+                sign = -sign
+        minor[S] = total
+    if (det := minor[full]) == 0:
         raise SingularMatrixError("matrix is singular")
-    return [[Fraction(scale * grad[matrix_index(n, j, i)], det) for j in range(n)]
-            for i in range(n)]
+    for r, j, S, T, sign in reversed(steps):  # adj[S] is whole before S pushes it down
+        grad[r][j] += sign * adj[S] * minor[T]
+        adj[T] += sign * adj[S] * point[r][j]
+    return [[Fraction(scale * grad[j][i], det) for j in range(n)] for i in range(n)]

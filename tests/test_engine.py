@@ -21,7 +21,7 @@ from diffcomp.engine import (
     run_matrix,
     run_vector,
 )
-from diffcomp.errors import DimensionError, ModelViolationError, SingularMatrixError
+from diffcomp.errors import DimensionError, ModelViolationError, SingularMatrixError, charge
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
     FunctionTable,
@@ -34,6 +34,7 @@ from diffcomp.listings import (
     listing_functional_graphs,
     listing_graph_isomorphism,
     listing_permanent,
+    signed_permutations,
 )
 from diffcomp.multipoly import Monomial, MultiPoly, matrix_index
 
@@ -663,10 +664,10 @@ def _inverse_by_elimination(M):
 
 
 @st.composite
-def rational_matrices(draw):
-    """n = 1..5; entries biased to 0 and small integers, some with denominators;
+def rational_matrices(draw, max_n=5):
+    """n = 1..max_n; entries biased to 0 and small integers, some with denominators;
     about a third made singular by copying a combination of other rows."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     entry = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(Fraction),
                       st.fractions(min_value=-5, max_value=5, max_denominator=6))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -688,6 +689,71 @@ def test_inverse_agrees_with_derivative_chain_and_elimination(M):
         return
     got = inverse_via_gradient(M)
     assert got == expected == _inverse_by_derivatives(M)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+# The walk the inverse took before its Laplace passes: each of the listing's n! signed
+# permutations adds, to every variable it holds, its sign times its other factors.
+def _inverse_by_permutations(M):
+    n = len(M)
+    rows = [[Fraction(x) for x in row] for row in M]
+    if any(len(r) != n for r in rows):
+        raise DimensionError("matrix must be square")
+    scale = math.lcm(*(x.denominator for r in rows for x in r))
+    point = [x.numerator * (scale // x.denominator) for r in rows for x in r]
+    charge(range(2, n + 1), f"determinant listing on {n}x{n}")
+    grad, det = [0] * (n * n), 0
+    for entries, parity in signed_permutations(n):
+        factors = [point[v] for v in entries]
+        suffix = [1] * (n + 1)  # suffix[k]: product of factors k, k+1, ...
+        for k in range(n - 1, -1, -1):
+            suffix[k] = suffix[k + 1] * factors[k]
+        prefix = -1 if parity else 1
+        for k, v in enumerate(entries):
+            grad[v] += prefix * suffix[k + 1]
+            prefix *= factors[k]
+        det += prefix
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(scale * grad[matrix_index(n, j, i)], det) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rational_matrices(max_n=6))
+def test_inverse_agrees_with_the_permutation_walk_and_elimination(M):
+    expected = _inverse_by_elimination(M)
+    if expected is None:
+        for inverse in (inverse_via_gradient, _inverse_by_permutations):
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                inverse(M)
+        return
+    got = inverse_via_gradient(M)
+    assert got == expected == _inverse_by_permutations(M)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_inverse_at_the_largest_default_sizes_matches_elimination(n):
+    rng = random.Random(n)
+    M = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    got = inverse_via_gradient(M)
+    assert got == _inverse_by_elimination(M)
+    assert all(type(x) is Fraction for row in got for x in row)
+    M[n - 1] = [x - 2 * y for x, y in zip(M[0], M[1])]  # row n-1 = row 0 - 2 row 1
+    assert _inverse_by_elimination(M) is None
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+        inverse_via_gradient(M)
+
+
+def test_inverse_of_the_empty_matrix_is_refused():
+    with pytest.raises(DimensionError, match="^n must be positive$"):
+        inverse_via_gradient([])
+
+
+def test_inverse_reads_floats_as_fractions():
+    got = inverse_via_gradient([[0.5, 1], [2, 3]])
+    assert got == [[-6, 2], [4, -1]]
     assert all(type(x) is Fraction for row in got for x in row)
 
 
