@@ -6,9 +6,9 @@ the v-th linear form of summand u, and slot n holds the form's constant term.
 The number of summands certifies an upper bound on the Chow rank of the
 expanded polynomial; two lower-bound tools live here as well:
 
- * degree 2 — the rank of the unique symmetric matrix A with P = x^T A x,
-   halved (rounding up), is a lower bound, since every homogeneous
-   decomposition realizes some A + skew as a sum of rho rank-one matrices;
+ * degree 2 — the first partials of P span at most 2 rho dimensions, so their
+   rank, halved (rounding up), is a lower bound (Nisan and Wigderson's
+   partial-derivative method);
  * totally non-overlapping polynomials — Chow rank equals the term count,
    so the expanded form itself is an optimal decomposition.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
@@ -190,34 +190,20 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
     return zeroed
 
 
-# -- degree-2 lower bound via the symmetric matrix ----------------------------
+# -- degree-2 lower bound via the first partials ------------------------------
 
-def symmetric_matrix_of(p: MultiPoly) -> dict[int, dict[int, CycloRational]]:
-    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p, as sparse rows
-    {variable: {variable: nonzero entry}}, one per variable p's terms use, in increasing
-    order: the other variables only add zero rows and columns, which change no rank."""
-    if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
-        raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
-    A = {v: {} for v in sorted({v for mono in p.terms for v, _ in mono})}
-    half = ONE / 2
-    for mono, c in p.terms.items():
-        (i, e), *rest = mono  # x_i^2, or x_i x_j with the entry split over A[i][j] and A[j][i]
-        j = rest[0][0] if rest else i
-        A[i][j] = A[j][i] = c if e == 2 else c * half
-    return A
-
-
-def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
-    """Rank over the field of sparse rows {column: entry}.  Each row in turn loses its
-    leading (smallest) column to the pivot row that leads there, until it leads where no
-    pivot does; it then becomes a pivot, scaled once by the inverse of its leading entry.
-    A pivot's other columns lie beyond its lead, so each reduction moves the lead right.
-    A zero is dropped when it leads, and when its row becomes a pivot.
+def exact_rank(rows: Iterable[dict[Any, CycloRational]]) -> int:
+    """Rank over the field of sparse rows {column: entry}; the columns are any keys that order
+    among themselves (ints, Monomials).  Each row in turn loses its leading (smallest) column
+    to the pivot row that leads there, until it leads where no pivot does; it then becomes a
+    pivot, scaled once by the inverse of its leading entry.  A pivot's other columns lie
+    beyond its lead, so each reduction moves the lead right.  A zero is dropped when it
+    leads, and when its row becomes a pivot.
 
     >>> exact_rank([{0: ONE, 2: -ONE}, {0: ONE, 2: -ONE}, {1: ONE / 3}])
     2
     """
-    pivots: dict[int, dict[int, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
+    pivots: dict[Any, dict[Any, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
     for row in map(dict, rows):  # a copy: the caller's rows are left as they are
         while row:
             if not (f := row.pop(lead := min(row))):
@@ -232,14 +218,21 @@ def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
 
 
 def degree2_chow_lower_bound(p: MultiPoly) -> int:
-    """ceil(rank(A)/2) <= Chow rank of p, for homogeneous degree-2 p.
+    """ceil(r/2) <= Chow rank of p, for homogeneous degree-2 p, where r is the dimension of the
+    span of the first partials dp/dx_v (Nisan and Wigderson's partial-derivative method).
 
-    Every homogeneous decomposition with rho summands writes some A + S
-    (S skew-symmetric) as a sum of rho rank-one matrices, so
-    rank(A + S) <= rho; and 2A = (A + S) + (A + S)^T gives
-    rank(A) <= 2 rank(A + S) <= 2 rho.
+    If p = sum over rho summands of l_u1 * l_u2, then dp/dx_v = sum_u dl_u1/dx_v * l_u2 +
+    dl_u2/dx_v * l_u1 lies in the span of the 2 rho forms, so r <= 2 rho.  The partials are
+    sparse rows {x_w: entry}, one per variable p's terms use: a term c x^a gives row v the
+    entry e c at x^a / x_v for each x_v^e of x^a, and no two terms meet in one slot.
     """
-    return (exact_rank(symmetric_matrix_of(p).values()) + 1) // 2
+    if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
+        raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
+    rows: dict[int, dict[Monomial, CycloRational]] = {}
+    for mono, c in p.terms.items():
+        for v, e in mono:
+            rows.setdefault(v, {})[mono.diff(v)[1]] = c * e if e > 1 else c
+    return (exact_rank(rows.values()) + 1) // 2
 
 
 # -- totally non-overlapping polynomials: exact rank equals term count --------
@@ -316,7 +309,7 @@ def non_overlapping_rank(p: MultiPoly) -> int:
 
     The trivial decomposition gives the upper bound; optimality holds
     because restricting each term to two of its variables leaves a P_2
-    whose symmetric matrix has full rank 2n.
+    whose 2n first partials are independent.
     """
     if not is_totally_non_overlapping(p):
         raise NotApplicableError("polynomial has overlapping terms")

@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
         print("verdict REJECT")
         return EXIT_MODEL
     print("verdict ACCEPT")
-    if _non_overlapping_rank(target) == decomposition.rho:
+    if len(target.terms) == decomposition.rho == _non_overlapping_rank(target):
         print(f"matches non-overlapping lower bound {decomposition.rho}")
     return EXIT_OK
 

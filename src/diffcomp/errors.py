@@ -42,7 +42,7 @@ def charge(factors: Iterable[int], what: str, unit: str = "terms", per_term: int
     for f in factors:
         if (count := count * f) > cap:
             over = f"more than {cap}"
-            shown = over if next(factors, None) is not None else number(count, over)
+            shown = str(count) if fits(count) and next(factors, None) is None else over
             raise SizeCapError(f"{what} needs {shown} {unit}, over the cap of {cap}")
     return count
 
@@ -53,8 +53,8 @@ def fits(*values: int) -> bool:
 
 
 def number(value: int, large: str = f"over 2^{3 * BOUND}") -> str:
-    """An integer for a refusal: written whole if it fits, otherwise named by its size."""
-    return str(value) if fits(value) else large
+    """An integer for a refusal: written whole up to 2^(3 * BOUND), otherwise named by its size."""
+    return str(value) if fits(value - 1) else large
 
 
 def quoted(value: object) -> str:

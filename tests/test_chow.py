@@ -25,7 +25,6 @@ from diffcomp.chow import (
     pm_polynomial,
     pm_relabelling,
     pm_restriction_to_p2,
-    symmetric_matrix_of,
     trivial_decomposition,
     verify,
 )
@@ -373,14 +372,29 @@ def _dense_rank(rows):
     return r
 
 
+def _oracle_symmetric_matrix_of(p: MultiPoly) -> dict[int, dict[int, CycloRational]]:
+    """The unique symmetric A with p = x^T A x, for homogeneous degree-2 p, as sparse rows
+    {variable: {variable: nonzero entry}}, one per variable p's terms use, in increasing
+    order: the other variables only add zero rows and columns, which change no rank."""
+    if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
+        raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
+    A = {v: {} for v in sorted({v for mono in p.terms for v, _ in mono})}
+    half = ONE / 2
+    for mono, c in p.terms.items():
+        (i, e), *rest = mono  # x_i^2, or x_i x_j with the entry split over A[i][j] and A[j][i]
+        j = rest[0][0] if rest else i
+        A[i][j] = A[j][i] = c if e == 2 else c * half
+    return A
+
+
 def test_symmetric_matrix_examples():
-    A = symmetric_matrix_of(x(0, 2) * x(1, 2))
+    A = _oracle_symmetric_matrix_of(x(0, 2) * x(1, 2))
     half = as_scalar(Fraction(1, 2))
     assert A == {0: {1: half}, 1: {0: half}}
     sq = MultiPoly(1, {Monomial.make({0: 2}): 1})
-    assert symmetric_matrix_of(sq) == {0: {0: ONE}}
+    assert _oracle_symmetric_matrix_of(sq) == {0: {0: ONE}}
     p = 2 * x(0, 4) * x(1, 4) + 3 * x(2, 4) * x(3, 4)
-    A = symmetric_matrix_of(p)
+    A = _oracle_symmetric_matrix_of(p)
     th = as_scalar(Fraction(3, 2))
     assert A[0][1] == ONE and A[1][0] == ONE
     assert A[2][3] == th and A[3][2] == th
@@ -391,18 +405,18 @@ def test_symmetric_matrix_covers_only_the_variables_in_use():
     # x_3 * x_7 over 10 variables: the zero rows and columns of x_0.. are left out
     p = MultiPoly(10, {Monomial.make({3: 1, 7: 1}): 4, Monomial.make({7: 2}): 1})
     two = as_scalar(2)
-    assert symmetric_matrix_of(p) == {3: {7: two}, 7: {3: two, 7: ONE}}
-    assert symmetric_matrix_of(MultiPoly(10)) == {}
+    assert _oracle_symmetric_matrix_of(p) == {3: {7: two}, 7: {3: two, 7: ONE}}
+    assert _oracle_symmetric_matrix_of(MultiPoly(10)) == {}
     assert degree2_chow_lower_bound(p) == 1
 
 
 def test_symmetric_matrix_rejects_wrong_degrees():
     with pytest.raises(NotHomogeneousError):
-        symmetric_matrix_of(x(0, 1))
+        degree2_chow_lower_bound(x(0, 1))
     with pytest.raises(NotHomogeneousError):
-        symmetric_matrix_of(1 + x(0, 2) * x(1, 2))
+        degree2_chow_lower_bound(1 + x(0, 2) * x(1, 2))
     with pytest.raises(NotHomogeneousError):
-        symmetric_matrix_of(MultiPoly(1, {Monomial.make({0: 3}): 1}))
+        degree2_chow_lower_bound(MultiPoly(1, {Monomial.make({0: 3}): 1}))
 
 
 def test_exact_rank_small_cases():
@@ -502,9 +516,11 @@ def test_sparse_rank_keeps_the_fill_in_a_pivot_creates():
     assert exact_rank([{0: ONE, 1: w}, {0: ONE}]) == 2
 
 
-def test_symmetric_matrix_of_p2_stores_two_entries_per_term():
-    A = symmetric_matrix_of(pm_polynomial(3000, 2))
-    assert len(A) == 6000 and sum(map(len, A.values())) == 6000
+def test_symmetric_matrix_of_p2_stores_two_entries_per_term(monkeypatch):
+    rows = []
+    monkeypatch.setattr(chow, "exact_rank", lambda given: rows.extend(given) or 0)
+    degree2_chow_lower_bound(pm_polynomial(3000, 2))
+    assert len(rows) == 6000 and sum(map(len, rows)) == 6000
 
 
 def test_exact_rank_skips_a_zero_pivot_column_and_rows_with_zero_under_the_pivot():
@@ -525,6 +541,37 @@ def test_degree2_bound_examples():
     assert degree2_chow_lower_bound(tri) == 2
     for n in range(1, 6):
         assert degree2_chow_lower_bound(pm_polynomial(n, 2)) == n
+
+
+# nonzero, rational and of order 12
+QUADRATIC_ENTRIES = (ONE, -ONE, as_scalar(2), as_scalar(Fraction(1, 3)), root_of_unity(12),
+                     root_of_unity(12, 5), ONE + root_of_unity(12))
+
+
+@st.composite
+def quadratics(draw):
+    """A homogeneous quadratic of up to 12 terms, squares among them, over up to 7 variables,
+    in a universe up to 3 wider than that; no terms drawn gives the zero polynomial."""
+    n = draw(st.integers(1, 7))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(sorted).map(tuple)
+    terms = draw(st.dictionaries(pairs, st.sampled_from(QUADRATIC_ENTRIES), max_size=12))
+    return MultiPoly(n + draw(st.integers(0, 3)), {
+        Monomial.make({i: 2} if i == j else {i: 1, j: 1}): c for (i, j), c in terms.items()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quadratics())
+def test_the_partials_bound_is_half_the_rank_of_the_symmetric_matrix(p):
+    A = _oracle_symmetric_matrix_of(p)
+    rank = _dense_rank([[A[i].get(j, ZERO) for j in A] for i in A])
+    assert degree2_chow_lower_bound(p) == (rank + 1) // 2
+
+
+def test_the_square_of_a_form_has_lower_bound_one():
+    # every partial of (x0 + x1 + x2)^2 is 2 (x0 + x1 + x2); a square's partial that lost its
+    # exponent would leave rows of rank 3, and a bound of 2
+    s = x(0, 3) + x(1, 3) + x(2, 3)
+    assert degree2_chow_lower_bound(s * s) == 1
 
 
 # -- totally non-overlapping machinery -----------------------------------------

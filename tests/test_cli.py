@@ -223,6 +223,22 @@ def test_verify_accepts_matching_certificate(tmp_path, capsys):
     assert "matches non-overlapping lower bound 2" in out
 
 
+def test_verify_accepts_without_the_non_overlapping_scan_when_rho_is_not_the_term_count(
+        tmp_path, capsys, monkeypatch):
+    # one summand for the 4-term functional listing: the exact count (4) cannot be rho
+    listing, dec = tmp_path / "f.poly", tmp_path / "f.chow"
+    run_cli(["build", "functional", "--n", "2", "--out", str(listing)])
+    dec.write_text(chow.functional_product_decomposition(2).to_text())
+
+    def refuse(p):
+        raise AssertionError("the term count already differs from rho")
+
+    monkeypatch.setattr(chow, "non_overlapping_rank", refuse)
+    capsys.readouterr()
+    assert run_cli(["verify", str(dec), str(listing)]) == 0
+    assert capsys.readouterr().out == "rho 1 degree 2 nvars 4\nverdict ACCEPT\n"
+
+
 def test_verify_rejects_wrong_certificate(tmp_path, capsys):
     listing = tmp_path / "cyc.poly"
     run_cli(["build", "cyclic", "--n", "2", "--out", str(listing)])
@@ -283,8 +299,8 @@ def test_bound_pairwise_products_all_three_lines(tmp_path, capsys):
 
 
 def test_bound_on_the_3000_term_p2_costs_the_nonzeros(tmp_path, capsys):
-    # 6,000 variables: the rank must cost in the 6,000 nonzeros of the symmetric matrix,
-    # not in the 36 million slots of a dense one
+    # 6,000 variables: the rank must cost in the 6,000 nonzeros of the first partials,
+    # not in the 36 million slots of a dense matrix
     listing = tmp_path / "p2.poly"
     listing.write_text(poly_to_text(chow.pm_polynomial(3000, 2)))
     start = time.perf_counter()
