@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, product, repeat
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
-                     NotHomogeneousError, max_terms, number, quoted)
-from .multipoly import Monomial, MultiPoly, matrix_index
+                     NotHomogeneousError, charge, max_terms, number, quoted)
+from .multipoly import Monomial, MultiPoly, _is_one, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from .listings import FunctionTable
@@ -136,18 +136,29 @@ class ChowDecomposition:
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
-    """Multiply out every summand and add; the canonical polynomial."""
-    total = None
-    for summand in c._sparse:
-        forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
-                                              for w, h in form.items()}) for form in summand)
-        prod = next(forms)  # built lazily: the forms after a zero product never are
-        for form in forms:
-            if prod.is_zero():
-                break
-            prod = prod * form
-        total = prod if total is None else total + prod
-    return total
+    """Multiply out every summand and add; the canonical polynomial.  A summand of constant-free
+    forms whose variables rise from form to form is one product over its entries: a key joins
+    one (w, 1) pair per form, and the coefficients fold, and are charged, as * would do it."""
+    out, met = {}, []  # met: the keys an earlier summand holds too, whose sums may be zero
+    for summand in c._sparse:  # a zero form ends its summand: no later form is multiplied
+        summand = summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
+        ws = [w for form in summand for w in form]
+        if None in ws or any(map(int.__ge__, ws, ws[1:])):  # a constant, or variables not rising
+            forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
+                                                  for w, h in form.items()}) for form in summand)
+            part = math.prod(forms, start=next(forms)).terms
+        else:
+            coeffs = list(summand[0].values())
+            for form in summand[1:]:
+                if (a := len(coeffs)) * (b := len(form)) != 1:  # as *: one term by one is free
+                    charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
+                pairs = [(h, _is_one(h)) for h in form.values()]  # a unit passes the other on
+                coeffs = [h if one else g if h_one else g * h
+                          for g in coeffs for one in [_is_one(g)] for h, h_one in pairs]
+            part = dict(zip(map(Monomial, product(*[zip(f, repeat(1)) for f in summand])), coeffs))
+        met += (sums := {mono: out[mono] + part[mono] for mono in out.keys() & part.keys()})
+        out |= part | sums
+    return MultiPoly._trusted(c.nvars, out, met)
 
 
 def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
@@ -241,13 +252,8 @@ def is_totally_non_overlapping(p: MultiPoly) -> bool:
     """Does every variable appear in at most one term?"""
     if not p.is_multilinear():
         raise DimensionError("the non-overlapping test applies to multilinear polynomials")
-    seen: set[int] = set()
-    for mono in p.terms:
-        sup = mono.support()
-        if seen & sup:
-            return False
-        seen |= sup
-    return True
+    used = [v for mono in p.terms for v, _ in mono]  # a multilinear term holds each variable once
+    return len(used) == len(set(used))
 
 
 def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:

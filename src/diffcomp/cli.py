@@ -106,21 +106,15 @@ def cmd_run(args) -> int:
     input_text = _read(args.input)
     from . import engine, listings  # only once both files are read and the listing parses
     if kind == "vector":
-        bits = _parse_bits(input_text)
-        dc = engine.DifferentialComputer(poly, len(bits), order, "vector")
-        result = engine.run_vector(dc, bits)
+        arity = len(x := _parse_bits(input_text))
     elif kind == "matrix":
-        B = _parse_bit_matrix(input_text)
-        dc = engine.DifferentialComputer(poly, len(B), order, "matrix")
-        result = engine.run_matrix(dc, B)
+        arity = len(x := _parse_bit_matrix(input_text))
     else:  # functional; argparse restricts the choices
-        lines = textfile.records(input_text)
-        if len(lines) != 1:
+        if len(lines := textfile.records(input_text)) != 1:
             raise FormatError("functional input file must hold one image list")
-        n = math.isqrt(poly.nvars)
-        g = listings.FunctionTable.parse(lines[0], n)
-        dc = engine.DifferentialComputer(poly, n, order, "functional")
-        result = engine.run_functional(dc, g)
+        x = listings.FunctionTable.parse(lines[0], arity := math.isqrt(poly.nvars))
+    dc = engine.DifferentialComputer(poly, arity, order, kind)
+    result = getattr(engine, f"run_{kind}")(dc, x)  # run_vector, run_matrix or run_functional
     print(result.bit)
     print(f"scalar {result.scalar.to_text()}", file=sys.stderr)
     return EXIT_OK

@@ -6,12 +6,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcomp import chow, textfile
+from diffcomp import chow, errors, textfile
 from diffcomp.chow import (
     ChowDecomposition,
     compile_functional,
@@ -255,6 +256,110 @@ def test_expand_scales_linearly_in_one_form():
         s0 = ChowDecomposition(1, 2, n, (c.entries[0],))
         s1 = ChowDecomposition(1, 2, n, (c.entries[1],))
         assert expand(scaled) == lam * expand(s0) + expand(s1)
+
+
+# -- a summand of ordered, disjoint forms: one product over its entries --------------------
+
+NONZERO = tuple(h for h in ENTRIES if h)
+
+
+@st.composite
+def summand_mixes(draw):
+    """rho 1..4 summands of degree d in 1..4 over 3d to 3d + 2 variables, each cut from a run
+    of ascending variables into forms of 0 to 3 entries: left as it is (ordered and disjoint,
+    with one-entry and zero forms among them), with its forms reversed, with one variable given
+    to two forms, or with a constant slot; or an earlier summand with one form negated, so that
+    the two cancel."""
+    d = draw(st.integers(1, 4))
+    n = 3 * d + draw(st.integers(0, 2))  # room for every block
+    entry = st.sampled_from(NONZERO)
+    summands = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ordered", "ordered", "reversed", "shared", "constant",
+                                     "cancel"]))
+        if kind == "cancel" and summands:
+            forms = [dict(f) for f in draw(st.sampled_from(summands))]
+            k = draw(st.integers(0, d - 1))
+            forms[k] = {w: -h for w, h in forms[k].items()}
+            summands.append(forms)
+            continue
+        sizes = [draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 3, 3, 3])) for _ in range(d)]
+        used = sorted(draw(st.sets(st.integers(0, n - 1), min_size=sum(sizes),
+                                   max_size=sum(sizes))))
+        blocks = [used[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+        if kind == "reversed":
+            blocks.reverse()
+        elif kind == "shared" and used:
+            blocks[draw(st.integers(0, d - 1))].append(draw(st.sampled_from(used)))
+        forms = [{w: draw(entry) for w in block} for block in blocks]
+        if kind == "constant":
+            forms[draw(st.integers(0, d - 1))][None] = draw(entry)
+        summands.append(forms)
+    return ChowDecomposition(len(summands), d, n, summands)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(summand_mixes())
+def test_expand_of_ordered_disjoint_and_other_summands_equals_the_reference(c):
+    got, want = expand(c), _expand_from_zero(c)
+    assert got.nvars == want.nvars and _equal_by_sets(got, want) and got == want
+    assert MultiPoly(got.nvars, got.terms).terms == got.terms  # canonical keys, no zero kept
+
+
+def _count_products(monkeypatch) -> dict:
+    """Count the calls of MultiPoly, Monomial and CycloRational `*` from here on."""
+    calls = {}
+    for cls in (MultiPoly, Monomial, CycloRational):
+        def counted(self, other, _mul=cls.__mul__, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _mul(self, other)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def test_an_ordered_disjoint_summand_is_expanded_without_a_product(monkeypatch):
+    fg, p = functional_product_decomposition(4), pm_polynomial(3, 4)
+    want_fg, trivial = listing_functional_graphs(4), trivial_decomposition(p)
+    # a constant slot sends its summand through the pairwise MultiPoly * fold
+    constant = ChowDecomposition(1, 2, 2, [[{0: 1, None: 1}, {1: 1}]])
+    want_constant = (1 + x(0)) * x(1, 2)
+    calls = _count_products(monkeypatch)
+    assert expand(fg) == want_fg and expand(trivial) == p
+    assert calls == {}  # all-ONE coefficients pass through, and keys are joined, not multiplied
+    assert expand(constant) == want_constant and calls == {"MultiPoly": 1}
+
+
+def test_an_ordered_disjoint_summand_is_charged_as_multipoly_would_charge_it(monkeypatch):
+    from diffcomp import multipoly
+    from diffcomp.errors import SizeCapError
+
+    c = ChowDecomposition(3, 3, 9, [[{0: 2, 1: 1}, {2: 1, 3: 1, 4: -1}, {5: 1, 8: ONE / 2}],
+                                    [{0: 1}, {1: 1}, {2: root_of_unity(12)}],
+                                    [{3: 1}, {4: 1, 5: 1}, {}]])
+    reference, charges = _expand_from_zero(c), []  # charges: each one, whichever module makes it
+    for module in (chow, multipoly):
+        monkeypatch.setattr(module, "charge", lambda *a: charges.append(a) or errors.charge(*a))
+    for summand in c._sparse:  # the pairwise MultiPoly * fold, up to the first zero product
+        forms = [MultiPoly(9, {Monomial.of_vars([w]): h for w, h in f.items()}) for f in summand]
+        prod = forms[0]
+        for form in forms[1:]:
+            prod = prod * form if prod.terms else prod
+    want, charges[:] = charges[:], []
+    assert expand(c) == reference and charges == want
+    assert [pairs for pairs, _ in charges] == [[6], [12], [2], [0]]
+    # a cap below a product stops at that product with MultiPoly *'s own message
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
+    with pytest.raises(SizeCapError, match="^multiplying 5-term by 5-term polynomials needs "
+                                           "25 terms, over the cap of 24$"):
+        expand(functional_product_decomposition(5))
+
+
+def test_a_zero_form_in_an_ordered_disjoint_summand_still_reads_the_cap(monkeypatch):
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "many")
+    with pytest.raises(FormatError, match="^DIFFCOMP_MAX_TERMS must be an integer, got 'many'$"):
+        expand(ChowDecomposition(1, 3, 6, [[{0: 1, 1: 1}, {}, {4: 1, 5: 1}]]))
+    # a zero first form: the product is 0 before any form is multiplied, so nothing is charged
+    assert expand(ChowDecomposition(1, 2, 4, [[{}, {2: 1, 3: 1}]])).is_zero()
 
 
 # -- homogenization -----------------------------------------------------------

@@ -352,6 +352,19 @@ def test_verify_caps_the_expansion_of_a_tiny_file(tmp_path, capsys, monkeypatch)
     assert out == "" and "over the cap of 100" in err
 
 
+def test_verify_refuses_the_functional_certificate_at_its_first_product_over_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # its one summand is expanded as one product over its entries, charged step by step as
+    # MultiPoly * charges: 5 x 5 pairs, then 25 x 5, which passes the cap
+    dec, listing = tmp_path / "f5.chow", tmp_path / "f5.poly"
+    dec.write_text(chow.functional_product_decomposition(5).to_text())
+    listing.write_text(poly_to_text(listings.listing_functional_graphs(5)))
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "100")
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    assert capsys.readouterr() == ("", "error: multiplying 25-term by 5-term polynomials needs "
+                                       "125 terms, over the cap of 100\n")
+
+
 def test_default_cap_admits_the_functional_certificate_and_stops_a_larger_product(
         tmp_path, capsys):
     # a 6-form product peaks at 7,776 x 6 = 46,656 pairs under the default cap of 100,000
