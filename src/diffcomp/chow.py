@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import accumulate, chain, islice, product, repeat, takewhile
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import textfile
@@ -135,27 +135,35 @@ class ChowDecomposition:
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
+def _ordered(summand: list) -> tuple[Iterator[tuple], list[CycloRational]] | None:
+    """A summand of constant-free forms whose variables rise from form to form, cut at its first
+    zero form, is one product over its entries: its keys, plain tuples joining one (w, 1) pair
+    per form, and their coefficients, folded and charged as * would do it; else None."""
+    summand = summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
+    ws = [w for form in summand for w in form]
+    if None in ws or any(map(int.__ge__, ws, ws[1:])):  # a constant, or variables not rising
+        return None
+    coeffs = list(summand[0].values())
+    for form in summand[1:]:
+        if (a := len(coeffs)) * (b := len(form)) != 1:  # as *: one term by one is free
+            charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
+        pairs = [(h, _is_one(h)) for h in form.values()]  # a unit passes the other on
+        coeffs = [h if one else g if h_one else g * h
+                  for g in coeffs for one in [_is_one(g)] for h, h_one in pairs]
+    return product(*[zip(f, repeat(1)) for f in summand]), coeffs
+
+
 def expand(c: ChowDecomposition) -> MultiPoly:
-    """Multiply out every summand and add; the canonical polynomial.  A summand of constant-free
-    forms whose variables rise from form to form is one product over its entries: a key joins
-    one (w, 1) pair per form, and the coefficients fold, and are charged, as * would do it."""
+    """Multiply out every summand and add; the canonical polynomial.  An `_ordered` summand is one
+    product over its entries, any other a MultiPoly * fold (past a zero form, zero products)."""
     out, met = {}, []  # met: the keys an earlier summand holds too, whose sums may be zero
-    for summand in c._sparse:  # a zero form ends its summand: no later form is multiplied
-        summand = summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
-        ws = [w for form in summand for w in form]
-        if None in ws or any(map(int.__ge__, ws, ws[1:])):  # a constant, or variables not rising
+    for summand in c._sparse:
+        if (fold := _ordered(summand)) is None:
             forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
                                                   for w, h in form.items()}) for form in summand)
             part = math.prod(forms, start=next(forms)).terms
         else:
-            coeffs = list(summand[0].values())
-            for form in summand[1:]:
-                if (a := len(coeffs)) * (b := len(form)) != 1:  # as *: one term by one is free
-                    charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
-                pairs = [(h, _is_one(h)) for h in form.values()]  # a unit passes the other on
-                coeffs = [h if one else g if h_one else g * h
-                          for g in coeffs for one in [_is_one(g)] for h, h_one in pairs]
-            part = dict(zip(map(Monomial, product(*[zip(f, repeat(1)) for f in summand])), coeffs))
+            part = dict(zip(map(Monomial, fold[0]), fold[1]))
         met += (sums := {mono: out[mono] + part[mono] for mono in out.keys() & part.keys()})
         out |= part | sums
     return MultiPoly._trusted(c.nvars, out, met)
@@ -177,11 +185,18 @@ def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
 def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
     """Exact certificate check: expand(c) == target, so rho bounds the Chow rank.
 
-    If the cap admits the whole expansion, a probe whose coefficient differs is a
-    certain REJECT; otherwise, or when every probe agrees, the expansion is compared."""
+    If the cap admits the whole expansion, a probe whose coefficient differs is a certain REJECT.
+    Otherwise the expansion is compared: built by `expand`, unless no two first forms share a
+    variable and every summand is `_ordered` (folded in turn, to the first that is not).  Then its
+    keys are distinct and no coefficient is 0: it is the target if the target holds just them."""
     if (not c._peak or c._peak <= max_terms()) and any(
             c.coefficient(m) != target.coefficient(m) for m in _probes(c, target)):
         return False
+    firsts = [w for summand in c._sparse for w in summand[0]]
+    if len(firsts) == len(set(firsts)) and len(
+            folds := list(takewhile(bool, map(_ordered, c._sparse)))) == c.rho:
+        return len(target.terms) == sum(len(coeffs) for _, coeffs in folds) and all(
+            list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
     return expand(c) == target
 
 

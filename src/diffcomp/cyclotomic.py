@@ -55,8 +55,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
     """
-    if m < 1:
-        raise DimensionError("order must be a positive integer")
+    euler_phi(m)  # refuses an order below 1
     primes = _prime_factors(m)
     poly, divisors = [1], []
     for mask in range(1 << len(primes)):
@@ -388,10 +387,8 @@ def root_of_unity(m: int, k: int = 1) -> CycloRational:
     >>> root_of_unity(2) == -1
     True
     """
-    if m < 1:
-        raise DimensionError("order must be a positive integer")
-    k %= m
-    return _make(m, _reduce([0] * k + [1], m), 1)
+    euler_phi(m)  # refuses an order below 1
+    return _make(m, _reduce([0] * (k % m) + [1], m), 1)
 
 
 ZERO = _make(1, (0,), 1)

@@ -34,10 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def lex_index(bits: Sequence[int]) -> int:
     """Big-endian rank of a bit vector: lex_index((1,0,1)) == 5."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
+    return sum(b << k for k, b in enumerate(reversed(bits)))
 
 
 Bits = tuple[int, ...]

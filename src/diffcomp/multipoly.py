@@ -172,8 +172,7 @@ class MultiPoly:
         other = self._coerce_poly(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono)
-            out[mono] = c if acc is None else acc + c
+            out[mono] = c if (acc := out.get(mono)) is None else acc + c
         return MultiPoly._trusted(max(self.nvars, other.nvars), out,
                                   self.terms.keys() & other.terms.keys())
 
@@ -221,18 +220,12 @@ class MultiPoly:
     # -- calculus and substitution --------------------------------------------
 
     def partial_derivative(self, v: int) -> MultiPoly:
-        """Formal d/dx_v; terms not containing x_v vanish."""
+        """Formal d/dx_v; terms not containing x_v vanish.  Dividing by x_v is one to one on the
+        terms that hold it, so no two of them meet, and e c is not 0 when c is not."""
         if not 0 <= v < self.nvars:
             raise DimensionError(f"variable {v} outside universe of size {self.nvars}")
-        out: dict[Monomial, CycloRational] = {}
-        for mono, c in self.terms.items():
-            if (d := mono.diff(v)) is None:
-                continue
-            mult, reduced = d
-            acc = out.get(reduced)
-            contrib = c if mult == 1 else c * mult
-            out[reduced] = contrib if acc is None else acc + contrib
-        return MultiPoly._trusted(self.nvars, out, list(out))
+        return MultiPoly._trusted(self.nvars, {d[1]: c if d[0] == 1 else c * d[0] for mono, c in
+                                               self.terms.items() if (d := mono.diff(v))})
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
         """Exact evaluation: the restriction fixing every variable, those not in `point` to 0."""
@@ -258,8 +251,7 @@ class MultiPoly:
         survivors = {v for m in self.terms for v in m.support()} - set(fixings)
         image = {}
         for v in survivors:
-            t = relabel.get(v, v)
-            if t in image:
+            if (t := relabel.get(v, v)) in image:
                 raise InvalidRelabellingError(f"variables {image[t]} and {v} both map to {t}")
             image[t] = v
 
@@ -274,9 +266,8 @@ class MultiPoly:
                 else:
                     coeff = coeff * (x if e == 1 else x**e)
             else:  # no fixed factor of the term is zero
-                new_mono = Monomial.make(kept)
-                acc = out.get(new_mono)
-                out[new_mono] = coeff if acc is None else acc + coeff
+                key = Monomial.make(kept)
+                out[key] = coeff if (acc := out.get(key)) is None else acc + coeff
         return MultiPoly(max(image, default=-1) + 1 if nvars is None else nvars, out)
 
     # -- comparison and display ------------------------------------------------

@@ -362,6 +362,79 @@ def test_a_zero_form_in_an_ordered_disjoint_summand_still_reads_the_cap(monkeypa
     assert expand(ChowDecomposition(1, 2, 4, [[{}, {2: 1, 3: 1}]])).is_zero()
 
 
+# -- verify: an ordered certificate's terms looked up in the target ------------------------
+
+LOOKUP_ENTRIES = (ONE, -ONE, as_scalar(Fraction(1, 2)), as_scalar(Fraction(-2, 3)), as_scalar(3),
+                  root_of_unity(12), root_of_unity(12, 5), root_of_unity(12, 7) * 2)
+
+
+@st.composite
+def lookup_cases(draw):
+    """A certificate and a target.  rho 1..3, degree 1..3, over 16 variables; each summand cut
+    from ascending variables into forms of 0 to 3 entries (a zero form anywhere), sometimes
+    given a constant slot or a variable twice.  The first forms are kept disjoint, or drawn
+    freely, so that some share a variable.  The target is the certificate's expansion, as it is,
+    with one coefficient changed, one term dropped or one term added; or the expansion of the
+    certificate with every variable moved up by one, which has as many terms."""
+    n, d, disjoint = 16, draw(st.integers(1, 3)), draw(st.booleans())
+    entry, summands, taken = st.sampled_from(LOOKUP_ENTRIES), [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        sizes = [draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 3])) for _ in range(d)]
+        pool = sorted(set(range(n)) - taken) if disjoint else list(range(n))
+        used = sorted(draw(st.sets(st.sampled_from(pool), min_size=sum(sizes),
+                                   max_size=sum(sizes))))
+        blocks = [used[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+        taken.update(blocks[0])
+        kind = draw(st.sampled_from(["ordered"] * 6 + ["constant", "shared"]))
+        if kind == "shared" and used:
+            blocks[draw(st.integers(0, d - 1))].append(draw(st.sampled_from(used)))
+        forms = [{w: draw(entry) for w in block} for block in blocks]
+        if kind == "constant":
+            forms[draw(st.integers(0, d - 1))][None] = draw(entry)
+        summands.append(forms)
+    c = ChowDecomposition(len(summands), d, n, summands)
+    terms = dict(_expand_from_zero(c).terms)
+    change = draw(st.sampled_from(["none", "coefficient", "drop", "add", "shifted"]))
+    if change == "shifted":
+        return c, _expand_from_zero(ChowDecomposition(c.rho, d, n + 1, [
+            [{w if w is None else w + 1: h for w, h in f.items()} for f in summand]
+            for summand in c._sparse]))
+    if change in ("coefficient", "drop") and terms:
+        mono = draw(st.sampled_from(sorted(terms)))
+        if change == "drop":
+            del terms[mono]
+        else:
+            terms[mono] = terms[mono] * draw(st.sampled_from([2, -1, root_of_unity(12)]))
+    if change == "add":  # degree 4, above any term of a degree-3 product
+        terms[Monomial.of_vars(draw(st.sets(st.integers(0, n - 1), min_size=4, max_size=4)))] = ONE
+    return c, MultiPoly(n, terms)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lookup_cases())
+def test_verify_agrees_with_the_pairwise_expansion(case):
+    c, target = case
+    assert verify(c, target) is (_expand_from_zero(c) == target)
+
+
+def test_an_ordered_accept_neither_expands_nor_builds_a_polynomial(monkeypatch):
+    fg, p = functional_product_decomposition(4), pm_polynomial(3, 4)
+    targets = [(fg, listing_functional_graphs(4)), (trivial_decomposition(p), p)]
+    # a constant slot sends the check to `expand`
+    constant = ChowDecomposition(1, 2, 2, [[{0: 1, None: 1}, {1: 1}]])
+    targets.append((constant, (1 + x(0)) * x(1, 2)))
+    calls = []
+    real_expand, real_init, real_trusted = chow.expand, MultiPoly.__init__, MultiPoly._trusted
+    monkeypatch.setattr(chow, "expand", lambda c: calls.append("expand") or real_expand(c))
+    monkeypatch.setattr(MultiPoly, "__init__", lambda self, *a: calls.append("MultiPoly")
+                        or real_init(self, *a))
+    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(
+        lambda cls, *a: calls.append("MultiPoly") or real_trusted(*a)))
+    for cert, target in targets[:2]:
+        assert verify(cert, target) and calls == []
+    assert verify(*targets[2]) and calls[0] == "expand" and "MultiPoly" in calls
+
+
 # -- homogenization -----------------------------------------------------------
 
 

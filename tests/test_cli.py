@@ -365,6 +365,20 @@ def test_verify_refuses_the_functional_certificate_at_its_first_product_over_the
                                        "125 terms, over the cap of 100\n")
 
 
+def test_verify_refuses_at_the_first_summand_that_is_not_ordered(tmp_path, capsys, monkeypatch):
+    # summand 0, (1 + x0 + x1)^2, has a constant, so the check goes to `expand`, which refuses
+    # its 3 x 3 product; summand 1, (x2 + ... + x7) x8, would need 6 pairs, but is never folded
+    dec, listing = tmp_path / "two.chow", tmp_path / "x0.poly"
+    form = {0: 1, 1: 1, None: 1}
+    dec.write_text(chow.ChowDecomposition(2, 2, 12, [
+        [form, form], [dict.fromkeys(range(2, 8), 1), {8: 1}]]).to_text())
+    listing.write_text("# diffcomp-poly 1\n12 1\n1:[1] * a_0\n")
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "4")
+    assert run_cli(["verify", str(dec), str(listing)]) == 2
+    assert capsys.readouterr() == ("", "error: multiplying 3-term by 3-term polynomials needs "
+                                       "9 terms, over the cap of 4\n")
+
+
 def test_default_cap_admits_the_functional_certificate_and_stops_a_larger_product(
         tmp_path, capsys):
     # a 6-form product peaks at 7,776 x 6 = 46,656 pairs under the default cap of 100,000
@@ -590,13 +604,13 @@ def test_verify_rejects_a_changed_entry_from_its_probes(tmp_path, capsys, monkey
     monkeypatch.setattr(chow, "expand", lambda c: expanded.append(c) or real_expand(c))
     assert run_cli(["verify", str(good), str(listing)]) == 0
     assert capsys.readouterr().out == "rho 1 degree 3 nvars 9\nverdict ACCEPT\n"
-    assert len(expanded) == 1
+    assert not expanded  # the ordered certificate's terms are looked up in the listing
     assert run_cli(["verify", str(bad), str(listing)]) == 3
     assert capsys.readouterr().out == "rho 1 degree 3 nvars 9\nverdict REJECT\n"
-    assert len(expanded) == 1
+    assert not expanded
     assert run_cli(["bound", str(listing), "--certificate", str(bad)]) == 3
     assert capsys.readouterr().err.count("error:") == 1
-    assert len(expanded) == 1
+    assert not expanded
 
 
 # -- typed errors only --------------------------------------------------------------

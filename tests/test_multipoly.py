@@ -465,6 +465,21 @@ def test_product_on_named_boundary_cases():
                                                        ({2: 2}, 1), ({2: 1, 3: 1}, 1))})
 
 
+def test_a_product_of_disjoint_blocks_joins_its_keys_without_a_monomial_product(monkeypatch):
+    # every variable of (x0 + x1) lies below every one of (x2 + x3): each key is the two joined;
+    # (x0 + x1)(x1 + x2) shares x1, so each of its 4 pairs takes Monomial *
+    low, high, middle = x(0, 4) + x(1, 4), x(2, 4) + x(3, 4), x(1, 4) + x(2, 4)
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    want_disjoint = MultiPoly(4, {Monomial.of_vars(vs): 1 for vs in pairs})
+    want_shared = MultiPoly(4, {Monomial.make(e): 1 for e in [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 2},
+                                                              {1: 1, 2: 1}]})
+    calls = []
+    real = Monomial.__mul__
+    monkeypatch.setattr(Monomial, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert low * high == want_disjoint and calls == []
+    assert low * middle == want_shared and len(calls) == 4
+
+
 def test_a_cap_below_one_is_refused(monkeypatch):
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "0")
     with pytest.raises(FormatError, match="^DIFFCOMP_MAX_TERMS must be positive$"):

@@ -143,7 +143,8 @@ def expand_calls(monkeypatch):
     ids=["functional", "pm", "constant-slots"])
 def test_a_changed_entry_is_rejected_without_expanding(certificate, expand_calls):
     target = expand(certificate)
-    assert verify(certificate, target) and len(expand_calls) == 1  # ACCEPT expands once
+    # an ACCEPT looks up an ordered certificate's terms, and expands one with a constant once
+    assert verify(certificate, target) and len(expand_calls) == (not certificate.is_homogeneous())
     checked = 0
     for mutant, was_nonzero in _mutants(certificate):
         expand_calls.clear()
@@ -173,6 +174,33 @@ def test_the_targets_first_term_rejects_a_zeroed_entry_without_expanding(expand_
     assert changed.coefficient(Monomial.of_vars([0, 3, 6])) == 0
     assert not verify(changed, target)
     assert not expand_calls
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The summands `chow._ordered` folds, for `verify` and `expand` alike."""
+    calls = []
+    real_ordered = chow._ordered
+    monkeypatch.setattr(chow, "_ordered", lambda summand: calls.append(summand)
+                        or real_ordered(summand))
+    return calls
+
+
+@pytest.mark.parametrize("certificate", [functional_product_decomposition(3), _pm_certificate()],
+                         ids=["functional", "pm"])
+def test_a_probe_rejects_a_changed_ordered_certificate_before_any_fold(certificate, fold_calls,
+                                                                        expand_calls):
+    # the lookup comparison would reject these too without `expand`; the probes come first
+    target = expand(certificate)
+    fold_calls.clear()
+    for mutant, _ in _mutants(certificate):
+        assert not verify(mutant, target)
+        assert not fold_calls and not expand_calls
+    entries = [[list(form) for form in summand] for summand in certificate.entries]
+    entries[0][1][next(iter(certificate._sparse[0][1]))] = ZERO  # the second form's first entry
+    zeroed = ChowDecomposition(certificate.rho, certificate.degree, certificate.nvars, entries)
+    assert not verify(zeroed, target)
+    assert not fold_calls and not expand_calls
 
 
 def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls):
