@@ -52,9 +52,9 @@ def fits(*values: int) -> bool:
     return sum(map(int.bit_length, values)) <= 3 * BOUND
 
 
-def number(value: int, large: str = f"over 2^{3 * BOUND}") -> str:
+def number(value: int) -> str:
     """An integer for a refusal: written whole up to 2^(3 * BOUND), otherwise named by its size."""
-    return str(value) if fits(value - 1) else large
+    return str(value) if fits(value - 1) else f"over 2^{3 * BOUND}"
 
 
 def quoted(value: object) -> str:

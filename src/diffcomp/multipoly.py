@@ -193,14 +193,6 @@ class MultiPoly:
         if a * b != 1:  # every cap of at least 1 admits one pair, so one term by one is free
             charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
         pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
-        # every variable of self below every one of other's: each product is the two monomials
-        # joined, none meets another and none is 0 (a single pair skips the test)
-        if a * b > 1 and max([m[-1][0] for m in self.terms if m] or [-1]) < min(
-                [m[0][0] for m in other.terms if m] or [math.inf]):
-            return MultiPoly._trusted(max(self.nvars, other.nvars), {
-                Monomial(tuple.__add__(m1, m2)): c2 if one else c1 if other_one else c1 * c2
-                for m1, c1 in self.terms.items() for one in [_is_one(c1)]
-                for m2, c2, other_one in pairs})
         out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
         for m1, c1 in self.terms.items():
             one = _is_one(c1)  # a unit factor passes the other one through

@@ -326,7 +326,7 @@ def test_an_ordered_disjoint_summand_is_expanded_without_a_product(monkeypatch):
     calls = _count_products(monkeypatch)
     assert expand(fg) == want_fg and expand(trivial) == p
     assert calls == {}  # all-ONE coefficients pass through, and keys are joined, not multiplied
-    assert expand(constant) == want_constant and calls == {"MultiPoly": 1}
+    assert expand(constant) == want_constant and calls == {"MultiPoly": 1, "Monomial": 2}
 
 
 def test_an_ordered_disjoint_summand_is_charged_as_multipoly_would_charge_it(monkeypatch):
@@ -692,6 +692,20 @@ def test_sparse_rank_keeps_the_fill_in_a_pivot_creates():
     w = root_of_unity(12)
     assert exact_rank([{0: ONE, 1: w}, {0: ONE, 2: ONE}, {1: -w, 2: ONE}]) == 2
     assert exact_rank([{0: ONE, 1: w}, {0: ONE}]) == 2
+
+
+def test_exact_rank_inverts_once_per_pivot(monkeypatch):
+    # cost contract: sum_i w^k_i l_2i l_2i+1 over order 12 with dense forms l_j, so each of the
+    # six pivot rows of its first partials holds several entries, and only its lead is inverted
+    w, u = root_of_unity(12), [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2], [2, 0, 1, 1, 1, -1],
+                               [1, -1, 2, 0, 1, 3], [3, 1, -1, 1, 0, 2], [1, 1, 1, -2, 2, 1]]
+    forms = [sum((c * x(v, 6) for v, c in enumerate(row)), MultiPoly(6)) for row in u]
+    quad = sum((w ** k * forms[2 * i] * forms[2 * i + 1] for i, k in enumerate([1, 5, 7])),
+               MultiPoly(6))
+    calls = []
+    real = CycloRational.inverse
+    monkeypatch.setattr(CycloRational, "inverse", lambda self: calls.append(self) or real(self))
+    assert degree2_chow_lower_bound(quad) == 3 and len(calls) == 6
 
 
 def test_symmetric_matrix_of_p2_stores_two_entries_per_term(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -744,6 +745,25 @@ def test_inverse_at_the_largest_default_sizes_matches_elimination(n):
     assert _inverse_by_elimination(M) is None
     with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
         inverse_via_gradient(M)
+
+
+def test_the_inverse_calls_no_function_of_listings(monkeypatch):
+    # cost contract: the n! walk over the determinant listing cannot come back, because every
+    # public function of `listings` refuses while fixed matrices for n = 1..6 are inverted
+    from diffcomp import listings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverse_via_gradient called a function of diffcomp.listings")
+
+    matrices = [[[Fraction(1, i + j + 1) + (i == j) for j in range(n)] for i in range(n)]
+                for n in range(1, 7)]
+    expected = [_inverse_by_elimination(M) for M in matrices]
+    public = [name for name, value in vars(listings).items() if not name.startswith("_")
+              and inspect.isfunction(value) and value.__module__ == listings.__name__]
+    assert {"listing_determinant", "signed_permutations"} <= set(public)
+    for name in public:
+        monkeypatch.setattr(listings, name, refuse)
+    assert [inverse_via_gradient(M) for M in matrices] == expected
 
 
 def test_inverse_of_the_empty_matrix_is_refused():

@@ -11,7 +11,7 @@ def test_a_number_is_written_whole_up_to_600_bits():
     assert 3 * BOUND == 600
     assert number(2**600 - 1) == str(2**600 - 1) and number(0) == "0"
     assert number(2**600) == str(2**600) and number(2**600 + 1) == number(10**4000) == "over 2^600"
-    assert number(10**4000, "more than 10") == "more than 10"
+    assert number(10**180) == "1" + "0" * 180 and number(10**181) == "over 2^600"  # 598, 602 bits
 
 
 def test_fits_counts_the_bits_of_all_its_integers():

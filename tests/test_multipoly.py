@@ -465,9 +465,9 @@ def test_product_on_named_boundary_cases():
                                                        ({2: 2}, 1), ({2: 1, 3: 1}, 1))})
 
 
-def test_a_product_of_disjoint_blocks_joins_its_keys_without_a_monomial_product(monkeypatch):
-    # every variable of (x0 + x1) lies below every one of (x2 + x3): each key is the two joined;
-    # (x0 + x1)(x1 + x2) shares x1, so each of its 4 pairs takes Monomial *
+def test_a_product_makes_one_monomial_product_per_term_pair(monkeypatch):
+    # one path for every product: (x0 + x1)(x2 + x3), whose blocks are disjoint and in order,
+    # and (x0 + x1)(x1 + x2), which shares x1, each take one Monomial * per pair of terms
     low, high, middle = x(0, 4) + x(1, 4), x(2, 4) + x(3, 4), x(1, 4) + x(2, 4)
     pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
     want_disjoint = MultiPoly(4, {Monomial.of_vars(vs): 1 for vs in pairs})
@@ -476,8 +476,8 @@ def test_a_product_of_disjoint_blocks_joins_its_keys_without_a_monomial_product(
     calls = []
     real = Monomial.__mul__
     monkeypatch.setattr(Monomial, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
-    assert low * high == want_disjoint and calls == []
-    assert low * middle == want_shared and len(calls) == 4
+    assert low * high == want_disjoint and len(calls) == 4
+    assert low * middle == want_shared and len(calls) == 8
 
 
 def test_a_cap_below_one_is_refused(monkeypatch):

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from diffcomp import textfile
 from diffcomp.cyclotomic import CycloRational, ScalarReader
 from diffcomp.errors import FormatError
-from diffcomp.multipoly import Monomial, MultiPoly, ParsedPoly, VarTable, poly_from_text
+from diffcomp.listings import listing_determinant
+from diffcomp.multipoly import (Monomial, MultiPoly, ParsedPoly, VarTable, poly_from_text,
+                                poly_to_text)
 
 
 def reference_poly_from_text(text: str) -> ParsedPoly:
@@ -246,3 +248,16 @@ def test_lines_that_share_a_head(text, keys):
 def test_a_line_after_a_shared_head_fails_as_the_per_line_reader_does(text, message):
     assert outcome(poly_from_text, text) == ("FormatError", message)
     assert outcome(per_line_poly_from_text, text) == ("FormatError", message)
+
+
+def test_the_reader_parses_each_distinct_coefficient_token_once(monkeypatch):
+    # cost contract: no two lines of the n = 4 determinant listing share a head, so each is read
+    # in full, and its 24 lines hold 2 distinct coefficient tokens
+    det = listing_determinant(4)
+    text = poly_to_text(det)
+    calls = []
+    real = CycloRational.from_text.__func__
+    monkeypatch.setattr(CycloRational, "from_text",
+                        classmethod(lambda cls, token: calls.append(token) or real(cls, token)))
+    assert poly_from_text(text).poly == det
+    assert sorted(calls) == ["2:[-1/1]", "2:[1/1]"]
