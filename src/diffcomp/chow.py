@@ -24,7 +24,7 @@ from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
 from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
                      NotHomogeneousError, charge, max_terms, number, quoted)
-from .multipoly import Monomial, MultiPoly, _is_one, matrix_index
+from .multipoly import Monomial, MultiPoly, matrix_index
 
 if TYPE_CHECKING:  # pragma: no cover
     from .listings import FunctionTable
@@ -135,11 +135,19 @@ class ChowDecomposition:
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
+def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passes through
+    return c.order == 1 and c.den == 1 and c.num[0] == 1
+
+
+def _cut(summand: list) -> list:  # its forms up to the first zero one, past which all is 0
+    return summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
+
+
 def _ordered(summand: list) -> tuple[Iterator[tuple], list[CycloRational]] | None:
-    """A summand of constant-free forms whose variables rise from form to form, cut at its first
-    zero form, is one product over its entries: its keys, plain tuples joining one (w, 1) pair
-    per form, and their coefficients, folded and charged as * would do it; else None."""
-    summand = summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
+    """A summand whose `_cut` forms hold no constant and whose variables rise from form to form is
+    one product over its entries: its keys, plain tuples joining one (w, 1) pair per form, and
+    their coefficients, folded and charged as * would do it; else None."""
+    summand = _cut(summand)
     ws = [w for form in summand for w in form]
     if None in ws or any(map(int.__ge__, ws, ws[1:])):  # a constant, or variables not rising
         return None
@@ -154,16 +162,13 @@ def _ordered(summand: list) -> tuple[Iterator[tuple], list[CycloRational]] | Non
 
 
 def expand(c: ChowDecomposition) -> MultiPoly:
-    """Multiply out every summand and add; the canonical polynomial.  An `_ordered` summand is one
-    product over its entries, any other a MultiPoly * fold (past a zero form, zero products)."""
+    """Multiply out every summand, a MultiPoly * fold of its `_cut` forms, and add; the canonical
+    polynomial."""
     out, met = {}, []  # met: the keys an earlier summand holds too, whose sums may be zero
     for summand in c._sparse:
-        if (fold := _ordered(summand)) is None:
-            forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
-                                                  for w, h in form.items()}) for form in summand)
-            part = math.prod(forms, start=next(forms)).terms
-        else:
-            part = dict(zip(map(Monomial, fold[0]), fold[1]))
+        forms = (MultiPoly._trusted(c.nvars, {Monomial(() if w is None else ((w, 1),)): h
+                                              for w, h in form.items()}) for form in _cut(summand))
+        part = math.prod(forms, start=next(forms)).terms
         met += (sums := {mono: out[mono] + part[mono] for mono in out.keys() & part.keys()})
         out |= part | sums
     return MultiPoly._trusted(c.nvars, out, met)

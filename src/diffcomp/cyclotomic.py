@@ -167,8 +167,6 @@ class CycloRational:
         if target_order % m != 0:
             raise DimensionError(f"cannot embed order {m} into order {target_order}")
         num = self.num
-        if len(num) == 1:
-            return _make(target_order, num + (0,) * (euler_phi(target_order) - 1), self.den)
         step = target_order // m
         dense = [0] * ((len(num) - 1) * step + 1)
         dense[::step] = num
@@ -200,8 +198,6 @@ class CycloRational:
             return NotImplemented
         a, b = self._unified(self, rhs)
         ad, bd = a.den, b.den
-        if len(a.num) == 1:
-            return _make(a.order, (a.num[0] * bd + b.num[0] * ad,), ad * bd)
         if ad == bd:
             num = tuple(x + y for x, y in zip(a.num, b.num))
         else:

@@ -54,7 +54,8 @@ def fits(*values: int) -> bool:
 
 def number(value: int) -> str:
     """An integer for a refusal: written whole up to 2^(3 * BOUND), otherwise named by its size."""
-    return str(value) if fits(value - 1) else f"over 2^{3 * BOUND}"
+    shown = f"{'under -' if value < 0 else 'over '}2^{3 * BOUND}"
+    return str(value) if fits(abs(value) - 1) else shown
 
 
 def quoted(value: object) -> str:

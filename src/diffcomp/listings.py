@@ -43,7 +43,7 @@ Bits = tuple[int, ...]
 def _as_bits(b: Iterable[int], n: int) -> Bits:
     t = tuple(map(int, b))
     if len(t) != n or not {*t} <= {0, 1}:
-        raise DimensionError(f"expected a length-{n} bit vector, got {t}")
+        raise DimensionError(f"expected a length-{n} bit vector, got {quoted(t)}")
     return t
 
 
@@ -125,7 +125,7 @@ class FunctionTable:
         if len(images) != self.n:
             raise DimensionError(f"expected {self.n} images, got {len(images)}")
         if bad := [x for x in images if not 0 <= x < self.n]:
-            raise DimensionError(f"image {bad[0]} outside Z_{self.n}")
+            raise DimensionError(f"image {number(bad[0])} outside Z_{self.n}")
         object.__setattr__(self, "images", images)
 
     def __call__(self, i: int) -> int:

@@ -75,8 +75,6 @@ class Monomial(tuple):
             return self._refuse(other)
         if not self or not other:
             return other or self
-        if self[-1][0] < other[0][0]:  # disjoint and in order, as in expanding a product
-            return Monomial(tuple.__add__(self, other))
         merged = dict(self)
         for v, e in other:
             merged[v] = merged.get(v, 0) + e
@@ -192,13 +190,11 @@ class MultiPoly:
         a, b = len(self.terms), len(other.terms)
         if a * b != 1:  # every cap of at least 1 admits one pair, so one term by one is free
             charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
-        pairs = [(m2, c2, _is_one(c2)) for m2, c2 in other.terms.items()]
         out, met = {}, []  # met: the keys that met an earlier term, whose sums may be zero
         for m1, c1 in self.terms.items():
-            one = _is_one(c1)  # a unit factor passes the other one through
-            for m2, c2, other_one in pairs:
+            for m2, c2 in other.terms.items():
                 mono = m1 * m2
-                c = c2 if one else c1 if other_one else c1 * c2
+                c = c1 * c2
                 if (acc := out.get(mono)) is not None:
                     met.append(mono)
                 out[mono] = c if acc is None else acc + c
@@ -216,8 +212,8 @@ class MultiPoly:
         terms that hold it, so no two of them meet, and e c is not 0 when c is not."""
         if not 0 <= v < self.nvars:
             raise DimensionError(f"variable {v} outside universe of size {self.nvars}")
-        return MultiPoly._trusted(self.nvars, {d[1]: c if d[0] == 1 else c * d[0] for mono, c in
-                                               self.terms.items() if (d := mono.diff(v))})
+        return MultiPoly._trusted(self.nvars, {d[1]: c * d[0] for mono, c in self.terms.items()
+                                               if (d := mono.diff(v))})
 
     def evaluate(self, point: Mapping[int, object]) -> CycloRational:
         """Exact evaluation: the restriction fixing every variable, those not in `point` to 0."""
@@ -282,10 +278,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"<MultiPoly nvars={self.nvars} terms={len(self.terms)}>"
-
-
-def _is_one(c: CycloRational) -> bool:  # ONE, which CycloRational.__mul__ passes through
-    return c.order == 1 and c.den == 1 and c.num[0] == 1
 
 
 def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:

@@ -317,19 +317,21 @@ def _count_products(monkeypatch) -> dict:
     return calls
 
 
-def test_an_ordered_disjoint_summand_is_expanded_without_a_product(monkeypatch):
+def test_an_ordered_disjoint_summand_is_verified_without_a_product(monkeypatch):
     fg, p = functional_product_decomposition(4), pm_polynomial(3, 4)
     want_fg, trivial = listing_functional_graphs(4), trivial_decomposition(p)
     # a constant slot sends its summand through the pairwise MultiPoly * fold
     constant = ChowDecomposition(1, 2, 2, [[{0: 1, None: 1}, {1: 1}]])
     want_constant = (1 + x(0)) * x(1, 2)
+    monkeypatch.setattr(chow, "_probes", lambda c, target: iter(()))  # the lookup alone
     calls = _count_products(monkeypatch)
-    assert expand(fg) == want_fg and expand(trivial) == p
+    assert verify(fg, want_fg) and verify(trivial, p)
     assert calls == {}  # all-ONE coefficients pass through, and keys are joined, not multiplied
-    assert expand(constant) == want_constant and calls == {"MultiPoly": 1, "Monomial": 2}
+    assert expand(constant) == want_constant and calls == {"MultiPoly": 1, "Monomial": 2,
+                                                           "CycloRational": 2}
 
 
-def test_an_ordered_disjoint_summand_is_charged_as_multipoly_would_charge_it(monkeypatch):
+def test_expand_is_charged_as_the_pairwise_multipoly_fold(monkeypatch):
     from diffcomp import multipoly
     from diffcomp.errors import SizeCapError
 

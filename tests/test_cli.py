@@ -819,6 +819,16 @@ OVERLONG_INPUTS = [
     overlong("function-option", {"s.graphset": "2\n0 1\n1 0\n"},
              ["transform", "{s.graphset}", "--mode", "Tf", "--f", "0," * 3000 + "0",
               "--out-prefix", "{out}"], "'... must list 2 images"),
+    # an image of 4,000 digits, inside the 4,300 that int() reads, from a file, --f and const:
+    overlong("image-file", {"p.poly": ON_2X2, "in": "1" * 4000 + ",0\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"], "image over 2^600 outside Z_2"),
+    overlong("image-option", {"s.graphset": "2\n0 1\n1 0\n"},
+             ["transform", "{s.graphset}", "--mode", "Tf", "--f", "1" * 4000 + ",0",
+              "--out-prefix", "{out}"], "image over 2^600 outside Z_2"),
+    overlong("image-constant", {"p.poly": ON_2X2, "in": "const:" + "1" * 4000 + "\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"], "image over 2^600 outside Z_2"),
+    overlong("image-negative", {"p.poly": ON_2X2, "in": "0,-" + "1" * 4000 + "\n"},
+             ["run", "{p.poly}", "{in}", "--kind", "functional"], "image under -2^600 outside Z_2"),
     overlong("coefficient", {"p.poly": "1 1\n1:[" + ",".join(["1/1"] * 3000) + "] * a_0\n",
                              "in": "1\n"},
              ["run", "{p.poly}", "{in}"], "bad cyclotomic value '1:[1/1,"),

@@ -825,7 +825,7 @@ def test_decision_agrees_with_the_declared_power(s, m):
     assert f"post-power scalar {named} is neither 0 nor 1 at input monomial 1;" in str(info.value)
 
 
-def test_inverse_walks_signed_permutations_without_building_a_listing(monkeypatch):
+def test_the_inverse_builds_no_polynomial_and_charges_the_determinant_listing(monkeypatch):
     from diffcomp import multipoly
     from diffcomp.errors import SizeCapError
 

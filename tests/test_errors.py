@@ -14,6 +14,11 @@ def test_a_number_is_written_whole_up_to_600_bits():
     assert number(10**180) == "1" + "0" * 180 and number(10**181) == "over 2^600"  # 598, 602 bits
 
 
+def test_a_negative_number_is_written_whole_up_to_600_bits_of_size():
+    assert number(-1) == "-1" and number(-(2**600)) == str(-(2**600))
+    assert number(-(2**600) - 1) == number(-(10**4000)) == "under -2^600"
+
+
 def test_fits_counts_the_bits_of_all_its_integers():
     assert fits() and fits(2**599 - 1, 1) and fits(2**300 - 1, 2**300 - 1)
     assert not fits(2**300, 2**299) and not fits(2**600)

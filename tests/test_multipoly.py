@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcomp.chow import _is_one
 from diffcomp.cyclotomic import ONE, as_scalar, root_of_unity
 from diffcomp.errors import DimensionError, FormatError, InvalidRelabellingError, charge, max_terms
 from diffcomp.multipoly import (
     Monomial,
     MultiPoly,
     VarTable,
-    _is_one,
     matrix_index,
     poly_from_text,
     poly_to_text,

@@ -178,7 +178,7 @@ def test_the_targets_first_term_rejects_a_zeroed_entry_without_expanding(expand_
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The summands `chow._ordered` folds, for `verify` and `expand` alike."""
+    """The summands `chow._ordered` folds for `verify`."""
     calls = []
     real_ordered = chow._ordered
     monkeypatch.setattr(chow, "_ordered", lambda summand: calls.append(summand)
