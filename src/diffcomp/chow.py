@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, product, repeat, takewhile
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from itertools import accumulate, chain, islice, product, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import textfile
 from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
@@ -43,16 +43,14 @@ class ChowDecomposition:
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise DimensionError("need rho >= 1, degree >= 1, nvars >= 0")
-        # one pass coerces every entry and builds the sparse forms; each variable's holders;
-        # per summand, the form holding each variable (None if two do); and the cap bound: the
-        # most terms a partial product of `expand` can have, its forms' entry counts multiplied
-        n, sparse, holders, owners, peak = self.nvars, [], {}, [], 0
+        # one pass coerces every entry and builds the sparse forms, each variable's holders and
+        # the cap bound: the largest product of the entry counts of a summand's first k >= 2 forms
+        n, sparse, holders, peak = self.nvars, [], {}, 0
         for u, summand in enumerate(self._sparse):
             if len(summand) != self.degree:
                 raise DimensionError(f"expected {self.degree} forms per summand")
             sparse.append([])
-            owners.append({})
-            for v, form in enumerate(summand):
+            for form in summand:
                 if isinstance(form, dict):  # type(w) is int: a bool key would pass as 0 or 1
                     if not all(w is None or type(w) is int and 0 <= w < n for w in form):
                         raise DimensionError(f"sparse form keys are variables below {n} or None")
@@ -64,11 +62,10 @@ class ChowDecomposition:
                 sparse[-1].append({w: h for w, x in form if (h := as_scalar(x))})
                 for w in sparse[-1][-1]:
                     holders.setdefault(w, set()).add(u)
-                    owners[-1][w] = None if w in owners[-1] else v
             peak = max([peak, *islice(accumulate(map(len, sparse[-1]), int.__mul__), 1, None)])
         if len(sparse) != self.rho:
             raise DimensionError(f"expected {self.rho} summands, got {len(sparse)}")
-        vars(self).update(_sparse=tuple(sparse), _holders=holders, _owners=owners, _peak=peak)
+        vars(self).update(_sparse=tuple(sparse), _holders=holders, _peak=peak)
 
     @property
     def entries(self) -> tuple:  # H, read back from the sparse forms with each zero as ZERO
@@ -81,21 +78,12 @@ class ChowDecomposition:
     def coefficient(self, mono: Monomial) -> CycloRational:
         """d/dx_S at 0 on the certificate: the coefficient of x^mono in expand(self).
 
-        Per summand holding every variable of mono: if mono is multilinear and each of its
-        variables has a form of its own, the product of each form's pick (that variable,
-        else its constant); otherwise a pass over the forms keyed by the part of x^mono
-        still to supply, each form taking its constant or d/dx_w of that part."""
-        parts, linear = [], mono.is_multilinear()  # parts: each summand's share
-        holding = [self._holders.get(v, set()) for v, _ in mono]
-        for u in set.intersection(*holding) if mono else range(self.rho):
-            forms, own = self._sparse[u], self._owners[u]
-            # pick: form -> the variable of mono it holds, if each holds its own
-            if linear and len(pick := {own[v]: v for v, _ in mono}) == len(mono) and (
-                    None not in pick):
-                parts.append(math.prod([f.get(pick.get(k), ZERO) for k, f in enumerate(forms)]))
-                continue
+        Per summand holding every variable of mono, a pass over the forms keyed by the part of
+        x^mono still to supply, each form taking its constant or d/dx_w of that part."""
+        parts = []  # each summand's share
+        for u in set(range(self.rho)).intersection(*[self._holders.get(v, set()) for v, _ in mono]):
             states = {mono: ONE}  # the part still to supply -> the share of the forms so far
-            for form in forms:
+            for form in self._sparse[u]:
                 nxt: dict[Monomial, CycloRational] = {}
                 for need, acc in states.items():
                     steps = [(need.diff(w)[1], form[w]) for w, _ in need if w in form]
@@ -143,14 +131,20 @@ def _cut(summand: list) -> list:  # its forms up to the first zero one, past whi
     return summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
 
 
-def _ordered(summand: list) -> tuple[Iterator[tuple], list[CycloRational]] | None:
-    """A summand whose `_cut` forms hold no constant and whose variables rise from form to form is
-    one product over its entries: its keys, plain tuples joining one (w, 1) pair per form, and
-    their coefficients, folded and charged as * would do it; else None."""
+def _takes_lookup(c: ChowDecomposition) -> bool:
+    """Whether every summand, `_cut`, holds no constant and rises in its variables from form to
+    form, and no two first forms share a variable.  Then the keys of the expansion are distinct,
+    as a key's first pick is from its own first form, and no coefficient is 0."""
+    firsts = [w for summand in c._sparse for w in summand[0]]
+    return len(firsts) == len(set(firsts)) and all(
+        None not in (ws := [w for form in _cut(summand) for w in form])
+        and all(map(int.__lt__, ws, ws[1:])) for summand in c._sparse)
+
+
+def _fold(summand: list) -> tuple[Iterator[tuple], list[CycloRational]]:
+    """A summand that `_takes_lookup` as one product over its `_cut` entries: its keys, plain tuples
+    of one (w, 1) pair per form, and their coefficients, folded and charged as * would do it."""
     summand = _cut(summand)
-    ws = [w for form in summand for w in form]
-    if None in ws or any(map(int.__ge__, ws, ws[1:])):  # a constant, or variables not rising
-        return None
     coeffs = list(summand[0].values())
     for form in summand[1:]:
         if (a := len(coeffs)) * (b := len(form)) != 1:  # as *: one term by one is free
@@ -174,35 +168,31 @@ def expand(c: ChowDecomposition) -> MultiPoly:
     return MultiPoly._trusted(c.nvars, out, met)
 
 
-def _probes(c: ChowDecomposition, target: MultiPoly) -> Iterator[Monomial]:
-    """Per summand, its lead monomial (each form picks its first variable, else its
-    constant), and the lead with one form's pick swapped for each of its other picks;
-    then the target's first term, which catches a zeroed entry that moved a lead."""
-    for summand in c._sparse:
-        lead = [next(iter(form), None) for form in summand]
-        for picks in [lead] + [lead[:v] + [w] + lead[v + 1:]
-                               for v, form in enumerate(summand) for w in list(form)[1:]]:
-            vs = sorted([w for w in picks if w is not None])
-            yield Monomial([(v, vs.count(v)) for v in dict.fromkeys(vs)])
-    yield from islice(target.terms, 1)
+def _probes(c: ChowDecomposition) -> Iterator[tuple[tuple, CycloRational]]:
+    """Per summand with no zero form, if `_takes_lookup`: its lead key (each form picks its first
+    variable) and the lead with one form's pick swapped, each with the product of its picks."""
+    for summand in filter(all, c._sparse):
+        lead = [next(iter(form.items())) for form in summand]
+        for picks in [lead] + [lead[:v] + [wh] + lead[v + 1:]
+                               for v, form in enumerate(summand) for wh in list(form.items())[1:]]:
+            yield tuple((w, 1) for w, _ in picks), math.prod(h for _, h in picks)
 
 
 def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
     """Exact certificate check: expand(c) == target, so rho bounds the Chow rank.
 
-    If the cap admits the whole expansion, a probe whose coefficient differs is a certain REJECT.
-    Otherwise the expansion is compared: built by `expand`, unless no two first forms share a
-    variable and every summand is `_ordered` (folded in turn, to the first that is not).  Then its
-    keys are distinct and no coefficient is 0: it is the target if the target holds just them."""
-    if (not c._peak or c._peak <= max_terms()) and any(
-            c.coefficient(m) != target.coefficient(m) for m in _probes(c, target)):
+    A certificate that `_takes_lookup` is checked against its own keys: if the cap admits the whole
+    fold, a term count other than the target's or a probe that differs is a certain REJECT; else
+    every summand is folded and each key looked up.  Any other is compared by its expansion."""
+    if not _takes_lookup(c):
+        return expand(c) == target
+    count = sum(math.prod(map(len, summand)) for summand in c._sparse)
+    if (not c._peak or c._peak <= max_terms()) and (len(target.terms) != count or any(
+            target.terms.get(key, ZERO) != h for key, h in _probes(c))):
         return False
-    firsts = [w for summand in c._sparse for w in summand[0]]
-    if len(firsts) == len(set(firsts)) and len(
-            folds := list(takewhile(bool, map(_ordered, c._sparse)))) == c.rho:
-        return len(target.terms) == sum(len(coeffs) for _, coeffs in folds) and all(
-            list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
-    return expand(c) == target
+    folds = list(map(_fold, c._sparse))  # every summand, so one over the cap is refused
+    return len(target.terms) == count and all(
+        list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
 
 
 def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
@@ -223,18 +213,17 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
 
 # -- degree-2 lower bound via the first partials ------------------------------
 
-def exact_rank(rows: Iterable[dict[Any, CycloRational]]) -> int:
-    """Rank over the field of sparse rows {column: entry}; the columns are any keys that order
-    among themselves (ints, Monomials).  Each row in turn loses its leading (smallest) column
-    to the pivot row that leads there, until it leads where no pivot does; it then becomes a
-    pivot, scaled once by the inverse of its leading entry.  A pivot's other columns lie
-    beyond its lead, so each reduction moves the lead right.  A zero is dropped when it
-    leads, and when its row becomes a pivot.
+def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
+    """Rank over the field of sparse rows {column: entry}, with int columns.  Each row in turn
+    loses its leading (smallest) column to the pivot row that leads there, until it leads where
+    no pivot does; it then becomes a pivot, scaled once by the inverse of its leading entry.  A
+    pivot's other columns lie beyond its lead, so each reduction moves the lead right.  A zero
+    is dropped when it leads, and when its row becomes a pivot.
 
     >>> exact_rank([{0: ONE, 2: -ONE}, {0: ONE, 2: -ONE}, {1: ONE / 3}])
     2
     """
-    pivots: dict[Any, dict[Any, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
+    pivots: dict[int, dict[int, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
     for row in map(dict, rows):  # a copy: the caller's rows are left as they are
         while row:
             if not (f := row.pop(lead := min(row))):
@@ -254,15 +243,15 @@ def degree2_chow_lower_bound(p: MultiPoly) -> int:
 
     If p = sum over rho summands of l_u1 * l_u2, then dp/dx_v = sum_u dl_u1/dx_v * l_u2 +
     dl_u2/dx_v * l_u1 lies in the span of the 2 rho forms, so r <= 2 rho.  The partials are
-    sparse rows {x_w: entry}, one per variable p's terms use: a term c x^a gives row v the
-    entry e c at x^a / x_v for each x_v^e of x^a, and no two terms meet in one slot.
+    sparse rows {w: entry}, one per variable p's terms use: a term c x_v x_w gives row v the
+    entry c at column w, a term c x_v^2 gives it 2c at column v, and no two terms meet in one slot.
     """
     if not p.is_homogeneous() or (not p.is_zero() and p.degree() != 2):
         raise NotHomogeneousError("need a homogeneous polynomial of degree 2")
-    rows: dict[int, dict[Monomial, CycloRational]] = {}
+    rows: dict[int, dict[int, CycloRational]] = {}
     for mono, c in p.terms.items():
-        for v, e in mono:
-            rows.setdefault(v, {})[mono.diff(v)[1]] = c * e if e > 1 else c
+        for v, e in mono:  # x^a is x_v x_w, or x_v^2 with w = v
+            rows.setdefault(v, {})[mono[0][0] + mono[-1][0] - v] = c * e if e > 1 else c
     return (exact_rank(rows.values()) + 1) // 2
 
 

@@ -59,9 +59,12 @@ def number(value: int) -> str:
 
 
 def quoted(value: object) -> str:
-    """repr(value) for a refusal: cut to BOUND characters (a str's before repr) and then '...'."""
-    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
-    return show(text[:BOUND]) + "..." * (len(text) > BOUND)
+    """repr(value) for a refusal: cut to BOUND characters (a str's before repr) and then '...'.
+    It formats only what it shows: an int through `number`, and a tuple item by item to BOUND."""
+    text = (value if isinstance(value, str) else number(value) if type(value) is int else
+            f"({', '.join(map(quoted, value[:BOUND]))}{',' * (len(value) == 1)})"
+            if type(value) is tuple else repr(value))
+    return (repr if isinstance(value, str) else str)(text[:BOUND]) + "..." * (len(text) > BOUND)
 
 
 class InvalidRelabellingError(DiffcompError):

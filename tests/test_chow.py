@@ -323,7 +323,7 @@ def test_an_ordered_disjoint_summand_is_verified_without_a_product(monkeypatch):
     # a constant slot sends its summand through the pairwise MultiPoly * fold
     constant = ChowDecomposition(1, 2, 2, [[{0: 1, None: 1}, {1: 1}]])
     want_constant = (1 + x(0)) * x(1, 2)
-    monkeypatch.setattr(chow, "_probes", lambda c, target: iter(()))  # the lookup alone
+    monkeypatch.setattr(chow, "_probes", lambda c: iter(()))  # the lookup alone
     calls = _count_products(monkeypatch)
     assert verify(fg, want_fg) and verify(trivial, p)
     assert calls == {}  # all-ONE coefficients pass through, and keys are joined, not multiplied

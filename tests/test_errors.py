@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from diffcomp.errors import BOUND, SizeCapError, charge, fits, number
+from diffcomp.errors import BOUND, DimensionError, SizeCapError, charge, fits, number, quoted
+from diffcomp.listings import TruthTable, _as_bits
 
 
 def test_a_number_is_written_whole_up_to_600_bits():
@@ -32,3 +33,19 @@ def test_a_charge_past_600_bits_names_no_count(monkeypatch):
         charge([2**600], "x")
     with pytest.raises(SizeCapError, match="^x needs more than 10 terms, over the cap of 10$"):
         charge([11, 2], "x")
+
+
+def test_an_int_too_long_to_print_is_quoted_through_number():
+    assert quoted(10**5000) == "over 2^600" and quoted((10**5000,)) == "(over 2^600,)"
+    assert quoted((0, 1, (2, "a"))) == repr((0, 1, (2, "a"))) and quoted(()) == "()"
+    assert quoted(tuple(range(10**6))) == repr(tuple(range(10**6)))[:BOUND] + "..."
+
+
+@pytest.mark.parametrize("make", [lambda: _as_bits([10**5000], 1),
+                                  lambda: TruthTable.make(1, [(10**5000,)])],
+                         ids=["as-bits", "truth-table"])
+def test_a_bit_vector_holding_an_int_too_long_to_print_is_a_short_dimension_error(make):
+    with pytest.raises(DimensionError) as info:
+        make()
+    assert str(info.value) == "expected a length-1 bit vector, got (over 2^600,)"
+    assert len(str(info.value).encode()) <= 300

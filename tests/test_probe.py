@@ -1,8 +1,10 @@
-"""The paper's d_S at 0 on a certificate, and the probe-first verify built on it."""
+"""The paper's d_S at 0 on a certificate, and verify's two paths: a certificate that takes the
+lookup is checked against its own keys, probes first, and any other by its expansion."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +151,7 @@ def test_a_changed_entry_is_rejected_without_expanding(certificate, expand_calls
     for mutant, was_nonzero in _mutants(certificate):
         expand_calls.clear()
         assert not verify(mutant, target)
-        assert not expand_calls
+        assert len(expand_calls) == (not chow._takes_lookup(mutant))
         checked += was_nonzero
     assert checked == sum(1 for s in certificate.entries for f in s for x in f if x)
 
@@ -164,8 +166,8 @@ def test_a_zeroed_entry_is_still_rejected_by_the_expansion():
 
 
 def test_the_targets_first_term_rejects_a_zeroed_entry_without_expanding(expand_calls):
-    # the case above: every lead probe agrees, but the target's first term
-    # a_0*a_3*a_6 has coefficient 0 on the changed certificate, against 1
+    # the case above: every lead probe agrees, but the target's 27 terms are not the changed
+    # certificate's 18, and its first term a_0*a_3*a_6 has coefficient 0 there, against 1
     c = functional_product_decomposition(3)
     entries = [[list(form) for form in summand] for summand in c.entries]
     entries[0][1][3] = ZERO
@@ -176,13 +178,23 @@ def test_the_targets_first_term_rejects_a_zeroed_entry_without_expanding(expand_
     assert not expand_calls
 
 
+def _zeroed(c: ChowDecomposition):
+    """Every certificate with one nonzero entry zeroed."""
+    for u, summand in enumerate(c._sparse):
+        for v, form in enumerate(summand):
+            for w in form:
+                forms = [[dict(f) for f in s] for s in c._sparse]
+                del forms[u][v][w]
+                yield ChowDecomposition(c.rho, c.degree, c.nvars, forms)
+
+
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The summands `chow._ordered` folds for `verify`."""
+    """The summands `chow._fold` folds for `verify`."""
     calls = []
-    real_ordered = chow._ordered
-    monkeypatch.setattr(chow, "_ordered", lambda summand: calls.append(summand)
-                        or real_ordered(summand))
+    real_fold = chow._fold
+    monkeypatch.setattr(chow, "_fold", lambda summand: calls.append(summand)
+                        or real_fold(summand))
     return calls
 
 
@@ -193,7 +205,7 @@ def test_a_probe_rejects_a_changed_ordered_certificate_before_any_fold(certifica
     # the lookup comparison would reject these too without `expand`; the probes come first
     target = expand(certificate)
     fold_calls.clear()
-    for mutant, _ in _mutants(certificate):
+    for mutant in filter(chow._takes_lookup, (mutant for mutant, _ in _mutants(certificate))):
         assert not verify(mutant, target)
         assert not fold_calls and not expand_calls
     entries = [[list(form) for form in summand] for summand in certificate.entries]
@@ -203,18 +215,58 @@ def test_a_probe_rejects_a_changed_ordered_certificate_before_any_fold(certifica
     assert not fold_calls and not expand_calls
 
 
-def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls):
-    # three forms 1 + x0 + ... + x3: the bound charges 5 x 5, then 25 x 5 = 125 pairs,
-    # while the expansion itself multiplies 5 x 5, then 15 x 5 = 75
-    c = ChowDecomposition(1, 3, 4, [[[ONE] * 5] * 3])
-    wrong = expand(trivial_decomposition(pm_polynomial(1, 2)))
+def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls, fold_calls):
+    # three forms over x0..x4, x5..x9 and x10..x14: the fold charges 5 x 5, then 25 x 5 = 125
+    # pairs, the cap bound, as no two terms of a summand that takes the lookup meet
+    forms = [dict.fromkeys(range(5 * v, 5 * v + 5), ONE) for v in range(3)]
+    c = ChowDecomposition(1, 3, 15, [forms])
+    wrong = expand(ChowDecomposition(1, 3, 15, [[{**forms[0], 0: as_scalar(2)}, *forms[1:]]]))
+    assert chow._takes_lookup(c) and len(wrong.terms) == 125
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
     with pytest.raises(SizeCapError, match="5-term by 5-term"):
         verify(c, wrong)
-    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "124")  # over the bound: no probe, expand
-    expand_calls.clear()
-    assert not verify(c, wrong) and len(expand_calls) == 1
+    monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "124")  # over the bound: no probe, the fold refuses
+    with pytest.raises(SizeCapError, match="25-term by 5-term"):
+        verify(c, wrong)
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "125")  # within it: a probe rejects
-    expand_calls.clear()
-    assert not verify(c, wrong) and not expand_calls
-    assert verify(c, expand(c)) and len(expand_calls) == 1
+    fold_calls.clear()
+    assert not verify(c, wrong) and not fold_calls and not expand_calls
+    assert verify(c, expand(c)) and len(fold_calls) == 1 and not expand_calls
+
+
+@pytest.mark.parametrize("certificate", [functional_product_decomposition(3), _pm_certificate()],
+                         ids=["functional", "pm"])
+def test_a_one_entry_change_that_takes_the_lookup_is_rejected_before_any_fold(
+        certificate, fold_calls, expand_calls):
+    # a nonzero value changed keeps the term count, and a probe rejects it; an entry zeroed (the
+    # lead of a second form too) or made nonzero changes the count, which the target does not have
+    target = expand(certificate)
+    second_lead = next(iter(certificate._sparse[0][1]))
+    changes = [mutant for mutant, _ in _mutants(certificate)] + list(_zeroed(certificate))
+    taken = list(filter(chow._takes_lookup, changes))
+    nonzero = sum(map(len, chain.from_iterable(certificate._sparse)))
+    assert len(taken) >= 2 * nonzero and any(second_lead not in m._sparse[0][1] for m in taken)
+    for mutant in taken:
+        assert not verify(mutant, target)
+        assert not fold_calls and not expand_calls
+
+
+@pytest.mark.parametrize("certificate", [
+    functional_product_decomposition(3), _pm_certificate(), _constant_slot_certificate()],
+    ids=["functional", "pm", "constant-slots"])
+def test_verify_calls_no_coefficient(certificate, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ChowDecomposition, "coefficient", lambda c, mono: calls.append(mono))
+    target = expand(certificate)
+    changes = [mutant for mutant, _ in _mutants(certificate)] + list(_zeroed(certificate))
+    assert verify(certificate, target) and not any(verify(m, target) for m in changes)
+    assert not calls
+
+
+def test_a_constant_slot_reject_expands_once(expand_calls, fold_calls):
+    c = _constant_slot_certificate()
+    target = expand(c)
+    for mutant in [mutant for mutant, _ in _mutants(c)] + list(_zeroed(c)):
+        expand_calls.clear()
+        assert not verify(mutant, target)
+        assert expand_calls == [mutant] and not fold_calls
