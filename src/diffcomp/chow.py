@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import accumulate, chain, product, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import textfile
@@ -43,10 +43,10 @@ class ChowDecomposition:
     def __post_init__(self):
         if self.rho < 1 or self.degree < 1 or self.nvars < 0:
             raise DimensionError("need rho >= 1, degree >= 1, nvars >= 0")
-        # one pass coerces every entry and builds the sparse forms, each variable's holders and
-        # the cap bound: the largest product of the entry counts of a summand's first k >= 2 forms
-        n, sparse, holders, peak = self.nvars, [], {}, 0
-        for u, summand in enumerate(self._sparse):
+        # one pass coerces every entry and builds the sparse forms, the lookup test, the term count
+        # and the cap bound, the largest product of a summand's first k >= 2 forms' entry counts
+        n, sparse, firsts, lookup, count, peak = self.nvars, [], [], True, 0, 0
+        for summand in self._sparse:
             if len(summand) != self.degree:
                 raise DimensionError(f"expected {self.degree} forms per summand")
             sparse.append([])
@@ -60,12 +60,15 @@ class ChowDecomposition:
                 else:
                     form = zip(chain(range(n), [None]), form)
                 sparse[-1].append({w: h for w, x in form if (h := as_scalar(x))})
-                for w in sparse[-1][-1]:
-                    holders.setdefault(w, set()).add(u)
-            peak = max([peak, *islice(accumulate(map(len, sparse[-1]), int.__mul__), 1, None)])
+            sizes = list(accumulate(map(len, sparse[-1]), int.__mul__))  # of the first k forms
+            peak, count = max([peak, *sizes[1:]]), count + sizes[-1]
+            firsts += sparse[-1][0]
+            lookup = (lookup and None not in (ws := [w for form in _cut(sparse[-1]) for w in form])
+                      and all(map(int.__lt__, ws, ws[1:])))
         if len(sparse) != self.rho:
             raise DimensionError(f"expected {self.rho} summands, got {len(sparse)}")
-        vars(self).update(_sparse=tuple(sparse), _holders=holders, _peak=peak)
+        vars(self).update(_sparse=tuple(sparse), _lookup=lookup and len(firsts) == len(set(firsts)),
+                          _count=count, _peak=peak)
 
     @property
     def entries(self) -> tuple:  # H, read back from the sparse forms with each zero as ZERO
@@ -78,12 +81,12 @@ class ChowDecomposition:
     def coefficient(self, mono: Monomial) -> CycloRational:
         """d/dx_S at 0 on the certificate: the coefficient of x^mono in expand(self).
 
-        Per summand holding every variable of mono, a pass over the forms keyed by the part of
-        x^mono still to supply, each form taking its constant or d/dx_w of that part."""
+        Per summand, a pass over the forms keyed by the part of x^mono still to supply, each form
+        taking its constant or d/dx_w of that part; a summand lacking a variable of mono gives 0."""
         parts = []  # each summand's share
-        for u in set(range(self.rho)).intersection(*[self._holders.get(v, set()) for v, _ in mono]):
+        for summand in self._sparse:
             states = {mono: ONE}  # the part still to supply -> the share of the forms so far
-            for form in self._sparse[u]:
+            for form in summand:
                 nxt: dict[Monomial, CycloRational] = {}
                 for need, acc in states.items():
                     steps = [(need.diff(w)[1], form[w]) for w, _ in need if w in form]
@@ -91,7 +94,7 @@ class ChowDecomposition:
                         nxt[key] = nxt[key] + acc * h if key in nxt else acc * h
                 states = nxt
             parts.append(states.get(Monomial(), ZERO))
-        return sum(parts[1:], parts[0]) if parts else ZERO
+        return sum(parts[1:], parts[0])
 
     def coefficient_order(self) -> int:
         return math.lcm(*(h.order for summand in self._sparse for f in summand for h in f.values()))
@@ -131,19 +134,9 @@ def _cut(summand: list) -> list:  # its forms up to the first zero one, past whi
     return summand[:next((k for k, form in enumerate(summand, 1) if not form), None)]
 
 
-def _takes_lookup(c: ChowDecomposition) -> bool:
-    """Whether every summand, `_cut`, holds no constant and rises in its variables from form to
-    form, and no two first forms share a variable.  Then the keys of the expansion are distinct,
-    as a key's first pick is from its own first form, and no coefficient is 0."""
-    firsts = [w for summand in c._sparse for w in summand[0]]
-    return len(firsts) == len(set(firsts)) and all(
-        None not in (ws := [w for form in _cut(summand) for w in form])
-        and all(map(int.__lt__, ws, ws[1:])) for summand in c._sparse)
-
-
 def _fold(summand: list) -> tuple[Iterator[tuple], list[CycloRational]]:
-    """A summand that `_takes_lookup` as one product over its `_cut` entries: its keys, plain tuples
-    of one (w, 1) pair per form, and their coefficients, folded and charged as * would do it."""
+    """A summand that takes the lookup as one product over its `_cut` entries: its keys, plain
+    tuples of one (w, 1) pair per form, and their coefficients, folded and charged as * would."""
     summand = _cut(summand)
     coeffs = list(summand[0].values())
     for form in summand[1:]:
@@ -169,8 +162,8 @@ def expand(c: ChowDecomposition) -> MultiPoly:
 
 
 def _probes(c: ChowDecomposition) -> Iterator[tuple[tuple, CycloRational]]:
-    """Per summand with no zero form, if `_takes_lookup`: its lead key (each form picks its first
-    variable) and the lead with one form's pick swapped, each with the product of its picks."""
+    """Per summand with no zero form, if c takes the lookup: its lead key (each form picks its
+    first variable) and the lead with one form's pick swapped, each with the product of picks."""
     for summand in filter(all, c._sparse):
         lead = [next(iter(form.items())) for form in summand]
         for picks in [lead] + [lead[:v] + [wh] + lead[v + 1:]
@@ -181,17 +174,19 @@ def _probes(c: ChowDecomposition) -> Iterator[tuple[tuple, CycloRational]]:
 def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
     """Exact certificate check: expand(c) == target, so rho bounds the Chow rank.
 
-    A certificate that `_takes_lookup` is checked against its own keys: if the cap admits the whole
-    fold, a term count other than the target's or a probe that differs is a certain REJECT; else
-    every summand is folded and each key looked up.  Any other is compared by its expansion."""
-    if not _takes_lookup(c):
+    A certificate takes the lookup (`_lookup`) when every summand, `_cut`, holds no constant and
+    rises in its variables from form to form, and no two first forms share a variable.  Its
+    expansion then has `_count` distinct keys, as a key's first pick is from its own first form,
+    and no coefficient 0.  If the cap admits the whole fold, a term count other than `_count` or a
+    probe that differs is a certain REJECT; else every summand is folded and each key looked up.
+    Any other certificate is compared by its expansion."""
+    if not c._lookup:
         return expand(c) == target
-    count = sum(math.prod(map(len, summand)) for summand in c._sparse)
-    if (not c._peak or c._peak <= max_terms()) and (len(target.terms) != count or any(
+    if (not c._peak or c._peak <= max_terms()) and (len(target.terms) != c._count or any(
             target.terms.get(key, ZERO) != h for key, h in _probes(c))):
         return False
     folds = list(map(_fold, c._sparse))  # every summand, so one over the cap is refused
-    return len(target.terms) == count and all(
+    return len(target.terms) == c._count and all(
         list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
 
 
@@ -357,7 +352,7 @@ def compile_functional(c: ChowDecomposition,
                                  f"outside row {v}")
     X = [[form.get(matrix_index(n, v, g(v)), ZERO) for v, form in enumerate(summand)]
          for summand in c._sparse]
-    return X, c.coefficient(Monomial.of_vars(matrix_index(n, v, g(v)) for v in range(n)))
+    return X, sum(map(math.prod, X))
 
 
 def functional_product_decomposition(n: int) -> ChowDecomposition:

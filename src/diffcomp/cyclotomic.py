@@ -221,12 +221,9 @@ class CycloRational:
     def __mul__(self, other):
         if (rhs := _lift(other)) is None:
             return NotImplemented
-        # a rational factor q scales the other one; of two, q is the one of lower order
-        if len(rhs.num) == 1 and (len(self.num) > 1 or rhs.order <= self.order):
-            q, b = rhs, self
-        elif len(self.num) == 1:
-            q, b = self, rhs
-        elif not any(rhs.num[1:]):  # rational, written in a wider field (a 1 of order 12, say)
+        # a rational factor q (of any order: a 1 of order 12, say) scales the other one; of two,
+        # q is the one of lower order
+        if not any(rhs.num[1:]) and (any(self.num[1:]) or rhs.order <= self.order):
             q, b = rhs, self
         elif not any(self.num[1:]):
             q, b = self, rhs
@@ -254,8 +251,6 @@ class CycloRational:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         num, den, m = self.num, self.den, self.order
-        if len(num) == 1:
-            return _make(m, (den if num[0] > 0 else -den,), abs(num[0]))
         # 1/a = den * c / N: c is the product of sigma_k(den * a) over the units k != 1 mod m,
         # sigma_k (w -> w^k) moves coordinate i to slot i*k mod m, and N = den * a * c is an integer
         cofactor = ONE

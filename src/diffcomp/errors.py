@@ -5,6 +5,8 @@ model violations and failed recovery checks exit 3.
 """
 
 import os
+from itertools import islice
+from reprlib import recursive_repr
 from typing import Iterable
 
 DEFAULT_MAX_TERMS = 100_000
@@ -58,12 +60,19 @@ def number(value: int) -> str:
     return str(value) if fits(abs(value) - 1) else shown
 
 
+@recursive_repr()  # a list or dict inside itself is written there as '...'
 def quoted(value: object) -> str:
     """repr(value) for a refusal: cut to BOUND characters (a str's before repr) and then '...'.
-    It formats only what it shows: an int through `number`, and a tuple item by item to BOUND."""
-    text = (value if isinstance(value, str) else number(value) if type(value) is int else
-            f"({', '.join(map(quoted, value[:BOUND]))}{',' * (len(value) == 1)})"
-            if type(value) is tuple else repr(value))
+    It formats only what it shows: an int through `number`, and a tuple, list, non-empty set or
+    dict item by item to BOUND."""
+    kind, ends = type(value), {tuple: "()", list: "[]", set: "{}", dict: "{}"}.get(type(value))
+    if not ends or kind is set and not value:  # set() is written as repr writes it
+        text = (value if isinstance(value, str) else number(value) if type(value) is int else
+                repr(value))
+    else:
+        items = islice(value.items() if kind is dict else value, BOUND)
+        text = ", ".join(": ".join(map(quoted, x)) if kind is dict else quoted(x) for x in items)
+        text = f"{ends[0]}{text}{',' * (kind is tuple and len(value) == 1)}{ends[1]}"
     return (repr if isinstance(value, str) else str)(text[:BOUND]) + "..." * (len(text) > BOUND)
 
 

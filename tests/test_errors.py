@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from diffcomp.errors import BOUND, DimensionError, SizeCapError, charge, fits, number, quoted
+from diffcomp.graphs import Graph, transform_Tf
 from diffcomp.listings import TruthTable, _as_bits
 
 
@@ -49,3 +50,29 @@ def test_a_bit_vector_holding_an_int_too_long_to_print_is_a_short_dimension_erro
         make()
     assert str(info.value) == "expected a length-1 bit vector, got (over 2^600,)"
     assert len(str(info.value).encode()) <= 300
+
+
+@pytest.mark.parametrize("seed, shown", [([10**5000], "[over 2^600]"), ({10**5000}, "{over 2^600}"),
+                                         ({1: 10**5000}, "{1: over 2^600}")],
+                         ids=["list", "set", "dict"])
+def test_a_seed_holding_an_int_too_long_to_print_is_a_short_dimension_error(seed, shown):
+    with pytest.raises(DimensionError) as info:
+        transform_Tf(Graph.cycle(2), seed)
+    assert str(info.value) == f"the seed function must be a FunctionTable on Z_2, not {shown}"
+
+
+def test_a_list_set_or_dict_is_quoted_as_repr_writes_it():
+    values = [[], [0, "a", (1,)], set(), {2}, {}, {0: [1], "b": {3}}, list(range(10**6)),
+              dict.fromkeys(range(10**6)), set(range(10**6)), ["x" * 300]]
+    for value in values:
+        text = repr(value)
+        assert quoted(value) == text[:BOUND] + "..." * (len(text) > BOUND)
+
+
+def test_a_list_or_dict_inside_itself_is_quoted_once():
+    inside, keyed = [0], {}
+    inside.append(inside)
+    keyed[1] = (keyed,)
+    assert quoted(inside) == "[0, ...]" and quoted(keyed) == "{1: (...,)}"
+    with pytest.raises(DimensionError, match=r"not \[0, \.\.\.\]$"):
+        transform_Tf(Graph.cycle(2), inside)

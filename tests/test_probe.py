@@ -3,6 +3,7 @@ lookup is checked against its own keys, probes first, and any other by its expan
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from diffcomp import chow
 from diffcomp.chow import (
     ChowDecomposition,
+    compile_functional,
     expand,
     functional_product_decomposition,
     pm_polynomial,
@@ -21,8 +23,8 @@ from diffcomp.chow import (
 )
 from diffcomp.cyclotomic import ONE, ZERO, as_scalar, root_of_unity
 from diffcomp.errors import SizeCapError
-from diffcomp.listings import listing_functional_graphs
-from diffcomp.multipoly import Monomial
+from diffcomp.listings import all_function_tables, listing_functional_graphs
+from diffcomp.multipoly import Monomial, matrix_index
 
 # zero-heavy, with entries of orders 1, 3, 4 and 12
 ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, as_scalar(Fraction(1, 3)),
@@ -52,6 +54,26 @@ def test_coefficient_is_the_coefficient_of_the_expansion(case):
     for mono in [*expanded.terms, *others, Monomial()]:
         assert c.coefficient(mono) == expanded.coefficient(mono), mono
     assert verify(c, expanded)
+
+
+@st.composite
+def row_aligned_certificates(draw):
+    """rho 1..3 homogeneous certificates of degree n over the n x n matrix variables, n 1..3,
+    whose v-th form holds only the variables of row v: the certificates compile_functional takes."""
+    rho, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+    return ChowDecomposition(rho, n, n * n, [
+        [dict(zip(range(v * n, v * n + n), draw(row))) for v in range(n)] for _ in range(rho)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(row_aligned_certificates())
+def test_compile_functional_is_the_coefficient_of_its_monomial(c):
+    n, expanded = c.degree, expand(c)
+    for g in all_function_tables(n):
+        mono = Monomial.of_vars(matrix_index(n, v, g(v)) for v in range(n))
+        X, scalar = compile_functional(c, g)
+        assert scalar == c.coefficient(mono) == expanded.coefficient(mono), (g, X)
 
 
 def test_coefficient_of_a_square_and_of_the_constant():
@@ -99,6 +121,59 @@ def test_summands_mixing_the_product_rule_and_the_pass_agree_with_the_expansion(
     expanded = expand(c)
     for mono in [*expanded.terms, Monomial.make({0: 1, 1: 1}), Monomial()]:
         assert c.coefficient(mono) == expanded.coefficient(mono), mono
+
+
+# -- the lookup test, made once when a certificate is built ---------------------------
+
+
+def _takes_lookup(c: ChowDecomposition) -> bool:
+    """The lookup test, worked out from the sparse forms on demand: every summand, cut at its
+    first zero form, holds no constant and rises in its variables from form to form, and no two
+    first forms share a variable."""
+    firsts = [w for summand in c._sparse for w in summand[0]]
+    return len(firsts) == len(set(firsts)) and all(
+        None not in (ws := [w for form in chow._cut(summand) for w in form])
+        and all(map(int.__lt__, ws, ws[1:])) for summand in c._sparse)
+
+
+@st.composite
+def sparse_certificates(draw):
+    """rho 1..3, degree 1..3, nvars 1..6, sparse forms of up to 3 entries from ENTRIES (a ZERO
+    entry is dropped, so whole forms can be zero).  Half draw each form's variables from its own
+    block, rising from form to form, all first forms from one block; half from every slot."""
+    rho, d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    ordered, size = draw(st.booleans()), -(-n // d)
+    def keys(v):
+        pool = [*range(v * size, min(v * size + size, n))] if ordered else [*range(n)]
+        return st.sampled_from(pool + [None] * draw(st.booleans())) if pool else st.just(None)
+    return ChowDecomposition(rho, d, n, [
+        [draw(st.dictionaries(keys(v), st.sampled_from(ENTRIES), max_size=3)) for v in range(d)]
+        for _ in range(rho)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_certificates())
+def test_the_stored_lookup_test_is_the_one_verify_made(c):
+    assert c._lookup == _takes_lookup(c)
+    if c._lookup:  # the stored count is the expansion's, and its keys are all distinct
+        assert c._count == len(expand(c).terms)
+
+
+@pytest.mark.parametrize("summands, want", [
+    ([[{0: 1}, {1: 2}]], True),  # x0 * 2 x1
+    ([[{0: 1, None: 1}, {1: 1}]], False),  # a constant
+    ([[{0: 1}, {}, {1: 1, None: 3}]], True),  # past a zero form, a constant plays no part
+    ([[{}, {1: 1}, {0: 1}]], True),  # a zero first form
+    ([[{1: 1}, {0: 1}]], False),  # falling variables
+    ([[{0: 1, 1: 1}, {1: 1}]], False),  # x1 in two forms
+    ([[{0: 1}, {1: 1}], [{0: 1}, {2: 1}]], False),  # shared first forms
+    ([[{0: 1}, {2: 1}], [{1: 1}, {2: 1}]], True),  # shared later forms
+], ids=["ordered", "constant", "constant-past-a-zero-form", "zero-first-form", "falling",
+        "shared-in-a-summand", "shared-first-forms", "shared-later-forms"])
+def test_the_lookup_test_on_its_edges(summands, want):
+    c = ChowDecomposition(len(summands), len(summands[0]), 3, summands)
+    assert c._lookup == _takes_lookup(c) == want
+    assert c._count == sum(math.prod(map(len, summand)) for summand in c._sparse)
 
 
 # -- planted mutants ----------------------------------------------------------------
@@ -151,7 +226,7 @@ def test_a_changed_entry_is_rejected_without_expanding(certificate, expand_calls
     for mutant, was_nonzero in _mutants(certificate):
         expand_calls.clear()
         assert not verify(mutant, target)
-        assert len(expand_calls) == (not chow._takes_lookup(mutant))
+        assert len(expand_calls) == (not mutant._lookup)
         checked += was_nonzero
     assert checked == sum(1 for s in certificate.entries for f in s for x in f if x)
 
@@ -205,7 +280,7 @@ def test_a_probe_rejects_a_changed_ordered_certificate_before_any_fold(certifica
     # the lookup comparison would reject these too without `expand`; the probes come first
     target = expand(certificate)
     fold_calls.clear()
-    for mutant in filter(chow._takes_lookup, (mutant for mutant, _ in _mutants(certificate))):
+    for mutant in (mutant for mutant, _ in _mutants(certificate) if mutant._lookup):
         assert not verify(mutant, target)
         assert not fold_calls and not expand_calls
     entries = [[list(form) for form in summand] for summand in certificate.entries]
@@ -221,7 +296,7 @@ def test_the_cap_bound_comes_before_any_probe(monkeypatch, expand_calls, fold_ca
     forms = [dict.fromkeys(range(5 * v, 5 * v + 5), ONE) for v in range(3)]
     c = ChowDecomposition(1, 3, 15, [forms])
     wrong = expand(ChowDecomposition(1, 3, 15, [[{**forms[0], 0: as_scalar(2)}, *forms[1:]]]))
-    assert chow._takes_lookup(c) and len(wrong.terms) == 125
+    assert c._lookup and len(wrong.terms) == 125
     monkeypatch.setenv("DIFFCOMP_MAX_TERMS", "24")
     with pytest.raises(SizeCapError, match="5-term by 5-term"):
         verify(c, wrong)
@@ -243,7 +318,7 @@ def test_a_one_entry_change_that_takes_the_lookup_is_rejected_before_any_fold(
     target = expand(certificate)
     second_lead = next(iter(certificate._sparse[0][1]))
     changes = [mutant for mutant, _ in _mutants(certificate)] + list(_zeroed(certificate))
-    taken = list(filter(chow._takes_lookup, changes))
+    taken = [mutant for mutant in changes if mutant._lookup]
     nonzero = sum(map(len, chain.from_iterable(certificate._sparse)))
     assert len(taken) >= 2 * nonzero and any(second_lead not in m._sparse[0][1] for m in taken)
     for mutant in taken:
@@ -270,3 +345,18 @@ def test_a_constant_slot_reject_expands_once(expand_calls, fold_calls):
         expand_calls.clear()
         assert not verify(mutant, target)
         assert expand_calls == [mutant] and not fold_calls
+
+
+@pytest.mark.parametrize("certificate", [functional_product_decomposition(3), _pm_certificate()],
+                         ids=["functional", "pm"])
+def test_a_reject_by_the_count_or_a_probe_makes_no_structural_scan(certificate, monkeypatch,
+                                                                    fold_calls):
+    # the lookup test and the term count are made when a certificate is built, so a REJECT that
+    # no fold decides cuts no summand
+    target = expand(certificate)
+    changes = [mutant for mutant, _ in _mutants(certificate) if mutant._lookup]
+    cuts = []
+    real_cut = chow._cut
+    monkeypatch.setattr(chow, "_cut", lambda summand: cuts.append(summand) or real_cut(summand))
+    assert changes and not any(verify(mutant, target) for mutant in changes)
+    assert not fold_calls and not cuts
