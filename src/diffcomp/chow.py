@@ -1,27 +1,27 @@
 """Chow decompositions: sums of products of non-homogeneous linear forms.
 
-A decomposition with rho summands of degree d over n variables is a
-rho x d x (n+1) hypermatrix H; entry H[u][v][w] is the coefficient of x_w in
-the v-th linear form of summand u, and slot n holds the form's constant term.
-The number of summands certifies an upper bound on the Chow rank of the
-expanded polynomial; two lower-bound tools live here as well:
+A decomposition with rho summands of degree d over n variables is a rho x d x (n+1) hypermatrix
+H; entry H[u][v][w] is the coefficient of x_w in the v-th linear form of summand u, and slot n
+holds the form's constant term.  The number of summands certifies an upper bound on the Chow rank
+of the expanded polynomial; two lower-bound tools live here as well:
 
- * degree 2 — the first partials of P span at most 2 rho dimensions, so their
-   rank, halved (rounding up), is a lower bound (Nisan and Wigderson's
-   partial-derivative method);
- * totally non-overlapping polynomials — Chow rank equals the term count,
-   so the expanded form itself is an optimal decomposition.
+ * degree 2 — the first partials of P span at most 2 rho dimensions, so their rank, halved
+   (rounding up), is a lower bound (Nisan and Wigderson's partial-derivative method);
+ * totally non-overlapping polynomials — Chow rank equals the term count, so the expanded form
+   itself is an optimal decomposition.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, product, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import textfile
-from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar
+from .cyclotomic import ONE, ZERO, CycloRational, ScalarReader, as_scalar, cyclotomic_polynomial
 from .errors import (DimensionError, FormatError, InternalInconsistencyError, NotApplicableError,
                      NotHomogeneousError, charge, max_terms, number, quoted)
 from .multipoly import Monomial, MultiPoly, matrix_index
@@ -208,28 +208,60 @@ def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
 
 # -- degree-2 lower bound via the first partials ------------------------------
 
-def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
-    """Rank over the field of sparse rows {column: entry}, with int columns.  Each row in turn
-    loses its leading (smallest) column to the pivot row that leads there, until it leads where
-    no pivot does; it then becomes a pivot, scaled once by the inverse of its leading entry.  A
-    pivot's other columns lie beyond its lead, so each reduction moves the lead right.  A zero
-    is dropped when it leads, and when its row becomes a pivot.
-
-    >>> exact_rank([{0: ONE, 2: -ONE}, {0: ONE, 2: -ONE}, {1: ONE / 3}])
-    2
-    """
-    pivots: dict[int, dict[int, CycloRational]] = {}  # lead -> the rest of its row, times -1/lead
-    for row in map(dict, rows):  # a copy: the caller's rows are left as they are
+def _eliminate(rows: Iterable[dict], invert: Callable, canon: Callable) -> int:
+    """The rank of sparse rows {column: entry}, consumed.  Each row in turn loses its leading
+    (smallest) column to the pivot row that leads there, until it leads where no pivot does; it
+    then becomes a pivot, scaled once by invert(lead) = -1/lead.  A pivot's other columns lie
+    beyond its lead, so each reduction moves the lead right.  canon(x) is x in canonical form,
+    for each lead and pivot entry; a zero is dropped when it leads or its row becomes a pivot."""
+    pivots: dict[int, dict] = {}  # lead -> the rest of its row, times -1/lead
+    for row in rows:
         while row:
-            if not (f := row.pop(lead := min(row))):
+            if not (f := canon(row.pop(lead := min(row)))):
                 continue
             if (pivot := pivots.get(lead)) is None:
-                inv = -f.inverse()
-                pivots[lead] = {j: x * inv for j, x in row.items() if x}
+                inv = invert(f)
+                pivots[lead] = {j: canon(x * inv) for j, x in row.items() if x}
                 break
             for j, y in pivot.items():
                 row[j] = row[j] + f * y if j in row else f * y
     return len(pivots)
+
+
+@lru_cache(maxsize=None)
+def _modulus(m: int) -> tuple[int, int] | None:
+    """(p, x): p = 1 (mod m) above 2^31 passes a Fermat test, x = a^((p-1)/m) with a in 2..33 has
+    Phi_m(x) = 0 mod p, so w -> x is a ring map Z[w] -> Z/p, p prime or not; None after 1,000 p."""
+    phi, start = cyclotomic_polynomial(m)[::-1], (2 ** 31 // m + 1) * m + 1
+    for p in filter(lambda p: pow(2, p - 1, p) == 1, range(start, start + 1000 * m, m)):
+        for x in (pow(a, (p - 1) // m, p) for a in range(2, 34)):
+            if not reduce(lambda v, c: (v * x + c) % p, phi, 0):
+                return p, x
+    return None
+
+
+def exact_rank(rows: Iterable[dict[int, CycloRational]]) -> int:
+    """Rank over the field of sparse rows {column: entry}, with int columns.  If the largest entry
+    order m is a multiple of the others (else Phi of their lcm would be built), the rows' image
+    under w -> x mod p (`_modulus`) is eliminated first, with unit leads only: r pivots there show
+    an r x r minor whose image is a unit, so that minor is not 0 over the field, and r = min(#rows,
+    #columns) is the rank.  Otherwise copies of the rows are eliminated over the field.
+
+    >>> exact_rank([{0: ONE, 2: -ONE}, {0: ONE, 2: -ONE}, {1: ONE / 3}])
+    2
+    """
+    rows = list(rows)
+    m = max(orders := {h.order for row in rows for h in row.values()}, default=1)
+    if not any(m % k for k in orders) and (px := _modulus(m)):
+        p, x = px
+        powers = {k: [pow(x, m // k * i, p) for i in range(k)] for k in orders}
+        with suppress(ValueError):  # pow(f, -1, p) refuses a denominator or lead not a unit mod p
+            image = [{j: sum(map(int.__mul__, h.num, powers[h.order])) * pow(h.den, -1, p) % p
+                      for j, h in row.items()} for row in rows]
+            r = _eliminate(image, lambda f: -pow(f, -1, p), lambda v: v % p)
+            if r == min(len(rows), len({j for row in rows for j in row})):
+                return r
+    return _eliminate(map(dict, rows), lambda f: -f.inverse(), lambda v: v)
 
 
 def degree2_chow_lower_bound(p: MultiPoly) -> int:
@@ -275,11 +307,8 @@ def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:
 
 
 def pm_relabelling(p: MultiPoly) -> dict[int, int]:
-    """Witness that p is P_m up to renaming: old variable -> canonical slot.
-
-    Term i (in graded-lex order) has its variables sent, in increasing
-    order, to m*i, ..., m*i + m - 1.
-    """
+    """Witness that p is P_m up to renaming: old variable -> canonical slot.  Term i (in
+    graded-lex order) has its variables sent, in increasing order, to m*i, ..., m*i + m - 1."""
     if not is_totally_non_overlapping(p):
         raise NotApplicableError("polynomial has overlapping terms")
     degrees = {mono.degree() for mono in p.terms}
@@ -291,11 +320,8 @@ def pm_relabelling(p: MultiPoly) -> dict[int, int]:
 
 
 def pm_restriction_to_p2(n: int, m: int) -> tuple[dict[int, int], dict[int, int], int]:
-    """(fixings, relabelling, nvars) turning canonical P_m into canonical P_2.
-
-    Fix all but the first two variables of each term to 1, then compact:
-    x_{mi} -> x_{2i}, x_{mi+1} -> x_{2i+1}.
-    """
+    """(fixings, relabelling, nvars) turning canonical P_m into canonical P_2: fix all but the
+    first two variables of each term to 1, then compact x_{mi} -> x_{2i}, x_{mi+1} -> x_{2i+1}."""
     if m < 2:
         raise DimensionError("P_m needs m >= 2")
     fixings = {m * i + j: 1 for i in range(n) for j in range(2, m)}
@@ -315,12 +341,9 @@ def trivial_decomposition(p: MultiPoly) -> ChowDecomposition:
 
 
 def non_overlapping_rank(p: MultiPoly) -> int:
-    """Exact Chow rank (= term count) of a totally non-overlapping polynomial.
-
-    The trivial decomposition gives the upper bound; optimality holds
-    because restricting each term to two of its variables leaves a P_2
-    whose 2n first partials are independent.
-    """
+    """Exact Chow rank (= term count) of a totally non-overlapping polynomial.  The trivial
+    decomposition gives the upper bound; optimality holds because restricting each term to two
+    of its variables leaves a P_2 whose 2n first partials are independent."""
     if not is_totally_non_overlapping(p):
         raise NotApplicableError("polynomial has overlapping terms")
     if p.is_zero() or any(mono.degree() < 2 for mono in p.terms):
@@ -332,12 +355,9 @@ def non_overlapping_rank(p: MultiPoly) -> int:
 
 def compile_functional(c: ChowDecomposition,
                        g: FunctionTable) -> tuple[list[list[CycloRational]], CycloRational]:
-    """Evaluate a functional computer as sum_u prod_v X[u][v].
-
-    Needs a homogeneous decomposition whose v-th form uses only the matrix
-    variables of row v (a_{v,0}..a_{v,n-1}); then differentiating along g
-    just picks X[u][v] = H[u][v][a_{v,g(v)}] out of each form.
-    """
+    """Evaluate a functional computer as sum_u prod_v X[u][v].  Needs a homogeneous decomposition
+    whose v-th form uses only the matrix variables of row v (a_{v,0}..a_{v,n-1}); then
+    differentiating along g just picks X[u][v] = H[u][v][a_{v,g(v)}] out of each form."""
     n = g.n
     if c.degree != n:
         raise DimensionError(f"decomposition degree {c.degree} != domain size {n}")

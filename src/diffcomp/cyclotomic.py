@@ -1,15 +1,14 @@
 """Exact arithmetic in the field Q(w), where w is a primitive m-th root of unity.
 
-An element is its coordinate vector in the power basis 1, w, ..., w^{phi(m)-1}
-of Q[x]/(Phi_m(x)), stored as FLINT's fmpq_poly stores a polynomial: integer
-coordinates `num` over one positive denominator `den`, in lowest terms
-(gcd(den, *num) == 1; zero is all-zero coordinates over 1).  So equality of
-same-order elements compares integers.  Phi_m is monic, so a product reduces
-modulo Phi_m in the integers, with one gcd at the end; for orders 1 and 2
-(phi = 1, the rationals) every operation is a single integer operation.
-Arithmetic between orders first embeds both into the order lcm(m1, m2).
-`coeffs` gives the coordinates as Fractions, computed on read.  No floating
-point is used; `to_complex` is for display and cross-checking only.
+An element is its coordinate vector in the power basis 1, w, ..., w^{phi(m)-1} of
+Q[x]/(Phi_m(x)), stored as FLINT's fmpq_poly stores a polynomial: integer coordinates `num` over
+one positive denominator `den`, in lowest terms (gcd(den, *num) == 1; zero is all-zero
+coordinates over 1).  So equality of same-order elements compares integers.  Phi_m is monic, so
+a product reduces modulo Phi_m in the integers, with one gcd at the end; for orders 1 and 2
+(phi = 1, the rationals) every operation is a single integer operation.  Arithmetic between
+orders first embeds both into the order lcm(m1, m2).  `coeffs` gives the coordinates as
+Fractions, computed on read.  No floating point is used; `to_complex` is for display and
+cross-checking only.
 """
 
 from __future__ import annotations
@@ -124,13 +123,10 @@ def _make(order: int, num: tuple[int, ...], den: int) -> CycloRational:
 
 
 class CycloRational:
-    """An exact element of the cyclotomic field of a given order.
-
-    `num` (phi(order) integer coordinates) over `den` (a positive integer)
-    is the canonical form described in the module docstring.  Values are
-    immutable; every operation returns a new value or a shared one, so
-    instances are safe to share freely.
-    """
+    """An exact element of the cyclotomic field of a given order.  `num` (phi(order) integer
+    coordinates) over `den` (a positive integer) is the canonical form described in the module
+    docstring.  Values are immutable; every operation returns a new value or a shared one, so
+    instances are safe to share freely."""
 
     __slots__ = ("order", "num", "den")
 
@@ -272,13 +268,9 @@ class CycloRational:
     def __pow__(self, k: int) -> CycloRational:
         if k < 0:
             return self.inverse() ** (-k)
-        out, base = _make(self.order, (1,) + (0,) * (len(self.num) - 1), 1), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        out = _make(self.order, (1,) + (0,) * (len(self.num) - 1), 1)
+        for bit in bin(k)[2:]:  # from the top bit down: square, and at each 1 multiply by self
+            out = out * out * self if bit == "1" else out * out
         return out
 
     # -- comparison ----------------------------------------------------------
@@ -307,10 +299,8 @@ class CycloRational:
 
     def to_text(self) -> str:
         den = self.den
-        if den == 1:
-            body = ",".join(f"{c}/1" for c in self.num)
-        else:
-            body = ",".join(f"{c // g}/{den // g}" for c in self.num for g in (_gcd(c, den),))
+        body = (",".join(f"{c}/1" for c in self.num) if den == 1 else
+                ",".join(f"{c // g}/{den // g}" for c in self.num for g in (_gcd(c, den),)))
         return f"{self.order}:[{body}]"
 
     @classmethod

@@ -73,8 +73,6 @@ class Monomial(tuple):
     def __mul__(self, other: Monomial) -> Monomial:
         if not isinstance(other, Monomial):
             return self._refuse(other)
-        if not self or not other:
-            return other or self
         merged = dict(self)
         for v, e in other:
             merged[v] = merged.get(v, 0) + e
@@ -220,17 +218,11 @@ class MultiPoly:
         fixings = {**dict.fromkeys({v for mono in self.terms for v, _ in mono}, 0), **point}
         return self.restrict_and_relabel(fixings, nvars=0).coefficient(Monomial())
 
-    def restrict_and_relabel(
-        self,
-        fixings: Mapping[int, object] | None = None,
-        relabel: Mapping[int, int] | None = None,
-        nvars: int | None = None,
-    ) -> MultiPoly:
-        """Substitute constants for the fixed variables, then rename the rest.
-
-        Variables not mentioned in `relabel` keep their index.  The mapping
-        must stay injective on the surviving variables.
-        """
+    def restrict_and_relabel(self, fixings: Mapping[int, object] | None = None,
+                             relabel: Mapping[int, int] | None = None,
+                             nvars: int | None = None) -> MultiPoly:
+        """Substitute constants for the fixed variables, then rename the rest.  Variables not
+        mentioned in `relabel` keep their index; the map must be injective on the survivors."""
         fixings = {v: as_scalar(c) for v, c in (fixings or {}).items()}
         relabel = dict(relabel or {})
         if overlap := set(fixings) & set(relabel):
@@ -271,10 +263,8 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         table = VarTable(self.nvars)
-        return " + ".join(
-            "*".join([f"({c})"] + [table.factor(v, e) for v, e in mono])
-            for mono, c in self.sorted_terms()
-        )
+        return " + ".join("*".join([f"({c})"] + [table.factor(v, e) for v, e in mono])
+                          for mono, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"<MultiPoly nvars={self.nvars} terms={len(self.terms)}>"

@@ -697,17 +697,119 @@ def test_sparse_rank_keeps_the_fill_in_a_pivot_creates():
 
 
 def test_exact_rank_inverts_once_per_pivot(monkeypatch):
-    # cost contract: sum_i w^k_i l_2i l_2i+1 over order 12 with dense forms l_j, so each of the
-    # six pivot rows of its first partials holds several entries, and only its lead is inverted
+    # cost contract: sum_i w^k_i l_2i l_2i+1 over order 12 with dense forms l_j, the last summand
+    # w^7 l_4^2, so the first partials have rank 5 and the modular pass hands them to the exact
+    # elimination; each of its five pivot rows holds several entries, and only its lead is inverted
     w, u = root_of_unity(12), [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2], [2, 0, 1, 1, 1, -1],
-                               [1, -1, 2, 0, 1, 3], [3, 1, -1, 1, 0, 2], [1, 1, 1, -2, 2, 1]]
+                               [1, -1, 2, 0, 1, 3], [3, 1, -1, 1, 0, 2], [3, 1, -1, 1, 0, 2]]
     forms = [sum((c * x(v, 6) for v, c in enumerate(row)), MultiPoly(6)) for row in u]
     quad = sum((w ** k * forms[2 * i] * forms[2 * i + 1] for i, k in enumerate([1, 5, 7])),
                MultiPoly(6))
     calls = []
     real = CycloRational.inverse
     monkeypatch.setattr(CycloRational, "inverse", lambda self: calls.append(self) or real(self))
-    assert degree2_chow_lower_bound(quad) == 3 and len(calls) == 6
+    assert degree2_chow_lower_bound(quad) == 3 and len(calls) == 5
+
+
+def _order12_quadratic(u, phases):
+    """sum_i w^k_i l_2i l_2i+1 over order 12, with l_j the form whose coefficients are u[j]."""
+    n, w = len(u[0]), root_of_unity(12)
+    forms = [sum((c * x(v, n) for v, c in enumerate(row)), MultiPoly(n)) for row in u]
+    return sum((w ** k * forms[2 * i] * forms[2 * i + 1] for i, k in enumerate(phases)),
+               MultiPoly(n))
+
+
+def _count_inversions(monkeypatch) -> list:
+    calls = []
+    real = CycloRational.inverse
+    monkeypatch.setattr(CycloRational, "inverse", lambda self: calls.append(self) or real(self))
+    return calls
+
+
+def test_a_full_rank_quadratic_bound_makes_no_inversion(monkeypatch):
+    # cost contract: the modular pass proves a full rank, so neither the six-variable quadratic
+    # of rank 6 nor a certify-shaped one (P_2 on 10 variables under unimodular transvections, rank
+    # 10) reaches the exact elimination
+    u = [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2], [2, 0, 1, 1, 1, -1],
+         [1, -1, 2, 0, 1, 3], [3, 1, -1, 1, 0, 2], [1, 1, 1, -2, 2, 1]]
+    rng, t = random.Random(38), [[int(i == j) for j in range(10)] for i in range(10)]
+    for _ in range(20):
+        a, b = rng.sample(range(10), 2)
+        t[a] = [p + rng.choice((1, -1)) * q for p, q in zip(t[a], t[b])]
+    quads = [_order12_quadratic(u, [1, 5, 7]), _order12_quadratic(t, [3, 0, 11, 4, 7])]
+    calls = _count_inversions(monkeypatch)
+    assert [degree2_chow_lower_bound(q) for q in quads] == [3, 5] and calls == []
+
+
+@pytest.mark.parametrize("modulus, rows, rank", [
+    ((2, 1), [{0: as_scalar(2)}, {1: ONE}], 2),  # 2 maps to 0 mod 2: the image drops the rank
+    ((2, 1), [{0: ONE / 2}, {1: ONE}], 2),  # the denominator 2 is not a unit mod 2
+    ((4, 1), [{0: as_scalar(2)}, {1: ONE}], 2),  # the lead 2 is not a unit mod 4
+    ((4, 1), [{0: ONE, 1: ONE}, {0: ONE, 1: as_scalar(3)}], 2),  # a lead 2 left by a unit pivot
+])
+def test_a_planted_modulus_that_proves_nothing_ends_on_the_exact_elimination(
+        monkeypatch, modulus, rows, rank):
+    # w -> 1 is a ring map onto Z/p for order 1 whatever p is; each modulus here shows no full
+    # rank, so the answer, and the inversions, come from the exact elimination
+    monkeypatch.setattr(chow, "_modulus", lambda m: modulus)
+    calls = _count_inversions(monkeypatch)
+    assert exact_rank(rows) == rank and len(calls) == rank
+
+
+def test_the_modular_pass_builds_no_cyclotomic_polynomial_of_the_orders_lcm(monkeypatch):
+    # one-term pairs of coprime orders: no order is a multiple of the others, so the pass is
+    # skipped before it asks for Phi of their lcm (4,849,845 here), and the exact
+    # elimination, which inverts each entry in its own field, finds the rank
+    from diffcomp import cyclotomic
+    orders, built = (3, 5, 7, 11, 13, 17, 19), []
+    real = cyclotomic.cyclotomic_polynomial
+    for module in (cyclotomic, chow):
+        monkeypatch.setattr(module, "cyclotomic_polynomial", lambda m: built.append(m) or real(m))
+    quad = MultiPoly(14, {Monomial.make({2 * i: 1, 2 * i + 1: 1}): root_of_unity(k) + 2
+                          for i, k in enumerate(orders)})
+    start = time.perf_counter()
+    assert degree2_chow_lower_bound(quad) == 7
+    assert time.perf_counter() - start < 0.5
+    assert set(built) <= set(orders)
+
+
+def test_rows_whose_largest_order_is_not_a_multiple_of_the_others_are_ranked_exactly():
+    # orders 4 and 6: no modulus for order 6 maps w_4 into Z/p, so the rows go to the exact
+    # elimination; row 1 is w_4 times row 0, and mapping w_4 as if it were w_6 would hide that
+    w4, w6 = root_of_unity(4), root_of_unity(6)
+    assert exact_rank([{0: w4, 1: ONE}, {0: w4 * w4, 1: w4}, {2: w6}]) == 2
+
+
+def _entries_of(order: int):
+    """Entries a + b w_d^k over Q(w_d), for d = order or one of its divisors, with denominators."""
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    small = st.fractions(-3, 3, max_denominator=3)
+    return st.builds(lambda d, k, a, b: as_scalar(a) + root_of_unity(d, k) * b,
+                     st.sampled_from(divisors), st.integers(0, order - 1), small, small)
+
+
+@st.composite
+def rows_over_an_order(draw):
+    """Dense rows over Q(w_m), m in 1..60, with zeros: free rows no more than the columns, then,
+    when deficient, rows that are combinations of two earlier ones, so the rank is below both
+    the row count and, mostly, the column count."""
+    entry = _entries_of(draw(st.integers(1, 60)))
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(nrows, 5))
+    M = [[draw(st.one_of(st.just(ZERO), entry, entry)) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = draw(entry), draw(entry)
+            i, j = draw(st.tuples(*[st.integers(0, len(M) - 1)] * 2))
+            M.insert(draw(st.integers(0, len(M))), [a * p + b * q for p, q in zip(M[i], M[j])])
+    return M
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows_over_an_order())
+def test_exact_rank_equals_the_dense_elimination_over_orders_up_to_60(M):
+    sparse = [{j: h for j, h in enumerate(row) if h} for row in M]
+    assert exact_rank(sparse) == exact_rank(_rows(M)) == _dense_rank(M)
 
 
 def test_symmetric_matrix_of_p2_stores_two_entries_per_term(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -307,6 +308,22 @@ def test_bound_on_the_3000_term_p2_costs_the_nonzeros(tmp_path, capsys):
     assert run_cli(["bound", str(listing)]) == 0
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().out == "upper 3000\nlower 3000\nexact 3000\n"
+
+
+@pytest.mark.parametrize("order", [307, 401])
+def test_bound_on_a_one_term_quadratic_of_a_large_prime_order_inverts_nothing(
+        order, tmp_path, capsys):
+    # c a_0 a_1, c of prime order with seeded coordinates in -3..3: the first partials have full
+    # rank 2, which the modular pass proves; inverting c exactly took 14.6 s at order 307 (a whole
+    # process on a 2-CPU host, Python 3.11)
+    rng = random.Random(order)
+    c = ",".join(f"{rng.randint(-3, 3)}/1" for _ in range(order - 1))
+    listing = tmp_path / "b.poly"
+    listing.write_text(f"# diffcomp-poly 1\n2 {order}\n{order}:[{c}] * a_0 * a_1\n")
+    start = time.perf_counter()
+    assert run_cli(["bound", str(listing)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "upper 1\nlower 1\nexact 1\n"
 
 
 def test_bound_with_certificate(tmp_path, capsys):
