@@ -48,15 +48,17 @@ class ChowDecomposition:
         n, sparse, firsts, lookup, count, peak = self.nvars, [], [], True, 0, 0
         for summand in self._sparse:
             if len(summand) != self.degree:
-                raise DimensionError(f"expected {self.degree} forms per summand")
+                raise DimensionError(f"expected {number(self.degree)} forms per summand")
             sparse.append([])
             for form in summand:
                 if isinstance(form, dict):  # type(w) is int: a bool key would pass as 0 or 1
                     if not all(w is None or type(w) is int and 0 <= w < n for w in form):
-                        raise DimensionError(f"sparse form keys are variables below {n} or None")
+                        raise DimensionError(
+                            f"sparse form keys are variables below {number(n)} or None")
                     form = sorted(form.items(), key=lambda wh: n if wh[0] is None else wh[0])
                 elif len(form := tuple(form)) != n + 1:
-                    raise DimensionError(f"each form needs {n + 1} entries, got {len(form)}")
+                    raise DimensionError(
+                        f"each form needs {number(n + 1)} entries, got {len(form)}")
                 else:
                     form = zip(chain(range(n), [None]), form)
                 sparse[-1].append({w: h for w, x in form if (h := as_scalar(x))})
@@ -66,7 +68,7 @@ class ChowDecomposition:
             lookup = (lookup and None not in (ws := [w for form in _cut(sparse[-1]) for w in form])
                       and all(map(int.__lt__, ws, ws[1:])))
         if len(sparse) != self.rho:
-            raise DimensionError(f"expected {self.rho} summands, got {len(sparse)}")
+            raise DimensionError(f"expected {number(self.rho)} summands, got {len(sparse)}")
         vars(self).update(_sparse=tuple(sparse), _lookup=lookup and len(firsts) == len(set(firsts)),
                           _count=count, _peak=peak)
 
@@ -100,29 +102,21 @@ class ChowDecomposition:
         return math.lcm(*(h.order for summand in self._sparse for f in summand for h in f.values()))
 
     def to_text(self, order: int | None = None) -> str:
-        n, m = self.nvars, math.lcm(self.coefficient_order(), 1 if order is None else order)
-        zero, tokens, lines = f"{ZERO.to_text()} ", {}, [f"{self.rho} {self.degree} {n} {m}"]
-        for form in chain.from_iterable(self._sparse):  # its entries, 1:[0/1] in each slot between
-            line, at = [], 0  # at: the first slot not yet written
-            for w, h in form.items():  # each scalar object is formatted once
-                token = tokens.get(key := id(h)) or tokens.setdefault(key, f"{h.to_text()} ")
-                line += [zero * ((s := n if w is None else w) - at), token]
-                at = s + 1
-            lines.append("".join(line + [zero * (n + 1 - at)])[:-1])
-        return textfile.write("chow", lines)
+        m = math.lcm(self.coefficient_order(), 1 if order is None else order)
+        return textfile.write("chow", [f"{self.rho} {self.degree} {self.nvars} {m}"] + [
+            " ".join(h.to_text() for h in form) for summand in self.entries for form in summand])
 
     @classmethod
     def from_text(cls, text: str) -> tuple[ChowDecomposition, int]:
-        """Parse into sparse forms; returns the decomposition and the declared coefficient order."""
+        """Parse the dense rows; returns the decomposition and the declared coefficient order."""
         (rho, d, n, m), body = textfile.read(text, "chow", 1, 1, 0, 1)
         if len(body) != rho * d:
             raise FormatError(f"expected {number(rho * d)} form lines, found {len(body)}")
-        forms, read, zeros = [], ScalarReader().__getitem__, set()
-        for line in body:  # the slots stay a lazy range, as n may be huge; a zero is tested once
+        forms, read = [], ScalarReader().__getitem__
+        for line in body:  # each a dense row; the constructor keeps its nonzero entries
             if len(toks := line.split()) != n + 1:
                 raise FormatError(f"expected {number(n + 1)} entries on line {quoted(line)}")
-            forms.append({w: h for w, t in zip(chain(range(n), [None]), toks)
-                          if t not in zeros and ((h := read(t)) or zeros.add(t))})
+            forms.append(list(map(read, toks)))
         return cls(rho, d, n, [forms[u * d:u * d + d] for u in range(rho)]), m
 
 
@@ -178,16 +172,16 @@ def verify(c: ChowDecomposition, target: MultiPoly) -> bool:
     rises in its variables from form to form, and no two first forms share a variable.  Its
     expansion then has `_count` distinct keys, as a key's first pick is from its own first form,
     and no coefficient 0.  If the cap admits the whole fold, a term count other than `_count` or a
-    probe that differs is a certain REJECT; else every summand is folded and each key looked up.
-    Any other certificate is compared by its expansion."""
+    probe that differs is a certain REJECT; then every summand is folded, which the cap refuses
+    exactly when it did not admit the fold, and each key looked up.  Any other certificate is
+    compared by its expansion."""
     if not c._lookup:
         return expand(c) == target
     if (not c._peak or c._peak <= max_terms()) and (len(target.terms) != c._count or any(
             target.terms.get(key, ZERO) != h for key, h in _probes(c))):
         return False
     folds = list(map(_fold, c._sparse))  # every summand, so one over the cap is refused
-    return len(target.terms) == c._count and all(
-        list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
+    return all(list(map(target.terms.get, keys)) == coeffs for keys, coeffs in folds)
 
 
 def homogenize(c: ChowDecomposition, target: MultiPoly) -> ChowDecomposition:
@@ -298,7 +292,7 @@ def pm_polynomial(n: int, m: int, alphas: Sequence | None = None) -> MultiPoly:
         raise DimensionError("need n >= 1 terms of degree m >= 2")
     alphas = [1] * n if alphas is None else alphas
     if len(alphas) != n:
-        raise DimensionError(f"expected {n} coefficients")
+        raise DimensionError(f"expected {number(n)} coefficients")
     poly = MultiPoly(m * n, {Monomial.of_vars(range(m * i, m * i + m)): as_scalar(alphas[i])
                              for i in range(n)})
     if len(poly.terms) != n:

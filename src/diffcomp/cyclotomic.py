@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DimensionError, FormatError, quoted
+from .errors import DimensionError, FormatError, number, quoted
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -161,12 +161,16 @@ class CycloRational:
         if target_order == m:
             return self
         if target_order % m != 0:
-            raise DimensionError(f"cannot embed order {m} into order {target_order}")
-        num = self.num
-        step = target_order // m
-        dense = [0] * ((len(num) - 1) * step + 1)
-        dense[::step] = num
-        return _make(target_order, _reduce(dense, target_order), self.den)
+            raise DimensionError(f"cannot embed order {m} into order {number(target_order)}")
+        return self._sigma(target_order // m, target_order)
+
+    def _sigma(self, k: int, m: int) -> CycloRational:
+        """w -> w_m^k into the order-m field, for w_m^k of an order dividing this one's (sigma_k
+        when m is this order and k a unit): coordinate i moves to slot i*k mod m, then _reduce."""
+        spread = [0] * m
+        for i, c in enumerate(self.num):
+            spread[i * k % m] = c
+        return _make(m, _reduce(spread, m), self.den)
 
     @staticmethod
     def _unified(a: CycloRational, b: CycloRational):
@@ -194,12 +198,7 @@ class CycloRational:
             return NotImplemented
         a, b = self._unified(self, rhs)
         ad, bd = a.den, b.den
-        if ad == bd:
-            num = tuple(x + y for x, y in zip(a.num, b.num))
-        else:
-            num = tuple(x * bd + y * ad for x, y in zip(a.num, b.num))
-            ad *= bd
-        return _make(a.order, num, ad)
+        return _make(a.order, tuple(x * bd + y * ad for x, y in zip(a.num, b.num)), ad * bd)
 
     __radd__ = __add__
 
@@ -246,17 +245,13 @@ class CycloRational:
         """Multiplicative inverse; Phi_m is irreducible so any nonzero element has one."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        num, den, m = self.num, self.den, self.order
-        # 1/a = den * c / N: c is the product of sigma_k(den * a) over the units k != 1 mod m,
-        # sigma_k (w -> w^k) moves coordinate i to slot i*k mod m, and N = den * a * c is an integer
+        den, m, whole = self.den, self.order, _make(self.order, self.num, 1)  # whole = den * a
+        # 1/a = den * c / N, c the product of sigma_k(whole) over units k != 1 mod m, N = whole * c
         cofactor = ONE
         for k in range(2, m):
             if _gcd(k, m) == 1:
-                spread = [0] * m
-                for i, c in enumerate(num):
-                    spread[i * k % m] = c
-                cofactor = cofactor * _make(m, _reduce(spread, m), 1)
-        norm = (_make(m, num, 1) * cofactor).num[0]
+                cofactor = cofactor * whole._sigma(k, m)
+        norm = (whole * cofactor).num[0]
         scale = den if norm > 0 else -den
         return _make(m, tuple(scale * c for c in cofactor.num), abs(norm))
 

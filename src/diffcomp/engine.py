@@ -86,13 +86,15 @@ class DifferentialComputer:
         return f"{head}{' * ' * bool(head)}... (degree {number(mono.degree())})"
 
     def _decide(self, scalar: CycloRational, mono: Monomial) -> RunResult:
-        # s^m without the power: every root of unity in the field of s (order k)
-        # has order dividing L = lcm(2, k), so s^m = 1 iff s^gcd(m, L) = 1
+        # s^m without the power: a root of unity in the field of s (order k) has order dividing
+        # L = lcm(2, k), so s^m = 1 iff s^gcd(m, L) = 1.  By Kronecker, s is one iff it is integral
+        # (den 1) and s * sigma_{-1}(s) = 1: in an abelian field, every conjugate then has |z| = 1
         if scalar.is_zero():
             return _NO
         if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
             return known
-        if scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE:
+        if (scalar.den == 1 and scalar * scalar._sigma(-1, scalar.order) == ONE
+                and scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE):
             return self._units.setdefault(key, RunResult(1, scalar))
         # name s and m, not s^m: that is a second power, with integers m times as long as s's.
         # s, m and the witness share BOUND - 7 characters: an `error:` line of at most 300 bytes
@@ -121,7 +123,7 @@ def run_vector(dc: DifferentialComputer, b: Sequence[int]) -> RunResult:
         raise DimensionError(f"run_vector on a {dc.input_kind}-input computer")
     bits = list(map(int, b))
     if len(bits) != dc.arity or not {*bits} <= {0, 1}:
-        raise DimensionError(f"expected a length-{dc.arity} bit vector")
+        raise DimensionError(f"expected a length-{number(dc.arity)} bit vector")
     return _run(dc, list(compress(count(), bits)))  # the indices of the set bits
 
 
@@ -132,7 +134,7 @@ def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResul
     n = dc.arity
     flat = list(map(int, chain.from_iterable(B)))  # row-major, as matrix_index numbers them
     if len(B) != n or {*map(len, B)} - {n}:
-        raise DimensionError(f"expected a {n}x{n} matrix")
+        raise DimensionError(f"expected a {number(n)}x{number(n)} matrix")
     if not {*flat} <= {0, 1}:
         raise DimensionError("matrix entries must be 0 or 1")
     return _run(dc, list(compress(count(), flat)))
@@ -166,7 +168,7 @@ def count_eval(p: MultiPoly, B: Sequence[Sequence[int]]) -> CycloRational:
     if {*map(len, B)} - {n}:
         raise DimensionError("matrix must be square")
     if p.nvars > n * n:
-        raise DimensionError(f"listing uses {p.nvars} variables, matrix provides {n * n}")
+        raise DimensionError(f"listing uses {number(p.nvars)} variables, matrix provides {n * n}")
     return p.evaluate(dict.fromkeys(compress(count(), flat), 1))
 
 

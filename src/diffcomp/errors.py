@@ -64,11 +64,14 @@ def number(value: int) -> str:
 def quoted(value: object) -> str:
     """repr(value) for a refusal: cut to BOUND characters (a str's before repr) and then '...'.
     It formats only what it shows: an int through `number`, and a tuple, list, non-empty set or
-    dict item by item to BOUND."""
+    dict item by item to BOUND; a value whose repr raises is written as its type's name."""
     kind, ends = type(value), {tuple: "()", list: "[]", set: "{}", dict: "{}"}.get(type(value))
     if not ends or kind is set and not value:  # set() is written as repr writes it
-        text = (value if isinstance(value, str) else number(value) if type(value) is int else
-                repr(value))
+        try:
+            text = (value if isinstance(value, str) else number(value) if type(value) is int else
+                    repr(value))
+        except ValueError:  # a Fraction or CycloRational holding an int too long for str(), say
+            text = f"<{kind.__name__}>"
     else:
         items = islice(value.items() if kind is dict else value, BOUND)
         text = ", ".join(": ".join(map(quoted, x)) if kind is dict else quoted(x) for x in items)

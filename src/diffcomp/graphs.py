@@ -35,7 +35,7 @@ class Graph:
             raise DimensionError("vertex count must be non-negative")
         adj = tuple(tuple(int(x) for x in row) for row in self.adj)
         if len(adj) != self.n or any(len(row) != self.n for row in adj):
-            raise DimensionError(f"adjacency matrix must be {self.n}x{self.n}")
+            raise DimensionError(f"adjacency matrix must be {number(self.n)}x{number(self.n)}")
         if any(x not in (0, 1) for row in adj for x in row):
             raise DimensionError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adj", adj)
@@ -48,7 +48,8 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         edges = set(edges)
         if stray := sorted((i, j) for i, j in edges if not (0 <= i < n and 0 <= j < n)):
-            raise DimensionError(f"edge {stray[0]} has an endpoint outside 0..{n - 1}")
+            raise DimensionError(
+                f"edge {quoted(stray[0])} has an endpoint outside 0..{number(n - 1)}")
         return cls(n, tuple(tuple(int((i, j) in edges) for j in range(n)) for i in range(n)))
 
     @classmethod

@@ -67,7 +67,7 @@ class TruthTable:
             raise DimensionError("order m must be at least 1")
         yes = frozenset(_as_bits(b, self.n) for b in self.yes)
         if stray := set(self.phases) - yes:
-            raise DimensionError(f"phase given for non-yes instance {sorted(stray)[0]}")
+            raise DimensionError(f"phase given for non-yes instance {quoted(sorted(stray)[0])}")
         phases = {b: self.phases.get(b, 0) % self.m for b in yes}
         vars(self).update(yes=yes, phases=phases)
 
@@ -123,7 +123,7 @@ class FunctionTable:
             raise DimensionError("domain size must be positive")
         images = tuple(int(x) for x in self.images)
         if len(images) != self.n:
-            raise DimensionError(f"expected {self.n} images, got {len(images)}")
+            raise DimensionError(f"expected {number(self.n)} images, got {len(images)}")
         if bad := [x for x in images if not 0 <= x < self.n]:
             raise DimensionError(f"image {number(bad[0])} outside Z_{self.n}")
         object.__setattr__(self, "images", images)

@@ -209,7 +209,8 @@ class MultiPoly:
         """Formal d/dx_v; terms not containing x_v vanish.  Dividing by x_v is one to one on the
         terms that hold it, so no two of them meet, and e c is not 0 when c is not."""
         if not 0 <= v < self.nvars:
-            raise DimensionError(f"variable {v} outside universe of size {self.nvars}")
+            raise DimensionError(
+                f"variable {number(v)} outside universe of size {number(self.nvars)}")
         return MultiPoly._trusted(self.nvars, {d[1]: c * d[0] for mono, c in self.terms.items()
                                                if (d := mono.diff(v))})
 
@@ -226,13 +227,15 @@ class MultiPoly:
         fixings = {v: as_scalar(c) for v, c in (fixings or {}).items()}
         relabel = dict(relabel or {})
         if overlap := set(fixings) & set(relabel):
-            raise InvalidRelabellingError(f"variables both fixed and relabelled: {sorted(overlap)}")
+            raise InvalidRelabellingError(
+                f"variables both fixed and relabelled: {quoted(sorted(overlap))}")
 
         survivors = {v for m in self.terms for v in m.support()} - set(fixings)
         image = {}
         for v in survivors:
             if (t := relabel.get(v, v)) in image:
-                raise InvalidRelabellingError(f"variables {image[t]} and {v} both map to {t}")
+                raise InvalidRelabellingError(
+                    f"variables {number(image[t])} and {number(v)} both map to {number(t)}")
             image[t] = v
 
         out: dict[Monomial, CycloRational] = {}
@@ -244,7 +247,7 @@ class MultiPoly:
                 elif (x := fixings[v]).is_zero():
                     break
                 else:
-                    coeff = coeff * (x if e == 1 else x**e)
+                    coeff = coeff * x**e
             else:  # no fixed factor of the term is zero
                 key = Monomial.make(kept)
                 out[key] = coeff if (acc := out.get(key)) is None else acc + coeff
@@ -284,7 +287,7 @@ def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:
                                      f"{quoted(mono)} is not canonical")
             top = v
         if nvars <= top:
-            raise DimensionError(f"nvars={nvars} but a term uses variable {top}")
+            raise DimensionError(f"nvars={number(nvars)} but a term uses variable {number(top)}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,7 @@ def _check_universe(nvars: int, terms: Iterable[Monomial]) -> None:
 def matrix_index(n: int, i: int, j: int) -> int:
     """Row-major flat index of the matrix variable a_{i,j}."""
     if not (0 <= i < n and 0 <= j < n):
-        raise DimensionError(f"({i},{j}) outside a {n}x{n} matrix")
+        raise DimensionError(f"({number(i)},{number(j)}) outside a {number(n)}x{number(n)} matrix")
     return n * i + j
 
 
@@ -327,7 +330,8 @@ class VarTable:
 
     def name(self, index: int) -> str:
         if not 0 <= index < self.size:
-            raise IndexError(f"variable {index} outside universe of size {self.size}")
+            raise IndexError(
+                f"variable {number(index)} outside universe of size {number(self.size)}")
         if self.side is None:
             return f"{self.prefix}_{index}"
         i, j = divmod(index, self.side)

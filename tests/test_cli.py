@@ -197,6 +197,26 @@ def test_run_refuses_a_non_root_at_a_huge_declared_order_at_once(tmp_path, capsy
         "monomial a_0; the program is not an additive listing"]
 
 
+def test_run_refuses_a_large_prime_order_coefficient_before_any_power(tmp_path, capsys):
+    # c a_0, c of prime order 401 with seeded coordinates in -3..3, on input 1: Kronecker's test
+    # finds c no root of unity, so the deciding power c^401, about 0.9 s of a whole process
+    # without the test (2-CPU host, Python 3.11.7), is not taken; the refusal is the same
+    order = 401
+    rng = random.Random(order)
+    c = ",".join(f"{rng.randint(-3, 3)}/1" for _ in range(order - 1))
+    poly, inp = tmp_path / "k.poly", tmp_path / "in.bits"
+    poly.write_text(f"# diffcomp-poly 1\n1 {order}\n{order}:[{c}] * a_0\n")
+    inp.write_text("1\n")
+    start = time.perf_counter()
+    assert run_cli(["run", str(poly), str(inp)]) == 3
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: post-power scalar (<order-{order} coefficient>)^{order} is neither 0 nor 1 at "
+        "input monomial a_0; the program is not an additive listing"]
+
+
 def test_run_decides_a_root_of_unity_at_a_huge_declared_order(tmp_path, capsys):
     poly, inp = tmp_path / "w4.poly", tmp_path / "in.bits"
     poly.write_text("1 1000000000\n4:[0/1,1/1] * a_0\n")  # w_4, and 4 divides 10^9

@@ -5,14 +5,16 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffcomp.cyclotomic import ONE, ZERO, CycloRational, as_scalar, root_of_unity
+from diffcomp.cyclotomic import ONE, ZERO, CycloRational, as_scalar, euler_phi, root_of_unity
 from diffcomp.engine import (
     DifferentialComputer,
     RunResult,
@@ -22,7 +24,8 @@ from diffcomp.engine import (
     run_matrix,
     run_vector,
 )
-from diffcomp.errors import DimensionError, ModelViolationError, SingularMatrixError, charge
+from diffcomp.errors import (BOUND, DimensionError, ModelViolationError, SingularMatrixError,
+                             charge, fits)
 from diffcomp.graphs import Graph
 from diffcomp.listings import (
     FunctionTable,
@@ -360,15 +363,51 @@ def test_model_violation_names_input_and_powered_scalar():
         run_vector(constant, (0,))
 
 
-@pytest.mark.parametrize("s, m", [(as_scalar(2), 1), (2 * root_of_unity(4), 4),  # m <= L
-                                  (as_scalar(Fraction(3, 2)), 6), (2 * root_of_unity(3), 12)])
-def test_a_failing_decision_takes_one_power(monkeypatch, s, m):
-    # the deciding power s^gcd(m, L) is the only one: the message names s and m, not s^m
-    period, power, calls = math.lcm(2, s.order), CycloRational.__pow__, []
+@pytest.mark.parametrize("s, m, powers", [
+    (as_scalar(2), 1, []), (2 * root_of_unity(4), 4, []),  # m <= L
+    (as_scalar(Fraction(3, 2)), 6, []), (2 * root_of_unity(3), 12, []),
+    (root_of_unity(4), 2, [2]),  # a root of unity, whose deciding power s^2 is -1
+], ids=["s0-1", "s1-4", "s2-6", "s3-12", "w4-2"])
+def test_a_failing_decision_takes_a_power_only_for_a_root_of_unity(monkeypatch, s, m, powers):
+    # Kronecker's test refuses a non-root of unity before any power; a root of unity takes the
+    # deciding power s^gcd(m, L) and no other: the message names s and m, not s^m
+    power, calls = CycloRational.__pow__, []
     monkeypatch.setattr(CycloRational, "__pow__", lambda x, k: calls.append(k) or power(x, k))
     with pytest.raises(ModelViolationError, match=rf"^post-power scalar \(.*\)\^{m} is neither"):
         DifferentialComputer(MultiPoly(0), 0, m, "vector")._decide(s, Monomial(()))
-    assert calls == [math.gcd(m, period)]
+    assert calls == powers
+    assert not powers or powers == [math.gcd(m, math.lcm(2, s.order))]
+
+
+def decision_scalars():
+    """Roots of unity, their negatives, rationals and free values, of orders 1 to 60."""
+    orders = st.integers(1, 60)
+    roots = st.builds(root_of_unity, orders, st.integers(0, 59))
+    rationals = st.builds(lambda k, q: CycloRational(k, [q]), orders,
+                          st.fractions(-4, 4, max_denominator=4))
+    coords = st.fractions(-3, 3, max_denominator=3)
+    free = orders.flatmap(lambda k: st.lists(coords, min_size=euler_phi(k), max_size=euler_phi(k))
+                          .map(partial(CycloRational, k)))
+    return st.one_of(roots, roots.map(operator.neg), rationals, free)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decision_scalars(), st.integers(1, 120))
+def test_the_decision_is_the_plain_powers(s, m):
+    # bit, scalar and message as s^m itself decides: 0 for s = 0, 1 for s^m = 1, else the refusal
+    # that names s (or its order, past 193 characters with m and the witness) and m
+    dc = DifferentialComputer(MultiPoly(0), 1, m, "vector")
+    if not s or s**m == ONE:
+        result = dc._decide(s, Monomial([(0, 1)]))
+        assert (result.bit, result.scalar) == ((1, s) if s else (0, ZERO))
+        return
+    whole = fits(*s.num, s.den) and len(str(s)) + len(str(m)) + len("a_0") <= BOUND - 7
+    shown = str(s) if whole else f"<order-{s.order} coefficient>"
+    with pytest.raises(ModelViolationError) as info:
+        dc._decide(s, Monomial([(0, 1)]))
+    assert str(info.value) == (f"post-power scalar ({shown})^{m} is neither 0 nor 1 at input "
+                               "monomial a_0; the program is not an additive listing")
+    assert dc._units == {}
 
 
 @pytest.mark.parametrize("s, shown", [

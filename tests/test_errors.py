@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from diffcomp.errors import BOUND, DimensionError, SizeCapError, charge, fits, number, quoted
+from diffcomp.chow import ChowDecomposition, pm_polynomial
+from diffcomp.cyclotomic import CycloRational, root_of_unity
+from diffcomp.engine import DifferentialComputer, count_eval, run_matrix, run_vector
+from diffcomp.errors import (BOUND, DiffcompError, DimensionError, SizeCapError, charge, fits,
+                             number, quoted)
 from diffcomp.graphs import Graph, transform_Tf
-from diffcomp.listings import TruthTable, _as_bits
+from diffcomp.listings import FunctionTable, TruthTable, _as_bits
+from diffcomp.multipoly import Monomial, MultiPoly, VarTable, matrix_index
+
+N = 10**5000  # past the 4,300 digits str() writes
 
 
 def test_a_number_is_written_whole_up_to_600_bits():
@@ -76,3 +85,41 @@ def test_a_list_or_dict_inside_itself_is_quoted_once():
     assert quoted(inside) == "[0, ...]" and quoted(keyed) == "{1: (...,)}"
     with pytest.raises(DimensionError, match=r"not \[0, \.\.\.\]$"):
         transform_Tf(Graph.cycle(2), inside)
+
+
+CALLS = {
+    "graph": lambda: Graph(N, ()),
+    "graph-edge": lambda: Graph.from_edges(2, [(N, 0)]),
+    "function-table": lambda: FunctionTable(N, ()),
+    "truth-table-phase": lambda: TruthTable.make(1, [], 2, {(N,): 1}),
+    "multipoly-variable": lambda: MultiPoly(1, {Monomial([(N, 1)]): 1}),
+    "matrix-index": lambda: matrix_index(2, N, 0),
+    "partial-derivative": lambda: MultiPoly(1).partial_derivative(N),
+    "relabel-collision": lambda: MultiPoly(2, {Monomial([(0, 1)]): 1, Monomial([(1, 1)]): 1})
+    .restrict_and_relabel(relabel={0: N, 1: N}),
+    "chow-rho": lambda: ChowDecomposition(N, 1, 1, []),
+    "chow-degree": lambda: ChowDecomposition(1, N, 1, [[]]),
+    "chow-nvars": lambda: ChowDecomposition(1, 1, N, [[[1]]]),
+    "pm-polynomial": lambda: pm_polynomial(N, 2, [1]),
+    "run-vector": lambda: run_vector(DifferentialComputer(MultiPoly(0), N, 1), [1]),
+    "run-matrix": lambda: run_matrix(DifferentialComputer(MultiPoly(0), N, 1, "matrix"), [[1]]),
+    "count-eval": lambda: count_eval(MultiPoly(N), [[1]]),
+    "embed": lambda: root_of_unity(2).embed(N + 1),
+    "var-table-name": lambda: VarTable(2).name(N),
+    "seed-fraction": lambda: transform_Tf(Graph.cycle(2), Fraction(N)),
+    "seed-cyclorational": lambda: transform_Tf(Graph.cycle(2), CycloRational(1, [N])),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_a_refusal_of_an_int_too_long_to_print_is_typed_and_short(name):
+    # each refusal writes the caller's int through `number` and a container through `quoted`
+    with pytest.raises(IndexError if name == "var-table-name" else DiffcompError) as info:
+        CALLS[name]()
+    assert len(str(info.value).encode()) <= 300
+
+
+def test_a_value_whose_repr_raises_is_quoted_by_its_type_name():
+    assert quoted(Fraction(N)) == "<Fraction>" and quoted((Fraction(N), 1)) == "(<Fraction>, 1)"
+    assert quoted(CycloRational(1, [N])) == "<CycloRational>"
+    assert quoted(Fraction(1, 3)) == "Fraction(1, 3)"
