@@ -136,9 +136,8 @@ def _fold(summand: list) -> tuple[Iterator[tuple], list[CycloRational]]:
     for form in summand[1:]:
         if (a := len(coeffs)) * (b := len(form)) != 1:  # as *: one term by one is free
             charge([a * b], f"multiplying {a}-term by {b}-term polynomials")
-        pairs = [(h, _is_one(h)) for h in form.values()]  # a unit passes the other on
-        coeffs = [h if one else g if h_one else g * h
-                  for g in coeffs for one in [_is_one(g)] for h, h_one in pairs]
+        hs = list(form.values())  # a unit g passes each h on
+        coeffs = [h if one else g * h for g in coeffs for one in [_is_one(g)] for h in hs]
     return product(*[zip(f, repeat(1)) for f in summand]), coeffs
 
 

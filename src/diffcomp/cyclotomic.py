@@ -110,11 +110,10 @@ def _is_fraction(x) -> bool:  # a Fraction exists only once `fractions` is loade
 
 def _make(order: int, num: tuple[int, ...], den: int) -> CycloRational:
     # the trusted constructor: phi(order) integer coordinates over a positive den
-    if den != 1:
-        g = _gcd(den, *num)
-        if g != 1:
-            num = tuple(c // g for c in num)
-            den //= g
+    g = _gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
     x = _new(CycloRational)
     _set_order(x, order)
     _set_num(x, num)
@@ -217,8 +216,8 @@ class CycloRational:
         if (rhs := _lift(other)) is None:
             return NotImplemented
         # a rational factor q (of any order: a 1 of order 12, say) scales the other one; of two,
-        # q is the one of lower order
-        if not any(rhs.num[1:]) and (any(self.num[1:]) or rhs.order <= self.order):
+        # q is the right one
+        if not any(rhs.num[1:]):
             q, b = rhs, self
         elif not any(self.num[1:]):
             q, b = self, rhs

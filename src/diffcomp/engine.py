@@ -24,10 +24,10 @@ from itertools import chain, compress, count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .cyclotomic import ONE, ZERO, CycloRational
+from .cyclotomic import ZERO, CycloRational, root_of_unity
 from .errors import (BOUND, DimensionError, ModelViolationError, SingularMatrixError, charge, fits,
                      number)
-from .listings import FunctionTable
+from .listings import FunctionTable, _as_bits
 from .multipoly import Monomial, MultiPoly, VarTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,8 +93,9 @@ class DifferentialComputer:
             return _NO
         if (known := self._units.get(key := (scalar.order, scalar.num, scalar.den))) is not None:
             return known
-        if (scalar.den == 1 and scalar * scalar._sigma(-1, scalar.order) == ONE
-                and scalar ** math.gcd(self.order, math.lcm(2, scalar.order)) == ONE):
+        one = root_of_unity(k := scalar.order, 0)  # of order k, so == embeds nothing
+        if (scalar.den == 1 and scalar * scalar._sigma(-1, k) == one
+                and scalar ** math.gcd(self.order, math.lcm(2, k)) == one):
             return self._units.setdefault(key, RunResult(1, scalar))
         # name s and m, not s^m: that is a second power, with integers m times as long as s's.
         # s, m and the witness share BOUND - 7 characters: an `error:` line of at most 300 bytes
@@ -121,10 +122,7 @@ def run_vector(dc: DifferentialComputer, b: Sequence[int]) -> RunResult:
     """Apply d/da_i per set bit, evaluate at zero, decide (by coefficient lookup)."""
     if dc.input_kind != "vector":
         raise DimensionError(f"run_vector on a {dc.input_kind}-input computer")
-    bits = list(map(int, b))
-    if len(bits) != dc.arity or not {*bits} <= {0, 1}:
-        raise DimensionError(f"expected a length-{number(dc.arity)} bit vector")
-    return _run(dc, list(compress(count(), bits)))  # the indices of the set bits
+    return _run(dc, list(compress(count(), _as_bits(b, dc.arity))))  # the set bits' indices
 
 
 def run_matrix(dc: DifferentialComputer, B: Sequence[Sequence[int]]) -> RunResult:

@@ -43,7 +43,7 @@ Bits = tuple[int, ...]
 def _as_bits(b: Iterable[int], n: int) -> Bits:
     t = tuple(map(int, b))
     if len(t) != n or not {*t} <= {0, 1}:
-        raise DimensionError(f"expected a length-{n} bit vector, got {quoted(t)}")
+        raise DimensionError(f"expected a length-{number(n)} bit vector, got {quoted(t)}")
     return t
 
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffcomp import cyclotomic
@@ -435,9 +435,18 @@ def test_arithmetic_agrees_with_dense_reference(a, b):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(ORDERS), st.one_of(st.integers(-3, 3), small), elements(), st.booleans())
+@example(1, Fraction(-3, 4), as_scalar(6).embed(2), True)  # two rationals, of orders (k, x.order)
+@example(1, Fraction(-3, 4), as_scalar(6).embed(2), False)
+@example(2, Fraction(5, 2), as_scalar(Fraction(2, 5)), True)
+@example(2, Fraction(5, 2), as_scalar(Fraction(2, 5)), False)
+@example(2, 3, as_scalar(Fraction(-1, 6)).embed(3), True)
+@example(2, 3, as_scalar(Fraction(-1, 6)).embed(3), False)
+@example(1, 2, as_scalar(Fraction(7, 4)).embed(12), True)
+@example(1, 2, as_scalar(Fraction(7, 4)).embed(12), False)
 def test_a_rational_in_a_wider_field_multiplies_like_the_dense_product(k, q, x, left):
-    # q written in the order-k field (the 1 of order 12, say) scales the other factor:
-    # the product has order lcm(k, x.order) and the dense product's coordinates
+    # q written in the order-k field (the 1 of order 12, say) scales the other factor, the
+    # right one of two rationals: either way round, the product has order lcm(k, x.order) and
+    # the dense product's coordinates
     r = as_scalar(q).embed(k)
     prod, lcm = (r * x if left else x * r), math.lcm(k, x.order)
     assert prod.order == lcm

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -219,9 +220,10 @@ def test_run_vector_input_validation():
         run_vector(dc, (2, 0))
     with pytest.raises(ValueError):
         run_matrix(dc, [[1, 0], [0, 1]])  # wrong kind
-    # every rejection keeps its exact message, whatever the input is wrong in
+    # every rejection is the bit-vector check's, which names the vector
     for bad in ((1, 2), (0, 1, 0), (1,), (), (1, -1), [0, 2]):
-        with pytest.raises(ValueError, match=r"^expected a length-2 bit vector$"):
+        message = f"^{re.escape(f'expected a length-2 bit vector, got {tuple(bad)}')}$"
+        with pytest.raises(DimensionError, match=message):
             run_vector(dc, bad)
     with pytest.raises(ValueError, match=r"^run_functional on a vector-input computer$"):
         run_functional(dc, FunctionTable.identity(2))
@@ -377,6 +379,21 @@ def test_a_failing_decision_takes_a_power_only_for_a_root_of_unity(monkeypatch, 
         DifferentialComputer(MultiPoly(0), 0, m, "vector")._decide(s, Monomial(()))
     assert calls == powers
     assert not powers or powers == [math.gcd(m, math.lcm(2, s.order))]
+
+
+@pytest.mark.parametrize("s, root", [(root_of_unity(12, 5), True), (1 + root_of_unity(12), False)],
+                         ids=["root", "non-root"])
+def test_a_memo_miss_decision_at_order_12_makes_no_embed(monkeypatch, s, root):
+    # both tests compare with the 1 of s's own order, so == never widens a 1 of order 1
+    embed, calls = CycloRational.embed, []
+    monkeypatch.setattr(CycloRational, "embed", lambda x, m: calls.append(m) or embed(x, m))
+    dc = DifferentialComputer(MultiPoly(0), 0, 12, "vector")
+    if root:
+        assert dc._decide(s, Monomial(())).bit == 1
+    else:
+        with pytest.raises(ModelViolationError):
+            dc._decide(s, Monomial(()))
+    assert calls == []
 
 
 def decision_scalars():

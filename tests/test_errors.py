@@ -102,6 +102,8 @@ CALLS = {
     "chow-nvars": lambda: ChowDecomposition(1, 1, N, [[[1]]]),
     "pm-polynomial": lambda: pm_polynomial(N, 2, [1]),
     "run-vector": lambda: run_vector(DifferentialComputer(MultiPoly(0), N, 1), [1]),
+    "bits-length": lambda: _as_bits([1], N),
+    "truth-table-arity": lambda: TruthTable.make(N, [(1,)]),
     "run-matrix": lambda: run_matrix(DifferentialComputer(MultiPoly(0), N, 1, "matrix"), [[1]]),
     "count-eval": lambda: count_eval(MultiPoly(N), [[1]]),
     "embed": lambda: root_of_unity(2).embed(N + 1),
